@@ -69,8 +69,6 @@ from .mechanisms import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    analyst_fixed,
-    analyst_random_correlation,
     naive_answer,
     population_generators,
     run_experiment,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -315,6 +315,20 @@ def _mean_value(q, subsample: tuple) -> float:
     return q.mean_output(subsample)
 
 
+def position_subsets(S: Dataset, w: int) -> Iterator[tuple]:
+    """All C(n, w) position subsets of S, as element tuples in position order."""
+    for pos in itertools.combinations(range(len(S)), w):
+        yield tuple(S[p] for p in pos)
+
+
+def iid_draws(D: GroundTruth, w: int) -> Iterator[tuple[float, tuple]]:
+    """(mass, tuple) for every ordered w-tuple of D's support of nonzero mass."""
+    for idx in itertools.product(range(len(D.support)), repeat=w):
+        mass = float(np.prod([D.masses[i] for i in idx]))
+        if mass != 0.0:
+            yield mass, tuple(D.support[i] for i in idx)
+
+
 def query_expectation_on_sample(q, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP,
                                 mc_draws: Optional[int] = None,
                                 rng=None) -> ExpectationEstimate:
@@ -337,11 +351,9 @@ def query_expectation_on_sample(q, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_C
         return ExpectationEstimate(float(np.mean(vals)))
     if math.comb(n, w) <= enum_cap:
         total = 0.0
-        count = 0
-        for pos in itertools.combinations(range(n), w):
-            total += _mean_value(q, tuple(S[p] for p in pos))
-            count += 1
-        return ExpectationEstimate(total / count)
+        for sub in position_subsets(S, w):
+            total += _mean_value(q, sub)
+        return ExpectationEstimate(total / math.comb(n, w))
     if mc_draws is None:
         raise EnumerationCapExceeded(
             f"C({n},{w}) subsets exceed cap {enum_cap}; supply mc_draws")
@@ -382,12 +394,8 @@ def _population_moment(q, D: GroundTruth, *, power: int, enum_cap: int,
     size = len(D.support)
     if size ** w <= enum_cap:
         total = 0.0
-        for idx in itertools.product(range(size), repeat=w):
-            weight = float(np.prod([D.masses[i] for i in idx]))
-            if weight == 0.0:
-                continue
-            v = _mean_value(q, tuple(D.support[i] for i in idx))
-            total += weight * v ** power
+        for weight, draw in iid_draws(D, w):
+            total += weight * _mean_value(q, draw) ** power
         return ExpectationEstimate(total)
     if mc_draws is None:
         raise EnumerationCapExceeded(

@@ -11,7 +11,6 @@ frequency comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,6 +24,8 @@ from .core import (
     GroundTruth,
     MASS_TOL,
     Query,
+    iid_draws,
+    position_subsets,
 )
 
 
@@ -165,8 +166,8 @@ def exact_response_pmf(q: Query, S: Dataset, *,
         raise EnumerationCapExceeded(
             f"C({n},{w})*|Y| = {count * len(q.outputs)} exceeds cap {enum_cap}")
     masses = np.zeros(len(q.outputs))
-    for pos in itertools.combinations(range(n), w):
-        masses += q.output_pmf(tuple(S[p] for p in pos))
+    for sub in position_subsets(S, w):
+        masses += q.output_pmf(sub)
     return ResponsePMF(q.outputs, masses / count)
 
 
@@ -180,11 +181,8 @@ def population_response_pmf(q: Query, D: GroundTruth, *,
         raise EnumerationCapExceeded(
             f"|support|^{w}*|Y| = {size ** w * len(q.outputs)} exceeds cap {enum_cap}")
     masses = np.zeros(len(q.outputs))
-    for idx in itertools.product(range(size), repeat=w):
-        weight = float(np.prod([D.masses[i] for i in idx]))
-        if weight == 0.0:
-            continue
-        masses += weight * q.output_pmf(tuple(D.support[i] for i in idx))
+    for weight, draw in iid_draws(D, w):
+        masses += weight * q.output_pmf(draw)
     return ResponsePMF(q.outputs, masses)
 
 

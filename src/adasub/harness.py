@@ -1,10 +1,10 @@
-"""Adaptive analysts, baseline mechanisms, and the experiment runner.
+"""Adaptive analysts, the mechanisms they face, and the experiment runner.
 
 An analyst sees only the mechanism's responses, never the sample: its
 interface receives the round number, the response prefix, and a split
 randomness source. The runner draws a fresh sample per trial, plays the
-analyst against the configured mechanism (subsampling-SQ, naive empirical
-means, or the approximate-median mechanism), and records per-query bias
+analyst against one mechanism class (naive empirical means, subsampling-SQ
+or approximate median) in one trial loop, and records per-query bias
 against exactly computed population truths.
 
 Populations with product structure (the ±1 cube) are represented
@@ -29,9 +29,10 @@ from .core import (
     GroundTruth,
     Query,
     TestQuery,
+    Transcript,
+    error_value,
     query_expectation_on_population,
     query_expectation_on_sample,
-    variance_on_population,
 )
 from .engine import RandomSource, ResponsePMF, population_response_pmf
 from .mechanisms import (
@@ -135,9 +136,6 @@ class Population:
     def truth(self, q: TestQuery) -> float:
         raise NotImplementedError
 
-    def variance(self, q: TestQuery) -> float:
-        raise NotImplementedError
-
     def response_dist(self, q: Query) -> ResponsePMF:
         raise NotImplementedError
 
@@ -157,9 +155,6 @@ class FinitePopulation(Population):
 
     def truth(self, q: TestQuery) -> float:
         return query_expectation_on_population(q, self.ground_truth).value
-
-    def variance(self, q: TestQuery) -> float:
-        return variance_on_population(q, self.ground_truth)
 
     def response_dist(self, q: Query) -> ResponsePMF:
         if q.tag and q.tag[0] == "grid_mean" and self._is_uniform_grid():
@@ -228,13 +223,6 @@ class CubePopulation(Population):
             return float(q.tag[1])
         raise ValueError(
             f"no closed-form truth for {q.name!r} on a product-form cube population")
-
-    def variance(self, q: TestQuery) -> float:
-        kind = q.tag[0] if q.tag else None
-        if kind == "constant":
-            return 0.0
-        p = self.truth(q)
-        return p * (1.0 - p)
 
 
 def population_generators(name: str, params: dict) -> Population:
@@ -317,11 +305,10 @@ class RandomCorrelationAnalyst(Analyst):
     the sample; subsampling noise breaks the per-coordinate sign recovery.
     """
 
-    def __init__(self, T: int, tau: Optional[float] = None):
+    def __init__(self, T: int):
         if T < 1:
             raise ValueError("need T >= 1")
         self.rounds = int(T)
-        self.tau = tau  # accuracy target of the surrounding run; unused here
 
     def next_query(self, t, responses, rng):
         return coordinate_indicator(t - 1)
@@ -365,14 +352,6 @@ class ShiftingMeanAnalyst(Analyst):
         return grid_mean_query(w, shift, self.centers)
 
 
-def analyst_fixed(queries, tests=None) -> FixedAnalyst:
-    return FixedAnalyst(queries, tests)
-
-
-def analyst_random_correlation(T: int, tau: Optional[float] = None) -> RandomCorrelationAnalyst:
-    return RandomCorrelationAnalyst(T, tau)
-
-
 def make_analyst(name: str, params: dict) -> Analyst:
     params = dict(params)
     if name == "fixed":
@@ -381,9 +360,9 @@ def make_analyst(name: str, params: dict) -> Analyst:
         return FixedAnalyst([_query_from_spec(s) for s in specs])
     if name == "random-correlation":
         T = int(params.pop("T"))
-        tau = params.pop("tau", None)
+        params.pop("tau", None)  # accepted for older configs; the attack ignores it
         _reject_extras(name, params)
-        return RandomCorrelationAnalyst(T, tau)
+        return RandomCorrelationAnalyst(T)
     if name == "shifting-means":
         kwargs = {k: params.pop(k) for k in
                   ("T", "w_max", "r_cells", "r_step", "max_shift") if k in params}
@@ -406,7 +385,7 @@ def _query_from_spec(spec) -> TestQuery:
 
 
 # ---------------------------------------------------------------------------
-# Baseline and experiment runner.
+# Mechanisms and experiment runner.
 
 def naive_answer(S: Dataset, phi: TestQuery) -> float:
     """The no-mechanism baseline: the exact sample mean phi(S)."""
@@ -441,7 +420,6 @@ class ExperimentConfig:
 class ExperimentReport:
     rows: list[dict]
     summary: dict
-    columns: tuple[str, ...] = ROW_COLUMNS
 
     def recompute_summary(self) -> dict:
         """Rebuild the summary from rows alone (test-error recomputation
@@ -466,7 +444,106 @@ class ExperimentReport:
                     f"{ref!r} vs {val!r}")
 
 
-MECHANISM_NAMES = ("subsampling-sq", "naive-empirical", "median")
+class NaiveMechanism:
+    """The no-mechanism baseline (exact sample means at no cost), and the
+    shape of every mechanism: built from its config params, n and the
+    analyst; ``open`` starts a trial's session, whose ``answer(q)`` returns
+    y and records its cost in ``session.transcript``; ``row`` scores an
+    answer, a NaN one being a refusal. A comparator is one more subclass."""
+
+    name = "naive-empirical"
+
+    def __init__(self, params: dict, n: int, analyst: Analyst):
+        self.budget = (params.pop("budget_mode", "expectation"),
+                       float(params.pop("budget_limit", math.inf)))
+        self.summary_extras: dict = {}
+        self._parse(params, n, analyst)
+        _reject_extras(self.name, params)
+
+    def _parse(self, params: dict, n: int, analyst: Analyst) -> None:
+        self.tau = params.pop("tau", None)
+
+    def open(self, S: Dataset, rng: RandomSource, ledger: BudgetLedger):
+        return _NaiveSession(S)
+
+    def row(self, population: Population, S: Dataset, q, answer=None) -> dict:
+        """Bias against the exact truth, within max(tau std, tau^2) (NaN
+        without tau). ``answer=None`` scores the sample value itself."""
+        sample_value = naive_answer(S, q)
+        answer = sample_value if answer is None else answer
+        truth = population.truth(q)
+        bias = abs(answer - truth)
+        threshold = (sq_accuracy_threshold(truth, self.tau)
+                     if self.tau is not None else math.nan)
+        within = not math.isnan(bias) and (
+            math.isnan(threshold) or bias <= threshold + WITHIN_TOL)
+        return {"answer": answer, "sample_value": sample_value, "truth": truth,
+                "bias": bias, "threshold": threshold, "within_bound": int(within)}
+
+
+class _NaiveSession:
+    def __init__(self, S: Dataset):
+        self.S, self.transcript = S, Transcript()
+
+    def answer(self, phi: TestQuery) -> float:
+        y = naive_answer(self.S, phi)
+        self.transcript.append(phi.name, y, 0.0)
+        return y
+
+
+class SqMechanism(NaiveMechanism):
+    """The statistical-query mechanism, scored like the baseline; ``tau``
+    sets epsilon and k by the schedule unless both are given."""
+
+    name = "subsampling-sq"
+
+    def _parse(self, params, n, analyst):
+        self.delta = float(params.pop("delta"))
+        self.tau = params.pop("tau", None)
+        epsilon = params.pop("epsilon", None)
+        k = params.pop("k", None)
+        if self.tau is not None and (epsilon is None or k is None):
+            sp = sq_params(n, analyst.rounds, float(self.tau), self.delta)
+            epsilon = sp.epsilon if epsilon is None else epsilon
+            k = sp.k if k is None else k
+        if epsilon is None or k is None:
+            raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
+        self.epsilon, self.k = float(epsilon), int(k)
+        self.summary_extras = {"epsilon": self.epsilon, "k": self.k,
+                               "delta": self.delta}
+
+    def open(self, S, rng, ledger):
+        return SqSession(S, self.epsilon, self.k, rng, self.delta, ledger=ledger)
+
+
+class MedianMechanism(NaiveMechanism):
+    """The approximate-median mechanism, scored against the population median
+    of q's answer law; ``sample_value`` is NaN (not enumerable at run sizes)."""
+
+    name = "median"
+
+    def _parse(self, params, n, analyst):
+        delta = float(params.pop("delta"))
+        self.noise = bool(params.pop("noise", True))
+        mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
+                           delta, c_m=float(params.pop("c_m", 8.0)))
+        self.k_groups = mp.k
+        self.summary_extras = {"k_groups": mp.k,
+                               "advisory_min_n": mp.advisory_min_n, "delta": delta}
+
+    def open(self, S, rng, ledger):
+        return MedianSession(S, self.k_groups, rng, ledger=ledger, noise=self.noise)
+
+    def row(self, population, S, q, answer=None):
+        dist = population.response_dist(q)
+        truth = _dist_median(dist)
+        within = approximate_median_check(dist, answer, MEDIAN_CHECK_THRESHOLD)
+        return {"answer": answer, "sample_value": math.nan, "truth": truth,
+                "bias": abs(answer - truth), "threshold": MEDIAN_CHECK_THRESHOLD,
+                "within_bound": int(within)}
+
+
+MECHANISMS = {m.name: m for m in (NaiveMechanism, SqMechanism, MedianMechanism)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -478,18 +555,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     population = population_generators(cfg.population["name"],
                                        _params_of(cfg.population))
-    mech = dict(cfg.mechanism)
-    mech_name = mech.pop("name")
-    if mech_name not in MECHANISM_NAMES:
-        raise ValueError(f"unknown mechanism {mech_name!r}")
+    mech_cls = MECHANISMS.get(cfg.mechanism["name"])
+    if mech_cls is None:
+        raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
     analyst_probe = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
-    _check_compatibility(population, analyst_probe, mech_name)
-    plan = _mechanism_plan(mech_name, mech, cfg, analyst_probe)
+    _check_compatibility(population, analyst_probe, mech_cls)
+    mechanism = mech_cls(_params_of(cfg.mechanism), cfg.n, analyst_probe)
     root = RandomSource(cfg.seed)
 
     def one_trial(trial: int) -> list[dict]:
         analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
-        return _run_trial(trial, cfg, population, analyst, mech_name, plan, root)
+        return _run_trial(trial, cfg.n, population, analyst, mechanism, root)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -497,8 +573,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         per_trial = [one_trial(i) for i in range(cfg.trials)]
     rows = [row for chunk in per_trial for row in chunk]
-    summary = _summarize(rows, n=cfg.n, trials=cfg.trials, mechanism=mech_name)
-    summary.update(plan.get("summary_extras", {}))
+    summary = _summarize(rows, n=cfg.n, trials=cfg.trials, mechanism=mechanism.name)
+    summary.update(mechanism.summary_extras)
     return ExperimentReport(rows=rows, summary=summary)
 
 
@@ -508,7 +584,7 @@ def _params_of(spec: dict) -> dict:
     return params
 
 
-def _check_compatibility(population, analyst, mech_name: str) -> None:
+def _check_compatibility(population, analyst, mechanism: type) -> None:
     if isinstance(analyst, RandomCorrelationAnalyst):
         if not isinstance(population, CubePopulation):
             raise ValueError("random-correlation analyst needs a ±1 cube population")
@@ -516,151 +592,45 @@ def _check_compatibility(population, analyst, mech_name: str) -> None:
             raise ValueError(
                 f"cube dimension {population.d} must equal analyst rounds "
                 f"{analyst.rounds}")
-        if mech_name == "median":
-            raise ValueError("random-correlation analyst asks statistical queries")
-    if isinstance(analyst, ShiftingMeanAnalyst) and mech_name != "median":
-        raise ValueError("shifting-means analyst asks median queries")
+    if isinstance(analyst, ShiftingMeanAnalyst) != (mechanism is MedianMechanism):
+        raise ValueError("the median mechanism answers only the shifting-means "
+                         "analyst's median queries")
 
 
-def _mechanism_plan(mech_name: str, mech: dict, cfg: ExperimentConfig,
-                    analyst) -> dict:
-    plan: dict = {"budget_mode": mech.pop("budget_mode", "expectation"),
-                  "budget_limit": float(mech.pop("budget_limit", math.inf))}
-    if mech_name == "subsampling-sq":
-        delta = float(mech.pop("delta"))
-        tau = mech.pop("tau", None)
-        epsilon = mech.pop("epsilon", None)
-        k = mech.pop("k", None)
-        _reject_extras(mech_name, mech)
-        if tau is not None and (epsilon is None or k is None):
-            params = sq_params(cfg.n, analyst.rounds, float(tau), delta)
-            epsilon = params.epsilon if epsilon is None else float(epsilon)
-            k = params.k if k is None else int(k)
-        if epsilon is None or k is None:
-            raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
-        plan.update(delta=delta, tau=tau, epsilon=float(epsilon), k=int(k))
-        plan["summary_extras"] = {"epsilon": float(epsilon), "k": int(k),
-                                  "delta": delta}
-    elif mech_name == "naive-empirical":
-        plan["tau"] = mech.pop("tau", None)
-        _reject_extras(mech_name, mech)
-    elif mech_name == "median":
-        delta = float(mech.pop("delta"))
-        c_m = float(mech.pop("c_m", 8.0))
-        noise = bool(mech.pop("noise", True))
-        _reject_extras(mech_name, mech)
-        if not hasattr(analyst, "w_list"):
-            raise ValueError("median runs need an analyst declaring w_list/r_sizes")
-        params = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
-                               delta, c_m=c_m)
-        plan.update(delta=delta, k_groups=params.k, noise=noise)
-        plan["summary_extras"] = {"k_groups": params.k,
-                                  "advisory_min_n": params.advisory_min_n,
-                                  "delta": delta}
-    return plan
-
-
-def _run_trial(trial: int, cfg: ExperimentConfig, population, analyst,
-               mech_name: str, plan: dict, root: RandomSource) -> list[dict]:
+def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
+               mechanism: NaiveMechanism, root: RandomSource) -> list[dict]:
+    """One trial: child(0) draws the sample, child(1) drives the session,
+    child(2, t) the analyst's round t and child(3) its final tests."""
     rng = root.child(trial)
-    S = population.draw(cfg.n, rng.child(0))
-    ledger = BudgetLedger(plan["budget_mode"], plan["budget_limit"])
-    if mech_name == "median":
-        rows = _median_trial(trial, cfg, population, analyst, plan, rng, S, ledger)
-    else:
-        rows = _sq_or_naive_trial(trial, cfg, population, analyst, mech_name,
-                                  plan, rng, S, ledger)
-    total = sum(r["cost"] for r in rows)
-    if abs(total - ledger.total) > 1e-9 * max(1.0, ledger.total):
-        raise RuntimeError("per-row costs do not sum to the ledger total")
-    return rows
+    S = population.draw(n, rng.child(0))
+    ledger = BudgetLedger(*mechanism.budget)
+    session = mechanism.open(S, rng.child(1), ledger)
+    rows: list[dict] = []
 
+    def record(t: int, query_id: str, scored: dict, cost: float) -> None:
+        rows.append({"trial": trial, "t": t, "query_id": query_id,
+                     "mechanism": mechanism.name, **scored, "cost": cost})
 
-def _sq_or_naive_trial(trial, cfg, population, analyst, mech_name, plan,
-                       rng, S, ledger) -> list[dict]:
-    tau = plan.get("tau")
-    session = None
-    if mech_name == "subsampling-sq":
-        session = SqSession(S, plan["epsilon"], plan["k"], rng.child(1),
-                            plan["delta"], ledger=ledger)
     responses: list[float] = []
-    rows = []
-    for t in range(1, analyst.rounds + 1):
-        phi = analyst.next_query(t, tuple(responses), rng.child(2, t))
-        try:
-            if session is not None:
-                answer = session.answer(phi)
-                cost = session.transcript.records[-1].cost
-            else:
-                answer = naive_answer(S, phi)
-                cost = 0.0
-        except BudgetExhausted:
-            # refusals are recorded, not fatal; the session cannot continue
-            rows.append(_refusal_row(trial, t, phi.name, mech_name,
-                                     sample_value=naive_answer(S, phi),
-                                     truth=population.truth(phi), tau=tau))
-            break
-        responses.append(answer)
-        rows.append(_query_row(trial, t, phi.name, mech_name, answer,
-                               sample_value=naive_answer(S, phi),
-                               truth=population.truth(phi), tau=tau, cost=cost))
-    else:
-        tests = analyst.final_tests(tuple(responses), rng.child(3))
-        for j, psi in enumerate(tests):
-            psi_s = naive_answer(S, psi)
-            rows.append(_query_row(trial, analyst.rounds + 1 + j,
-                                   f"test:{psi.name.removeprefix('test:')}",
-                                   mech_name, psi_s, sample_value=psi_s,
-                                   truth=population.truth(psi), tau=tau, cost=0.0))
-    return rows
-
-
-def _refusal_row(trial, t, query_id, mechanism, sample_value, truth, tau) -> dict:
-    threshold = sq_accuracy_threshold(truth, tau) if tau is not None else math.nan
-    return {"trial": trial, "t": t, "query_id": query_id, "mechanism": mechanism,
-            "answer": math.nan, "sample_value": sample_value, "truth": truth,
-            "bias": math.nan, "threshold": threshold, "within_bound": 0,
-            "cost": 0.0}
-
-
-def _query_row(trial, t, query_id, mechanism, answer, sample_value, truth,
-               tau, cost) -> dict:
-    bias = abs(answer - truth)
-    threshold = sq_accuracy_threshold(truth, tau) if tau is not None else math.nan
-    within = 1 if (math.isnan(threshold) or bias <= threshold + WITHIN_TOL) else 0
-    return {"trial": trial, "t": t, "query_id": query_id, "mechanism": mechanism,
-            "answer": answer, "sample_value": sample_value, "truth": truth,
-            "bias": bias, "threshold": threshold, "within_bound": within,
-            "cost": cost}
-
-
-def _median_trial(trial, cfg, population, analyst, plan, rng, S, ledger) -> list[dict]:
-    session = MedianSession(S, plan["k_groups"], rng.child(1), ledger=ledger,
-                            noise=plan["noise"])
-    responses: list[float] = []
-    rows = []
     for t in range(1, analyst.rounds + 1):
         q = analyst.next_query(t, tuple(responses), rng.child(2, t))
-        dist = population.response_dist(q)
-        truth = _dist_median(dist)
         try:
             answer = session.answer(q)
         except BudgetExhausted:
-            rows.append({"trial": trial, "t": t, "query_id": q.name,
-                         "mechanism": "median", "answer": math.nan,
-                         "sample_value": math.nan, "truth": truth,
-                         "bias": math.nan, "threshold": MEDIAN_CHECK_THRESHOLD,
-                         "within_bound": 0, "cost": 0.0})
+            # refusals are recorded, not fatal; the session cannot continue
+            record(t, q.name, mechanism.row(population, S, q, math.nan), 0.0)
             break
-        cost = session.transcript.records[-1].cost
         responses.append(answer)
-        within = approximate_median_check(dist, answer, MEDIAN_CHECK_THRESHOLD)
-        rows.append({"trial": trial, "t": t, "query_id": q.name,
-                     "mechanism": "median", "answer": answer,
-                     "sample_value": math.nan, "truth": truth,
-                     "bias": abs(answer - truth),
-                     "threshold": MEDIAN_CHECK_THRESHOLD,
-                     "within_bound": 1 if within else 0, "cost": cost})
+        record(t, q.name, mechanism.row(population, S, q, answer),
+               session.transcript.records[-1].cost)
+    else:
+        tests = analyst.final_tests(tuple(responses), rng.child(3))
+        for j, psi in enumerate(tests):
+            record(analyst.rounds + 1 + j, f"test:{psi.name.removeprefix('test:')}",
+                   mechanism.row(population, S, psi), 0.0)
+    total = sum(r["cost"] for r in rows)
+    if abs(total - ledger.total) > 1e-9 * max(1.0, ledger.total):
+        raise RuntimeError("per-row costs do not sum to the ledger total")
     return rows
 
 
@@ -686,7 +656,9 @@ def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict
         by_trial_cost[r["trial"]] += r["cost"]
     per_trial_cost = [by_trial_cost.get(i, 0.0) for i in sorted(by_trial_cost)]
     mean_cost = float(np.mean(per_trial_cost)) if per_trial_cost else 0.0
-    test_errors = [_test_error(r) for r in test_rows]
+    # error = min(Delta, Delta^2/Var) for a {0,1}-valued arity-1 test
+    test_errors = [error_value(r["bias"], r["truth"] * (1.0 - r["truth"]), 1)
+                   for r in test_rows]
     biases = [r["bias"] for r in query_rows if not math.isnan(r["bias"])]
     summary = {
         "mechanism": mechanism,
@@ -705,13 +677,3 @@ def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict
         "mi_upper_bound": n * mean_cost,
     }
     return summary
-
-
-def _test_error(row: dict) -> float:
-    """error = min(Delta, Delta^2/Var)/w for a {0,1}-valued arity-1 test,
-    with Var = truth (1 - truth) recomputed from the row."""
-    delta = row["bias"]
-    var = row["truth"] * (1.0 - row["truth"])
-    if var <= 0.0:
-        return delta
-    return min(delta, delta * delta / var)

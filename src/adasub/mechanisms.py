@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -247,26 +247,6 @@ class SqSession:
         y = float(votes.sum()) / self.k
         self.transcript.append(phi.name or "sq", y, charge)
         return y
-
-    def votes(self, phi: TestQuery) -> Iterator[int]:
-        """Sequential per-vote stream for caller-supplied stopping rules.
-
-        Each yielded vote draws one fresh element and charges one per-vote
-        cost. No accuracy contract is attached to early stopping; the
-        aggregate schedule guarantees apply to full k-vote answers.
-        """
-        if phi.arity != 1:
-            raise ValueError("the SQ mechanism answers arity-1 queries")
-        values = np.clip(phi.values_on(self.dataset), self.epsilon,
-                         1.0 - self.epsilon)
-        n = len(self.dataset)
-        t = 0
-        while True:
-            self.ledger.charge(self.vote_cost, label=f"{phi.name or 'sq'}#vote{t}")
-            i = int(self._gen.integers(0, n))
-            vote = int(self._gen.random() < values[i])
-            t += 1
-            yield vote
 
 
 def approximate_median_check(dist, y: float, threshold: float = 0.4) -> bool:

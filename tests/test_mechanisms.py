@@ -238,13 +238,6 @@ class TestSqSession:
         a.ledger.limit = math.inf
         assert a.answer(IDENT) == third
 
-    def test_sequential_votes_charge_each(self):
-        s = SqSession(Dataset([0, 1]), 0.0, 5, RandomSource(8), 0.1)
-        stream = s.votes(const(1.0))
-        got = [next(stream) for _ in range(12)]
-        assert all(v == 1 for v in got)
-        assert s.ledger.total == pytest.approx(12 * s.vote_cost, rel=1e-12)
-
 
 class TestApproximateMedianCheck:
     def test_point_mass(self):
