@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -38,18 +39,20 @@ import yaml
 from . import divergence as dv
 from .core import Dataset
 from .engine import RandomSource, exact_response_pmf
-from .harness import ExperimentConfig, ExperimentReport, ROW_COLUMNS, run_experiment
-from .mechanisms import cost_hp, median_params, sq_params
+from .harness import (
+    ROW_COLUMNS,
+    ConfigError,
+    ExperimentConfig,
+    ExperimentReport,
+    run_experiment,
+)
+from .mechanisms import cost_hp, median_params, search_rounds, sq_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FAILURE = 3
 
 OUT_DIR_ENV = "ADASUB_OUT_DIR"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +80,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ConfigError(f"missing config key {sorted(missing)[0]!r}")
-    for key in ("population", "mechanism", "analyst"):
-        if not isinstance(raw[key], dict) or "name" not in raw[key]:
-            raise ConfigError(f"config key {key!r} must be a mapping with a 'name'")
     try:
         return ExperimentConfig(
             seed=int(raw["seed"]), trials=int(raw["trials"]), n=int(raw["n"]),
@@ -127,21 +127,18 @@ def _default_out(seed: int) -> Path:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = int(args.seed)
-        if args.threads is not None:
-            cfg.threads = int(args.threads)
+        overrides = {k: getattr(args, k) for k in ("seed", "threads")
+                     if getattr(args, k) is not None}
+        cfg = dataclasses.replace(load_config(args.config), **overrides)
         out = Path(args.out) if args.out else (
             Path(cfg.out) if cfg.out else _default_out(cfg.seed))
         report = run_experiment(cfg)
-    except (ConfigError, KeyError, ValueError) as exc:
+        report.verify_consistency()
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        report.verify_consistency()
-    except RuntimeError as exc:
-        print(f"report consistency failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # the config was valid, so the fault is internal
+        print(f"run failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     write_csv(report, out)
     write_summary_json(report, out.with_suffix(out.suffix + ".summary.json"))
@@ -319,7 +316,7 @@ def cmd_params(args) -> int:
                                args.delta)
             print(f"groups k            : {mp.k}")
             print(f"advisory minimal n  : {mp.advisory_min_n}")
-            print(f"search rounds/query : {max(1, math.ceil(math.log2(args.rmax)))}")
+            print(f"search rounds/query : {search_rounds(args.rmax)}")
             if args.n:
                 print(f"requested n         : {args.n} "
                       f"({'above' if args.n >= mp.advisory_min_n else 'BELOW'} advisory)")

@@ -214,6 +214,9 @@ class CubePopulation(Population):
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None
         if kind == "coord":
+            if not 0 <= q.tag[1] < self.d:
+                raise ValueError(f"coordinate {q.tag[1]} is outside the cube's "
+                                 f"{self.d} dimensions")
             return 0.5
         if kind == "sign_sum":
             if len(q.tag[1]) != self.d:
@@ -392,6 +395,10 @@ def naive_answer(S: Dataset, phi: TestQuery) -> float:
     return query_expectation_on_sample(phi, S).value
 
 
+class ConfigError(ValueError):
+    """A config that cannot run: a bad key or value, or parts that do not fit."""
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -405,15 +412,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ConfigError("trials must be at least 1")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ConfigError("n must be at least 1")
         if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+            raise ConfigError("threads must be at least 1")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a path")
         for spec_name in ("population", "mechanism", "analyst"):
             spec = getattr(self, spec_name)
             if not isinstance(spec, dict) or "name" not in spec:
-                raise ValueError(f"{spec_name} spec needs a 'name' key")
+                raise ConfigError(f"{spec_name} spec needs a 'name' key")
 
 
 @dataclass
@@ -456,6 +465,7 @@ class NaiveMechanism:
     def __init__(self, params: dict, n: int, analyst: Analyst):
         self.budget = (params.pop("budget_mode", "expectation"),
                        float(params.pop("budget_limit", math.inf)))
+        BudgetLedger(*self.budget)  # rejects an unknown mode before any trial
         self.summary_extras: dict = {}
         self._parse(params, n, analyst)
         _reject_extras(self.name, params)
@@ -483,10 +493,10 @@ class NaiveMechanism:
 
 class _NaiveSession:
     def __init__(self, S: Dataset):
-        self.S, self.transcript = S, Transcript()
+        self.dataset, self.transcript = S, Transcript()
 
     def answer(self, phi: TestQuery) -> float:
-        y = naive_answer(self.S, phi)
+        y = naive_answer(self.dataset, phi)
         self.transcript.append(phi.name, y, 0.0)
         return y
 
@@ -509,6 +519,9 @@ class SqMechanism(NaiveMechanism):
         if epsilon is None or k is None:
             raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
         self.epsilon, self.k = float(epsilon), int(k)
+        if not (0.0 <= self.epsilon < 0.5 and self.k >= 1 and 0.0 < self.delta < 1.0):
+            raise ValueError("subsampling-sq needs 0 <= epsilon < 1/2, k >= 1 "
+                             "and 0 < delta < 1")
         self.summary_extras = {"epsilon": self.epsilon, "k": self.k,
                                "delta": self.delta}
 
@@ -528,6 +541,10 @@ class MedianMechanism(NaiveMechanism):
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
                            delta, c_m=float(params.pop("c_m", 8.0)))
         self.k_groups = mp.k
+        if n // mp.k < max(analyst.w_list):
+            raise ValueError(
+                f"median splits n={n} into {mp.k} groups of as few as {n // mp.k} "
+                f"elements, below the largest query arity {max(analyst.w_list)}")
         self.summary_extras = {"k_groups": mp.k,
                                "advisory_min_n": mp.advisory_min_n, "delta": delta}
 
@@ -546,21 +563,33 @@ class MedianMechanism(NaiveMechanism):
 MECHANISMS = {m.name: m for m in (NaiveMechanism, SqMechanism, MedianMechanism)}
 
 
+def check_config(cfg: ExperimentConfig) -> tuple[Population, NaiveMechanism]:
+    """Build the config's population, analyst and mechanism and check that
+    they fit together, without running a trial; a fault is a ConfigError."""
+    try:
+        population = population_generators(cfg.population["name"],
+                                           _params_of(cfg.population))
+        mech_cls = MECHANISMS.get(cfg.mechanism["name"])
+        if mech_cls is None:
+            raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
+        analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
+        _check_compatibility(population, analyst, mech_cls)
+        return population, mech_cls(_params_of(cfg.mechanism), cfg.n, analyst)
+    except KeyError as exc:
+        raise ConfigError(f"missing parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the configured analyst against the configured mechanism for
-    ``trials`` independent samples; deterministic given the seed.
+    ``trials`` independent samples; deterministic given the seed. A config
+    fault raises ConfigError from ``check_config`` before any trial runs.
 
     Trials run concurrently on split randomness streams; aggregation is a
     commutative fold over trial-ordered rows.
     """
-    population = population_generators(cfg.population["name"],
-                                       _params_of(cfg.population))
-    mech_cls = MECHANISMS.get(cfg.mechanism["name"])
-    if mech_cls is None:
-        raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
-    analyst_probe = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
-    _check_compatibility(population, analyst_probe, mech_cls)
-    mechanism = mech_cls(_params_of(cfg.mechanism), cfg.n, analyst_probe)
+    population, mechanism = check_config(cfg)
     root = RandomSource(cfg.seed)
 
     def one_trial(trial: int) -> list[dict]:
@@ -592,9 +621,19 @@ def _check_compatibility(population, analyst, mechanism: type) -> None:
             raise ValueError(
                 f"cube dimension {population.d} must equal analyst rounds "
                 f"{analyst.rounds}")
-    if isinstance(analyst, ShiftingMeanAnalyst) != (mechanism is MedianMechanism):
+    if isinstance(analyst, FixedAnalyst):
+        for q in analyst.queries:
+            try:
+                population.truth(q)
+            except (IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"fixed analyst query {q.name!r} does not fit "
+                                 f"population {population.name}: {exc}") from None
+    median_queries = isinstance(analyst, ShiftingMeanAnalyst)
+    if median_queries != (mechanism is MedianMechanism):
         raise ValueError("the median mechanism answers only the shifting-means "
                          "analyst's median queries")
+    if median_queries and not isinstance(population, FinitePopulation):
+        raise ValueError("shifting-means queries need a finite population")
 
 
 def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,

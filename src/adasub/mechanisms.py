@@ -259,6 +259,12 @@ def approximate_median_check(dist, y: float, threshold: float = 0.4) -> bool:
     return min(dist.prob_le(y), dist.prob_ge(y)) >= threshold
 
 
+def search_rounds(r: int) -> int:
+    """Probes of a binary search over an ordered range of r values:
+    ceil(log2 r) for r > 1, and 0 for a single value."""
+    return math.ceil(math.log2(r)) if r > 1 else 0
+
+
 @dataclass(frozen=True)
 class MedianParams:
     k: int
@@ -285,8 +291,7 @@ def median_params(T: int, w_list, r_sizes, delta: float, *,
         raise ValueError("arities and range sizes must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    r_max = max(r_sizes)
-    log_rounds = math.ceil(math.log2(r_max))
+    log_rounds = search_rounds(max(r_sizes))
     if log_rounds == 0:
         k = 2  # single-value ranges take zero search rounds
     else:
@@ -302,6 +307,11 @@ class MedianSession:
     The sample is split into ``num_groups`` contiguous groups whose sizes
     differ by at most one. ``noise=False`` disables the per-vote flip; that
     mode is exposed for comparison runs and carries no accuracy claim.
+
+    Each answer charges ``search_rounds(|Y|)`` = ceil(log2 |Y|) probes up
+    front, even when the search isolates a value in fewer: with |Y| = 5 it
+    makes 2 or 3 probes and charges 3. The charge does not depend on the
+    data, so the over-charge keeps the mutual-information bound sound.
     """
 
     def __init__(self, dataset: Dataset, num_groups: int, rng: RandomSource,
@@ -338,7 +348,7 @@ class MedianSession:
         if q.arity > min_group:
             raise ValueError(
                 f"query arity {q.arity} exceeds smallest group size {min_group}")
-        rounds = math.ceil(math.log2(len(outputs))) if len(outputs) > 1 else 0
+        rounds = search_rounds(len(outputs))
         charge = rounds * sum(self._vote_cost(q.arity, len(g)) for g in self.groups)
         self.ledger.charge(charge, label=q.name or "median")
         lo, hi = 0, len(outputs) - 1

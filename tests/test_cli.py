@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -51,6 +53,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    def test_spec_without_name(self, tmp_path):
+        path = write_config(tmp_path, {"population": {"p": 0.3}})
+        with pytest.raises(ConfigError, match="population spec needs a 'name'"):
+            load_config(path)
+
+    def test_readme_configs_pass_validation(self, tmp_path):
+        from adasub.harness import check_config
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 4  # the four documented examples at least
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme-{i}.yaml"
+            path.write_text(block)
+            check_config(load_config(path))
+
 
 class TestRunCommand:
     def test_run_writes_csv_and_summary(self, tmp_path, capsys):
@@ -98,6 +115,48 @@ class TestRunCommand:
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "outs" / "run-99.csv").exists()
+
+    @pytest.mark.parametrize("over,needle", [
+        ({"analyst": {"name": "fixed", "queries": [{"kind": "coord", "j": 3}]}},
+         "'coord:3' does not fit population bernoulli"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 3}},
+         "'identity' does not fit population uniform_pm1_cube"),
+        ({"n": 10, "population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.4},
+          "analyst": {"name": "shifting-means", "T": 6, "w_max": 2,
+                      "r_cells": 16}}, "39 groups"),
+    ])
+    def test_misfit_config_exit_2_before_any_trial(self, tmp_path, capsys,
+                                                   monkeypatch, over, needle):
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "_run_trial", None)  # a trial would exit 3
+        cfg = write_config(tmp_path, over)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_out_or_threads_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"out": 5})
+        assert main(["run", str(cfg)]) == 2
+        assert "out must be a path" in capsys.readouterr().err
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv"),
+                     "--threads", "0"]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+
+    def test_ledger_row_cost_mismatch_exit_3(self, tmp_path, capsys,
+                                              monkeypatch):
+        from adasub.mechanisms import BudgetLedger
+        monkeypatch.setattr(BudgetLedger, "total",
+                            property(lambda self: self._total + 1.0))
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("run failure: RuntimeError: per-row costs do not sum "
+                       "to the ledger total\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_threads_flag_keeps_output(self, tmp_path):
         cfg = write_config(tmp_path, {"trials": 3})
@@ -172,6 +231,11 @@ class TestParamsCommand:
         assert main(["params", "--median", "--T", "100", "--rmax", "1024",
                      "--delta", "0.05"]) == 0
         assert "85" in capsys.readouterr().out
+
+    def test_median_single_value_range_has_no_rounds(self, capsys):
+        assert main(["params", "--median", "--T", "10", "--rmax", "1",
+                     "--delta", "0.1"]) == 0
+        assert "search rounds/query : 0" in capsys.readouterr().out
 
     def test_median_missing_flag_exit_2(self, capsys):
         assert main(["params", "--median", "--T", "100"]) == 2

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from adasub.core import (
     Transcript,
     error_metric,
     error_value,
+    iid_draws,
+    position_subsets,
     query_expectation_on_population,
     query_expectation_on_sample,
     variance_on_population,
@@ -51,6 +55,28 @@ class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Dataset([])
+
+
+class TestEnumerators:
+    def test_position_subsets_are_ascending_position_tuples(self):
+        S = Dataset([5, 6, 7, 8])
+        assert list(position_subsets(S, 2)) == [
+            (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
+        for n in range(1, 7):
+            S = Dataset(list(range(10, 10 + n)))
+            for w in range(1, n + 1):
+                subs = list(position_subsets(S, w))
+                assert len(subs) == math.comb(n, w)
+                assert all(list(sub) == sorted(sub) for sub in subs)
+                assert len(set(subs)) == len(subs)
+
+    def test_iid_draws_masses_sum_to_one_without_zero_mass(self):
+        D = GroundTruth((0, 1, 2), np.array([0.25, 0.75, 0.0]))
+        draws = list(iid_draws(D, 2))
+        assert [d for _, d in draws] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [m for m, _ in draws] == [0.0625, 0.1875, 0.1875, 0.5625]
+        assert sum(m for m, _ in iid_draws(D, 3)) == pytest.approx(1.0, abs=1e-15)
+        assert all(2 not in d for _, d in iid_draws(D, 3))
 
 
 class TestGroundTruth:

@@ -301,6 +301,57 @@ class TestRunExperiment:
         assert all(r["answer"] in centers for r in rows)
         report.verify_consistency()
 
+    def test_median_refusal_recorded_not_fatal(self):
+        cfg = ExperimentConfig(
+            seed=9, trials=3, n=400,
+            population={"name": "discretized_gaussian", "points": 129},
+            mechanism={"name": "median", "delta": 0.2,
+                       "budget_mode": "almost_sure", "budget_limit": 400.0},
+            analyst={"name": "shifting-means", "T": 6, "w_max": 2,
+                     "r_cells": 16, "r_step": 1.6})
+        report = run_experiment(cfg)
+        for trial in range(3):
+            rows = [r for r in report.rows if r["trial"] == trial]
+            *answered, refused = rows  # the trial ends at its refusal
+            assert len(rows) < 6
+            assert all(not math.isnan(r["answer"]) and r["cost"] > 0
+                       for r in answered)
+            assert math.isnan(refused["answer"])
+            assert math.isnan(refused["sample_value"])
+            assert math.isnan(refused["bias"])
+            assert refused["threshold"] == 0.4
+            assert refused["within_bound"] == 0
+            assert refused["cost"] == 0.0
+        report.verify_consistency()
+
+    @pytest.mark.parametrize("over,needle", [
+        ({"analyst": {"name": "fixed", "queries": [{"kind": "coord", "j": 3}]}},
+         "coord:3"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 3},
+          "analyst": {"name": "fixed", "queries": [{"kind": "coord", "j": 3}]}},
+         "outside the cube"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 3}}, "identity"),
+        ({"mechanism": {"name": "subsampling-sq", "delta": 0.2,
+                        "epsilon": 0.1, "k": 0}}, "k >= 1"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.3, "delta": 0.2,
+                        "budget_mode": "sometimes"}}, "mode"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 3},
+          "mechanism": {"name": "median", "delta": 0.2},
+          "analyst": {"name": "shifting-means", "T": 3}}, "finite population"),
+        ({"n": 10, "mechanism": {"name": "median", "delta": 0.4},
+          "analyst": {"name": "shifting-means", "T": 6, "w_max": 2,
+                      "r_cells": 16}}, "39 groups"),
+        ({"analyst": {"name": "fixed"}}, "missing parameter 'queries'"),
+    ])
+    def test_misfit_config_rejected_before_any_trial(self, over, needle,
+                                                     monkeypatch):
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "_run_trial", None)  # a trial would crash
+        with pytest.raises(hz.ConfigError, match=needle):
+            hz.check_config(sq_config(**over))
+        with pytest.raises(hz.ConfigError, match=needle):
+            run_experiment(sq_config(**over))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sq_config(trials=0)

@@ -16,6 +16,7 @@ from adasub.mechanisms import (
     cost_uniform,
     median_params,
     mi_upper_bound,
+    search_rounds,
     sq_accuracy_threshold,
     sq_params,
     sq_vote_budget,
@@ -254,6 +255,24 @@ class TestApproximateMedianCheck:
         dist = ResponsePMF(tuple(range(1, 11)), np.full(10, 0.1))
         assert approximate_median_check(dist, 4, threshold=0.3)
         assert not approximate_median_check(dist, 4, threshold=0.45)
+
+
+class TestSearchRounds:
+    def test_values(self):
+        assert search_rounds(1) == 0
+        assert search_rounds(2) == 1
+        assert search_rounds(5) == 3
+        assert search_rounds(1024) == 10
+
+    def test_median_charges_all_rounds_when_search_stops_early(self):
+        # on a 5-value range a low answer takes 2 probes; 3 are charged
+        counter = {"calls": 0}
+        q = counting_grid_query(1, (0.0, 1.0, 2.0, 3.0, 4.0), counter)
+        s = MedianSession(Dataset(np.zeros(12)), 4, RandomSource(3), noise=False)
+        assert s.answer(q) == 0.0
+        assert counter["calls"] == 2 * 4
+        assert s.ledger.total == pytest.approx(
+            3 * sum(s._vote_cost(1, len(g)) for g in s.groups), rel=1e-12)
 
 
 class TestMedianParams:
