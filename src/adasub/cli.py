@@ -82,12 +82,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"missing config key {sorted(missing)[0]!r}")
     try:
         return ExperimentConfig(
-            seed=int(raw["seed"]), trials=int(raw["trials"]), n=int(raw["n"]),
-            population=dict(raw["population"]), mechanism=dict(raw["mechanism"]),
-            analyst=dict(raw["analyst"]), out=raw.get("out"),
-            threads=int(raw.get("threads", 1)))
+            seed=_integer(raw, "seed"), trials=_integer(raw, "trials"),
+            n=_integer(raw, "n"), population=dict(raw["population"]),
+            mechanism=dict(raw["mechanism"]), analyst=dict(raw["analyst"]),
+            out=raw.get("out"), threads=_integer(raw, "threads", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _integer(raw: dict, key: str, default: int | None = None) -> int:
+    """An integer config value; a whole float such as 3.0 counts, but a
+    fraction, a bool or a string is rejected rather than truncated."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def format_number(v) -> str:

@@ -282,6 +282,10 @@ class Transcript:
     def records(self) -> tuple[TranscriptRecord, ...]:
         return tuple(self._records)
 
+    def __getitem__(self, i: int) -> TranscriptRecord:
+        """One record by index, without copying the others."""
+        return self._records[i]
+
     @property
     def total_cost(self) -> float:
         return float(sum(r.cost for r in self._records))

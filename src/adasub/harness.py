@@ -16,6 +16,7 @@ exact where the overfitting attack lives.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,8 @@ ROW_COLUMNS = ("trial", "t", "query_id", "mechanism", "answer", "sample_value",
 WITHIN_TOL = 1e-12
 
 MEDIAN_CHECK_THRESHOLD = 0.4
+
+SIGN_SUM_BLOCK = 1 << 20  # elements cast to int64 at once by a sign-sum test
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +93,17 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
     def ev(x, _s=s_arr):
         return 1.0 if int(np.dot(np.asarray(x), _s)) > 0 else 0.0
 
-    return TestQuery(
-        1, ev, name="test:sign-sum",
-        batch=lambda arr, _s=s_arr: (arr.astype(np.int64) @ _s > 0).astype(float),
-        tag=("sign_sum", signs))
+    def batch(arr, _s=s_arr):
+        # exact int64 sums, a block of rows at a time: casting a whole
+        # n x d sample at once would hold 8nd bytes
+        out = np.empty(arr.shape[0])
+        rows = max(1, SIGN_SUM_BLOCK // arr.shape[1])
+        for i in range(0, arr.shape[0], rows):
+            out[i:i + rows] = arr[i:i + rows].astype(np.int64) @ _s > 0
+        return out
+
+    return TestQuery(1, ev, name="test:sign-sum", batch=batch,
+                     tag=("sign_sum", signs))
 
 
 def _grid_cell(total: float, w: int, shift: float, first_center: float,
@@ -208,8 +218,10 @@ class CubePopulation(Population):
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
-        bits = rng.generator.integers(0, 2, size=(n, self.d), dtype=np.int8)
-        return Dataset(bits * 2 - 1)
+        pm1 = rng.generator.integers(0, 2, size=(n, self.d), dtype=np.int8)
+        pm1 *= 2
+        pm1 -= 1
+        return Dataset(pm1)
 
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None
@@ -457,8 +469,10 @@ class NaiveMechanism:
     """The no-mechanism baseline (exact sample means at no cost), and the
     shape of every mechanism: built from its config params, n and the
     analyst; ``open`` starts a trial's session, whose ``answer(q)`` returns
-    y and records its cost in ``session.transcript``; ``row`` scores an
-    answer, a NaN one being a refusal. A comparator is one more subclass."""
+    y, records its cost in ``session.transcript`` and, when it computed the
+    sample mean phi(S) on the way, leaves it in ``session.sample_value``;
+    ``row`` scores an answer, a NaN one being a refusal. A comparator is
+    one more subclass."""
 
     name = "naive-empirical"
 
@@ -476,10 +490,13 @@ class NaiveMechanism:
     def open(self, S: Dataset, rng: RandomSource, ledger: BudgetLedger):
         return _NaiveSession(S)
 
-    def row(self, population: Population, S: Dataset, q, answer=None) -> dict:
+    def row(self, population: Population, S: Dataset, q, answer=None,
+            sample_value=None) -> dict:
         """Bias against the exact truth, within max(tau std, tau^2) (NaN
-        without tau). ``answer=None`` scores the sample value itself."""
-        sample_value = naive_answer(S, q)
+        without tau). ``answer=None`` scores the sample value itself;
+        ``sample_value=None`` computes phi(S)."""
+        if sample_value is None:
+            sample_value = naive_answer(S, q)
         answer = sample_value if answer is None else answer
         truth = population.truth(q)
         bias = abs(answer - truth)
@@ -496,7 +513,7 @@ class _NaiveSession:
         self.dataset, self.transcript = S, Transcript()
 
     def answer(self, phi: TestQuery) -> float:
-        y = naive_answer(self.dataset, phi)
+        y = self.sample_value = naive_answer(self.dataset, phi)
         self.transcript.append(phi.name, y, 0.0)
         return y
 
@@ -551,7 +568,7 @@ class MedianMechanism(NaiveMechanism):
     def open(self, S, rng, ledger):
         return MedianSession(S, self.k_groups, rng, ledger=ledger, noise=self.noise)
 
-    def row(self, population, S, q, answer=None):
+    def row(self, population, S, q, answer=None, sample_value=None):
         dist = population.response_dist(q)
         truth = _dist_median(dist)
         within = approximate_median_check(dist, answer, MEDIAN_CHECK_THRESHOLD)
@@ -586,8 +603,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ``trials`` independent samples; deterministic given the seed. A config
     fault raises ConfigError from ``check_config`` before any trial runs.
 
-    Trials run concurrently on split randomness streams; aggregation is a
-    commutative fold over trial-ordered rows.
+    Trials run concurrently on split randomness streams, on at most
+    min(threads, trials, cpu count) workers; aggregation is a commutative
+    fold over trial-ordered rows.
     """
     population, mechanism = check_config(cfg)
     root = RandomSource(cfg.seed)
@@ -596,8 +614,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
         return _run_trial(trial, cfg.n, population, analyst, mechanism, root)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(one_trial, range(cfg.trials)))
     else:
         per_trial = [one_trial(i) for i in range(cfg.trials)]
@@ -660,8 +679,9 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
             record(t, q.name, mechanism.row(population, S, q, math.nan), 0.0)
             break
         responses.append(answer)
-        record(t, q.name, mechanism.row(population, S, q, answer),
-               session.transcript.records[-1].cost)
+        scored = mechanism.row(population, S, q, answer,
+                               getattr(session, "sample_value", None))
+        record(t, q.name, scored, session.transcript[-1].cost)
     else:
         tests = analyst.final_tests(tuple(responses), rng.child(3))
         for j, psi in enumerate(tests):

@@ -1,11 +1,14 @@
 """The two subsampling mechanisms, their parameter schedules, and costs.
 
 The statistical-query mechanism answers phi: X -> [0,1] by squashing it
-into [eps, 1-eps], drawing k elements iid uniform from the sample, flipping
-one Bernoulli vote per element with the squashed value as its parameter,
-and returning the vote mean. Each vote is a single arity-1 subsampling
-query with a binary range and uniformity floor eps, and is charged to the
-budget ledger accordingly.
+into [eps, 1-eps], taking k votes, and returning the vote mean. Each vote
+draws one element x_i uniformly from the sample and flips
+Bernoulli(phi_eps(x_i)), so the votes are iid Bernoulli(phi_eps(S)) with
+phi_eps(S) the sample mean of the squashed values, and the answer is
+exactly Binomial(k, phi_eps(S)) / k. The session draws it that way: one
+pass over the query's values and one binomial draw. Each vote is still a
+single arity-1 subsampling query with a binary range and uniformity floor
+eps, and the ledger is charged k of them.
 
 The approximate-median mechanism splits the sample into k groups and binary
 searches the query's ordered range; each probe takes one subsample vote per
@@ -207,6 +210,8 @@ class SqSession:
 
     Single-writer: one in-flight query at a time. ``delta`` parameterizes
     the per-vote high-probability cost charged to the ledger.
+    ``sample_value`` is the exact sample mean phi(S) of the last query
+    answered (NaN before the first).
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, k: int,
@@ -225,6 +230,7 @@ class SqSession:
         self.rng = rng
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.transcript = Transcript()
+        self.sample_value = math.nan
         self._gen = rng.generator
 
     @property
@@ -232,19 +238,22 @@ class SqSession:
         return cost_hp(len(self.dataset), 2, self.epsilon, self.delta)
 
     def answer(self, phi: TestQuery) -> float:
-        """Answer one statistical query: mean of k Bernoulli votes, one per
-        element drawn iid uniform from the sample, with the squashed query
-        value as each vote's parameter. The ledger is charged k per-vote
-        costs up front; a refusal consumes no draws."""
+        """Answer one statistical query: the mean of k Bernoulli votes, each
+        on one element drawn uniformly from the sample with the squashed
+        query value as its parameter. Those votes are iid
+        Bernoulli(phi_eps(S)), so the answer is drawn exactly as
+        Binomial(k, phi_eps(S)) / k from one pass over the query's values.
+        The ledger is still charged k per-vote costs, up front; a refusal
+        consumes no draws. ``sample_value`` keeps the unsquashed sample mean
+        phi(S) of the same values."""
         if phi.arity != 1:
             raise ValueError("the SQ mechanism answers arity-1 queries")
         charge = self.k * self.vote_cost
         self.ledger.charge(charge, label=phi.name or "sq")
-        values = np.clip(phi.values_on(self.dataset), self.epsilon,
-                         1.0 - self.epsilon)
-        idx = self._gen.integers(0, len(self.dataset), size=self.k)
-        votes = self._gen.random(self.k) < values[idx]
-        y = float(votes.sum()) / self.k
+        values = phi.values_on(self.dataset)
+        self.sample_value = float(values.mean())
+        p = float(np.clip(values, self.epsilon, 1.0 - self.epsilon).mean())
+        y = float(self._gen.binomial(self.k, p)) / self.k
         self.transcript.append(phi.name or "sq", y, charge)
         return y
 

@@ -53,6 +53,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("key", ["seed", "trials", "n", "threads"])
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_non_integer_numbers_exit_2(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(path)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+        assert not out.exists()
+
+    def test_whole_float_numbers_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"trials": 2.0, "n": 40.0}))
+        assert (cfg.trials, cfg.n) == (2, 40)
+        assert isinstance(cfg.trials, int) and isinstance(cfg.n, int)
+
     def test_spec_without_name(self, tmp_path):
         path = write_config(tmp_path, {"population": {"p": 0.3}})
         with pytest.raises(ConfigError, match="population spec needs a 'name'"):

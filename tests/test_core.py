@@ -219,6 +219,7 @@ class TestTranscript:
         assert [r.t for r in tr.records] == [1, 2, 3]
         assert tr.total_cost == pytest.approx(0.375, abs=1e-15)
         assert tr.total_cost == pytest.approx(sum(r.cost for r in tr.records))
+        assert tr[-1] is tr.records[-1] and tr[0].query == "a"
 
     def test_negative_cost_rejected(self):
         tr = Transcript()

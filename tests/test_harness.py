@@ -51,6 +51,27 @@ class TestPopulations:
         assert np.all(np.abs(means - 0.5) <= 4 * 0.5 / math.sqrt(4000))
         assert pop.truth(coordinate_indicator(1)) == 0.5
 
+    def test_cube_draw_keeps_stream_and_values(self):
+        S = CubePopulation(5).draw(7, RandomSource(3))
+        bits = RandomSource(3).generator.integers(0, 2, size=(7, 5), dtype=np.int8)
+        assert S.array.dtype == np.int8
+        assert np.array_equal(S.array, bits * 2 - 1)
+
+    @pytest.mark.parametrize("d", [300, 1000])
+    def test_sign_sum_batch_exact_past_int8_and_int16(self, d, monkeypatch):
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "SIGN_SUM_BLOCK", 3 * d + 1)  # 3-row blocks
+        gen = RandomSource(d).generator
+        rows = [np.ones(d), -np.ones(d), np.r_[np.ones(d // 2 + 1),
+                                                -np.ones(d - d // 2 - 1)]]
+        arr = np.vstack(rows + [gen.choice([-1, 1], size=(7, d))]).astype(np.int8)
+        for signs in (np.ones(d, dtype=int), gen.choice([-1, 1], size=d)):
+            psi = sign_sum_test(signs)
+            want = [psi.evaluator(x) for x in arr]
+            assert psi.batch(arr).tolist() == want
+        assert sign_sum_test(np.ones(d, dtype=int)).batch(arr)[:3].tolist() \
+            == [1.0, 0.0, 1.0]
+
     def test_cube_sign_sum_truth_exact(self):
         assert _prob_sign_sum_positive(2) == pytest.approx(0.25, abs=1e-15)
         assert _prob_sign_sum_positive(3) == pytest.approx(0.5, abs=1e-15)
@@ -177,6 +198,69 @@ class TestRunExperiment:
         r2 = run_experiment(sq_config(trials=4, threads=3))
         assert r1.rows == r2.rows
 
+    @pytest.mark.parametrize("threads,trials,cpus,want", [
+        (64, 3, 4, [3]), (2, 5, 4, [2]), (64, 10, 4, [4]), (8, 4, None, [])])
+    def test_thread_pool_capped(self, threads, trials, cpus, want, monkeypatch):
+        import adasub.harness as hz
+        seen = []
+
+        class Recorder:  # stands in for the pool; runs the trials in order
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(hz, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(hz.os, "cpu_count", lambda: cpus)
+        report = run_experiment(sq_config(trials=trials, threads=threads))
+        assert seen == want
+        assert report.rows == run_experiment(sq_config(trials=trials)).rows
+
+    def test_sq_rows_reuse_the_sessions_sample_mean(self, monkeypatch):
+        import adasub.harness as hz
+        calls = []
+        monkeypatch.setattr(hz, "naive_answer",
+                            lambda S, q, _f=hz.naive_answer: calls.append(q.name)
+                            or _f(S, q))
+        cfg = sq_config(n=50, population={"name": "uniform_pm1_cube", "d": 6},
+                        mechanism={"name": "subsampling-sq", "tau": 0.3,
+                                   "delta": 0.2},
+                        analyst={"name": "random-correlation", "T": 6})
+        report = run_experiment(cfg)
+        assert calls == ["test:sign-sum"] * 2  # only the final tests
+        pop = CubePopulation(6)
+        for r in report.rows[:6] + report.rows[7:13]:
+            S = pop.draw(50, RandomSource(11).child(r["trial"], 0))
+            q = coordinate_indicator(r["t"] - 1)
+            assert r["sample_value"] == float(q.values_on(S).mean())
+
+    def test_long_session_row_costs_sum_to_ledger(self, monkeypatch):
+        import adasub.harness as hz
+        T, n = 4000, 8
+        analyst = RandomCorrelationAnalyst(T)
+        mech = hz.SqMechanism({"delta": 0.1, "epsilon": 0.1, "k": 3}, n, analyst)
+        ledgers = []
+        open_session = mech.open
+
+        def spy(S, rng, ledger):
+            ledgers.append(ledger)
+            return open_session(S, rng, ledger)
+
+        monkeypatch.setattr(mech, "open", spy)
+        rows = hz._run_trial(0, n, CubePopulation(T), analyst, mech,
+                             RandomSource(4))
+        assert len(rows) == T + 1
+        assert len(ledgers[0].charges) == T
+        assert math.fsum(r["cost"] for r in rows) \
+            == pytest.approx(ledgers[0].total, rel=1e-9)
+
     def test_different_seed_changes_answers(self):
         r1 = run_experiment(sq_config(seed=1))
         r2 = run_experiment(sq_config(seed=2))
@@ -277,6 +361,7 @@ class TestRunExperiment:
             assert len(rows) == 2  # one answer, one recorded refusal, no tests
             assert not math.isnan(rows[0]["bias"])
             assert math.isnan(rows[1]["answer"]) and rows[1]["cost"] == 0.0
+            assert rows[1]["sample_value"] == 0.0  # the refused query's own
             assert rows[1]["within_bound"] == 0
         assert not math.isnan(report.summary["max_bias"])
         report.verify_consistency()

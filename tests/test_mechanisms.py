@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adasub.core import Dataset, Query, TestQuery
-from adasub.engine import RandomSource, ResponsePMF
+from adasub.engine import RandomSource, ResponsePMF, exact_response_pmf
 from adasub.mechanisms import (
     BudgetExhausted,
     BudgetLedger,
@@ -238,6 +241,69 @@ class TestSqSession:
         third = b.answer(IDENT)
         a.ledger.limit = math.inf
         assert a.answer(IDENT) == third
+
+
+def binomial_pmf(k, p):
+    return [math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(k + 1)]
+
+
+def vote_sum_law(values, eps, k):
+    """Law of the vote sum by enumerating every (index, coin) sequence of
+    k votes: each vote picks index i with probability 1/n and comes up 1
+    with the squashed value phi_eps(x_i)."""
+    n = len(values)
+    phi = squash(IDENT, eps).evaluator
+    law = [0.0] * (k + 1)
+    for seq in itertools.product(range(n), (0, 1), repeat=k):
+        prob = 1.0
+        for i, coin in zip(seq[::2], seq[1::2]):
+            v = phi(values[i])
+            prob *= (v if coin else 1.0 - v) / n
+        law[sum(seq[1::2])] += prob
+    return law
+
+
+class TestSqExactLaw:
+    """The k per-element votes are iid Bernoulli(phi_eps(S)), so the
+    answer is Binomial(k, phi_eps(S)) / k, which the session draws."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           k=st.integers(1, 3),
+           eps=st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.3, 0.45, 0.49]))
+    @example(values=[0.0], k=3, eps=0.0)
+    @example(values=[1.0, 0.0], k=2, eps=0.49)
+    @example(values=[0.0, 0.2, 1.0], k=3, eps=0.1)
+    @example(values=[0.05, 0.5, 0.95, 1.0], k=3, eps=0.3)
+    @example(values=[1.0, 1.0, 1.0, 1.0], k=1, eps=0.01)
+    def test_vote_sum_law_is_binomial(self, values, k, eps):
+        phi = squash(IDENT, eps).evaluator
+        p = float(np.mean([phi(v) for v in values]))
+        law = vote_sum_law(values, eps, k)
+        assert law == pytest.approx(binomial_pmf(k, p), abs=1e-12)
+        # one vote is the arity-1 subsampling query x -> Bernoulli(phi_eps(x))
+        vote = Query.randomized(1, (0, 1), lambda x: [1.0 - phi(x), phi(x)])
+        one = exact_response_pmf(vote, Dataset(values)).masses
+        assert list(one) == pytest.approx(binomial_pmf(1, p), abs=1e-12)
+
+    @pytest.mark.parametrize("eps,seed", [(0.0, 8), (0.1, 9), (0.3, 10)])
+    def test_answer_frequencies_match_binomial(self, eps, seed):
+        values, k, reps = [0.0, 0.3, 1.0, 1.0], 3, 20_000
+        s = SqSession(Dataset(values), eps, k, RandomSource(seed), 0.1)
+        counts = np.bincount([round(s.answer(IDENT) * k) for _ in range(reps)],
+                             minlength=k + 1)
+        assert counts.size == k + 1
+        p = float(np.mean(np.clip(values, eps, 1.0 - eps)))
+        for c, m in zip(counts, binomial_pmf(k, p)):
+            se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
+            assert abs(c / reps - m) <= 4 * se
+
+    def test_sample_value_is_the_unsquashed_mean(self):
+        S = Dataset([0.0, 0.3, 1.0, 0.7, 0.01])
+        s = SqSession(S, 0.2, 5, RandomSource(11), 0.1)
+        assert math.isnan(s.sample_value)
+        s.answer(IDENT)
+        assert s.sample_value == float(IDENT.values_on(S).mean())
 
 
 class TestApproximateMedianCheck:
