@@ -90,14 +90,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _integer(raw: dict, key: str, default: int | None = None) -> int:
-    """An integer config value; a whole float such as 3.0 counts, but a
-    fraction, a bool or a string is rejected rather than truncated."""
+def _integer(raw: dict, key: str, default: int | None = None):
+    """A config value with a whole float such as 3.0 made an int; a
+    fraction, a bool or a string is left for ExperimentConfig to reject."""
     value = raw.get(key, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 

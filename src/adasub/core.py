@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -50,12 +50,21 @@ class Dataset:
 
     def __init__(self, elements):
         if isinstance(elements, Dataset):
-            arr = elements._array
-        else:
-            arr = np.asarray(elements)
+            elements = elements._array
+        self._own(np.array(elements))  # a copy: the caller keeps its array
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "Dataset":
+        """A dataset over a freshly made array, without the copy that the
+        constructor makes; the caller hands over the array and must keep no
+        reference to it."""
+        ds = cls.__new__(cls)
+        ds._own(arr)
+        return ds
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim not in (1, 2) or arr.shape[0] < 1:
             raise ValueError("dataset needs a nonempty 1-D or 2-D element array")
-        arr = arr.copy()
         arr.setflags(write=False)
         self._array = arr
 
@@ -76,12 +85,16 @@ class Dataset:
         """The sample with position i removed (size n-1)."""
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return Dataset(np.delete(self._array, i, axis=0))
+        return Dataset.adopt(np.delete(self._array, i, axis=0))
 
-    def subsample(self, positions: Sequence[int]) -> tuple:
-        """Elements at the given positions, in ascending position order."""
-        pos = sorted(positions)
-        return tuple(self[p] for p in pos)
+    def subsamples(self, positions: np.ndarray) -> list[tuple]:
+        """One element tuple per row of an (m, w) position array, each
+        element exactly as ``self[i]`` gives it (a Python scalar, or a tuple
+        for vector elements)."""
+        rows = self._array[positions].tolist()
+        if self._array.ndim == 1:
+            return [tuple(row) for row in rows]
+        return [tuple(map(tuple, row)) for row in rows]
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)})"
@@ -361,11 +374,10 @@ def query_expectation_on_sample(q, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_C
     if mc_draws is None:
         raise EnumerationCapExceeded(
             f"C({n},{w}) subsets exceed cap {enum_cap}; supply mc_draws")
-    gen = _generator_of(rng)
-    vals = np.empty(mc_draws)
-    for j in range(mc_draws):
-        pos = gen.choice(n, size=w, replace=False)
-        vals[j] = _mean_value(q, S.subsample(pos))
+    from .engine import draw_positions  # engine imports this module
+
+    subs = S.subsamples(draw_positions(_generator_of(rng), n, w, mc_draws))
+    vals = np.array([_mean_value(q, sub) for sub in subs])
     return ExpectationEstimate(float(vals.mean()),
                                stderr=float(vals.std(ddof=1) / math.sqrt(mc_draws)),
                                exact=False)

@@ -103,17 +103,33 @@ class ResponsePMF:
         return float(self.masses[vals >= float(y)].sum())
 
 
-def draw_positions(gen: np.random.Generator, n: int, w: int) -> tuple[int, ...]:
-    """A uniform without-replacement w-subset of [0, n), in ascending order.
+def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
+                   m: int = 1) -> np.ndarray:
+    """m independent uniform without-replacement w-subsets, as an (m, w)
+    int64 array with each row in ascending order; row i is drawn from
+    [0, n_i), where ``n`` is one int for every row or one per row.
 
-    Positions are canonicalized by sorting, so a query sees the drawn
-    multiset in dataset order regardless of draw order.
+    Floyd's algorithm (Bentley & Floyd 1987), vectorized over rows: step s
+    takes t uniform on [0, j] with j = n_i - w + s and keeps t unless the
+    row already holds it, in which case it keeps j. Every w-subset then has
+    probability exactly 1/C(n_i, w). All m*w integers come from one
+    ``gen.integers`` call in row-major order, so with w = 1 the draw is the
+    stream of ``gen.integers(0, n, size=m)``. Rows are sorted, so a query
+    sees the drawn multiset in dataset order regardless of draw order.
     """
-    if w == n:
-        return tuple(range(n))
-    pos = gen.choice(n, size=w, replace=False)
-    pos.sort()
-    return tuple(int(p) for p in pos)
+    n = np.asarray(n, dtype=np.int64)
+    if n.ndim > 1 or n.size not in (1, m):
+        raise ValueError(f"need one population size or one per row, got shape {n.shape}")
+    if w < 1 or np.any(n < w):
+        raise ValueError(f"cannot draw {w} distinct positions from [0, {n})")
+    high = np.broadcast_to(n.reshape(-1, 1) + np.arange(1 - w, 1), (m, w))
+    pos = gen.integers(0, high)
+    for s in range(1, w):
+        taken = (pos[:, :s] == pos[:, s, None]).any(axis=1)
+        pos[:, s] = np.where(taken, high[:, s] - 1, pos[:, s])
+    if w > 1:
+        pos.sort(axis=1)
+    return pos
 
 
 def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generator,
@@ -121,36 +137,56 @@ def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generat
     """Draw y ~ q's answer law on S: evaluate q on a uniform
     without-replacement w-subset of S's positions.
 
-    With ``size`` given, returns an array of that many independent answers
-    (vectorized for arity-1 queries). The marginal law of each answer equals
-    ``exact_response_pmf(q, S)``.
+    With ``size`` given, returns an array of that many independent answers,
+    drawn in one pass (see ``_batch_answers``). The marginal law of each
+    answer equals ``exact_response_pmf(q, S)``.
     """
     n = len(S)
     if q.arity > n:
         raise ValueError(f"query arity {q.arity} exceeds sample size {n}")
     gen = rng.generator if isinstance(rng, RandomSource) else rng
     if size is None:
-        sub = tuple(S[p] for p in draw_positions(gen, n, q.arity))
+        (sub,) = S.subsamples(draw_positions(gen, n, q.arity))
         return q.sample_output(sub, gen)
-    if q.arity == 1 and not q.is_opaque:
-        return _batch_answers_arity1(q, S, gen, size)
-    out = [subsample_answer(q, S, gen) for _ in range(size)]
-    return np.asarray(out)
+    return _batch_answers(q, S, gen, size)
 
 
-def _batch_answers_arity1(q: Query, S: Dataset, gen: np.random.Generator,
-                          size: int) -> np.ndarray:
-    n = len(S)
-    pos = gen.integers(0, n, size=size)
+def _batch_answers(q: Query, S: Dataset, gen: np.random.Generator,
+                   size: int) -> np.ndarray:
+    """``size`` iid answers: all positions in one draw, then q evaluated once
+    per distinct subset, and for a randomized q one uniform per answer
+    inverted through that subset's output CDF. An opaque q is sampled per
+    answer."""
+    pos = draw_positions(gen, len(S), q.arity, size)
+    if q.is_opaque:
+        return np.asarray([q.sampler(sub, gen) for sub in S.subsamples(pos)])
+    distinct, which = _distinct_rows(pos, len(S))
+    subs = S.subsamples(distinct)
     outputs = np.asarray(q.outputs)
     if q.evaluator is not None:
-        per_elem = np.asarray([q._output_index(q.evaluator(S[i])) for i in range(n)])
-        return outputs[per_elem[pos]]
-    pmf_rows = np.vstack([q.output_pmf((S[i],)) for i in range(n)])
-    cdf = np.cumsum(pmf_rows, axis=1)
+        index = np.asarray([q._output_index(q.evaluator(*sub)) for sub in subs])
+        return outputs[index[which]]
+    cdf = np.cumsum(np.vstack([q.output_pmf(sub) for sub in subs]), axis=1)
     u = gen.random(size)
-    idx = (u[:, None] > cdf[pos]).sum(axis=1)
+    idx = (u[:, None] > cdf[which]).sum(axis=1)
     return outputs[np.minimum(idx, len(q.outputs) - 1)]
+
+
+def _distinct_rows(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (m, w) array of positions in [0, n), in
+    lexicographic order, and each row's index among them. Rows are keyed
+    by their base-n value when n^w fits in int64, because a 1-D unique is
+    many times faster than ``np.unique(axis=0)``."""
+    w = pos.shape[1]
+    if n ** w > np.iinfo(np.int64).max:
+        distinct, which = np.unique(pos, axis=0, return_inverse=True)
+        return distinct, which.reshape(-1)
+    key = pos[:, 0].copy()
+    for s in range(1, w):
+        key *= n
+        key += pos[:, s]
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return pos[first], which.reshape(-1)
 
 
 def exact_response_pmf(q: Query, S: Dataset, *,

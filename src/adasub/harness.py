@@ -161,7 +161,7 @@ class FinitePopulation(Population):
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
         idx = rng.generator.choice(self._support.shape[0], size=n, p=self._masses)
-        return Dataset(self._support[idx])
+        return Dataset.adopt(self._support[idx])
 
     def truth(self, q: TestQuery) -> float:
         return query_expectation_on_population(q, self.ground_truth).value
@@ -186,13 +186,13 @@ class FinitePopulation(Population):
         for _ in range(w - 1):
             conv = np.convolve(conv, self._masses)
         centers = tuple(float(c) for c in q.outputs)
-        out = np.zeros(len(centers))
         cstep = centers[1] - centers[0]
-        for j, mass in enumerate(conv):
-            if mass == 0.0:
-                continue
-            total = xs[0] * w + step * j
-            out[_grid_cell(total, w, shift, centers[0], cstep, len(centers))] += mass
+        # _grid_cell's operations in its order, on every support sum at once;
+        # bincount adds the masses into their cells in the order of the sums
+        totals = xs[0] * w + step * np.arange(len(conv))
+        cells = np.rint((totals / w + shift - centers[0]) / cstep)
+        cells = np.clip(cells, 0, len(centers) - 1).astype(np.intp)
+        out = np.bincount(cells, weights=conv, minlength=len(centers))
         return ResponsePMF(q.outputs, out / out.sum())
 
 
@@ -221,7 +221,7 @@ class CubePopulation(Population):
         pm1 = rng.generator.integers(0, 2, size=(n, self.d), dtype=np.int8)
         pm1 *= 2
         pm1 -= 1
-        return Dataset(pm1)
+        return Dataset.adopt(pm1)
 
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None
@@ -423,6 +423,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for key in ("seed", "trials", "n", "threads"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.n < 1:

@@ -13,7 +13,9 @@ eps, and the ledger is charged k of them.
 The approximate-median mechanism splits the sample into k groups and binary
 searches the query's ordered range; each probe takes one subsample vote per
 group, flips it with probability w/|group| (making the vote
-(w/|group|)-uniform), and follows the majority.
+(w/|group|)-uniform), and follows the majority. Given the sample, the k
+votes of a probe are independent, so the session draws all k subsets in one
+batched step.
 
 Charged costs follow the per-query schedules:
 
@@ -314,7 +316,8 @@ class MedianSession:
     """One analyst session against the approximate-median mechanism.
 
     The sample is split into ``num_groups`` contiguous groups whose sizes
-    differ by at most one. ``noise=False`` disables the per-vote flip; that
+    differ by at most one; ``groups`` holds each group's range of positions
+    in the one sample array. ``noise=False`` disables the per-vote flip; that
     mode is exposed for comparison runs and carries no accuracy claim.
 
     Each answer charges ``search_rounds(|Y|)`` = ceil(log2 |Y|) probes up
@@ -335,12 +338,11 @@ class MedianSession:
         self.transcript = Transcript()
         self._gen = rng.generator
         base, extra = divmod(n, num_groups)
-        self.groups: list[Dataset] = []
-        ofs = 0
-        for i in range(num_groups):
-            size = base + (1 if i < extra else 0)
-            self.groups.append(Dataset(dataset.array[ofs:ofs + size]))
-            ofs += size
+        self._sizes = np.full(num_groups, base, dtype=np.int64)
+        self._sizes[:extra] += 1
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self.groups = [range(start, start + size) for start, size
+                       in zip(self._starts.tolist(), self._sizes.tolist())]
 
     @property
     def k(self) -> int:
@@ -363,7 +365,7 @@ class MedianSession:
         lo, hi = 0, len(outputs) - 1
         while lo < hi:
             probe = (lo + hi + 1) // 2
-            if self._vote_round(q, outputs[probe]):
+            if 2 * self._vote_round(q, outputs[probe]) >= self.k:
                 lo = probe
             else:
                 hi = probe - 1
@@ -375,13 +377,15 @@ class MedianSession:
         p = w / group_size if self.noise else 0.0
         return cost_uniform(group_size, w, 2, p)
 
-    def _vote_round(self, q: Query, r: float) -> bool:
-        ones = 0
-        for group in self.groups:
-            pos = draw_positions(self._gen, len(group), q.arity)
-            value = q.sample_output(tuple(group[p] for p in pos), self._gen)
-            vote = 1 if float(value) >= r else 0
-            if self.noise and self._gen.random() < q.arity / len(group):
-                vote = 1 - vote
-            ones += vote
-        return 2 * ones >= self.k
+    def _vote_round(self, q: Query, r: float) -> int:
+        """One probe: the number of groups voting that q's answer is at least
+        r. Each group's w-subset comes from one batched draw, then q answers
+        on it, then (with noise) the vote flips with probability w/|group|."""
+        pos = draw_positions(self._gen, self._sizes, q.arity, self.k)
+        pos += self._starts[:, None]
+        votes = np.fromiter((float(q.sample_output(sub, self._gen)) >= r
+                             for sub in self.dataset.subsamples(pos)),
+                            dtype=bool, count=self.k)
+        if self.noise:
+            votes ^= self._gen.random(self.k) < q.arity / self._sizes
+        return int(np.count_nonzero(votes))

@@ -52,6 +52,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             S.array[0] = 9
 
+    def test_callers_array_is_copied(self):
+        arr = np.array([1, 2, 3])
+        S = Dataset(arr)
+        arr[0] = 9
+        assert S[0] == 1 and arr.flags.writeable
+        assert Dataset(S).array is not S.array
+
+    def test_adopt_keeps_the_array_read_only(self):
+        arr = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        S = Dataset.adopt(arr)
+        assert S.array is arr and not arr.flags.writeable
+        assert S[1] == (-1, 1)
+        with pytest.raises(ValueError):
+            Dataset.adopt(np.zeros((0,)))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Dataset([])

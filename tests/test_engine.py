@@ -1,19 +1,32 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adasub.core import Dataset, GroundTruth, Query, query_expectation_on_sample
+from adasub.core import (
+    Dataset,
+    GroundTruth,
+    Query,
+    TestQuery,
+    query_expectation_on_sample,
+)
 from adasub.divergence import random_query_instance
 from adasub.engine import (
     RandomSource,
     ResponsePMF,
+    _distinct_rows,
+    draw_positions,
     exact_response_pmf,
     population_response_pmf,
     spot_check_uniformity,
     subsample_answer,
     uniformize,
 )
+from adasub.mechanisms import MedianSession
 
 IDENT = Query.deterministic(1, (0, 1), lambda x: x, name="id")
 
@@ -116,6 +129,88 @@ class TestPopulationResponsePMF:
         assert population_response_pmf(q, D).mass_of(0) == 1.0
 
 
+class ReplayGenerator:
+    """Stands in for a numpy Generator: ``integers`` checks the bounds it is
+    asked for and returns a fixed (m, w) table of draws."""
+
+    def __init__(self, draws, want_high):
+        self.draws, self.want_high = np.asarray(draws), np.asarray(want_high)
+
+    def integers(self, low, high):
+        assert low == 0
+        assert np.array_equal(np.asarray(high), self.want_high)
+        return self.draws.astype(np.int64)
+
+
+class TestDrawPositions:
+    @pytest.mark.parametrize("sizes,w", [
+        ((1,), 1), ((4,), 1), ((4,), 2), ((5,), 3), ((5,), 5), ((6,), 4),
+        ((3, 5), 2), ((4, 6, 5), 3), ((2, 3, 4), 2),
+    ])
+    def test_floyd_replay_gives_each_subset_mass_one_over_binomial(self, sizes, w):
+        # every integer sequence Floyd can draw, for every row size at once
+        rows, highs, size_of = [], [], []
+        for n in sizes:
+            bounds = [n - w + s + 1 for s in range(w)]  # t_s uniform on [0, j_s]
+            for seq in itertools.product(*(range(b) for b in bounds)):
+                rows.append(seq)
+                highs.append(bounds)
+                size_of.append(n)
+        m = len(rows)
+        n_arg = sizes[0] if len(sizes) == 1 else np.asarray(size_of)
+        got = draw_positions(ReplayGenerator(rows, highs), n_arg, w, m)
+        assert got.shape == (m, w) and got.dtype == np.int64
+        for n in sizes:
+            mass: dict[tuple, Fraction] = {}
+            seq_mass = Fraction(math.factorial(n - w), math.factorial(n))
+            for row, rn in zip(got.tolist(), size_of):
+                if rn == n:
+                    mass[tuple(row)] = mass.get(tuple(row), 0) + seq_mass
+            assert set(mass) == set(itertools.combinations(range(n), w))
+            assert set(mass.values()) == {Fraction(1, math.comb(n, w))}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(w=st.integers(1, 6), extra=st.lists(st.integers(0, 9), min_size=1,
+                                                max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1), per_row=st.booleans())
+    def test_rows_sorted_distinct_and_in_range(self, w, extra, seed, per_row):
+        gen = np.random.default_rng(seed)
+        sizes = np.asarray(extra) + w
+        m = len(sizes)
+        n = sizes if per_row else int(sizes[0])
+        pos = draw_positions(gen, n, w, m)
+        assert pos.shape == (m, w)
+        assert np.all(np.diff(pos, axis=1) > 0)  # sorted and distinct
+        assert np.all(pos >= 0)
+        assert np.all(pos < np.broadcast_to(n, (m,))[:, None])
+
+    def test_arity_one_is_one_integers_call(self):
+        a = draw_positions(np.random.default_rng(4), 37, 1, 1000)
+        b = np.random.default_rng(4).integers(0, 37, size=1000)
+        assert np.array_equal(a[:, 0], b)
+
+    def test_rejects_bad_sizes(self):
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            draw_positions(gen, 2, 3)
+        with pytest.raises(ValueError):
+            draw_positions(gen, [5, 2], 3, 2)
+        with pytest.raises(ValueError):
+            draw_positions(gen, [5, 6, 7], 2, 2)
+
+    @pytest.mark.parametrize("n,w", [(9, 2), (9, 3), (2 ** 16, 4)])
+    def test_distinct_rows_match_numpy_unique(self, n, w):
+        # 2^16 at w = 4 has no int64 key and takes np.unique(axis=0)
+        gen = np.random.default_rng(n + w)
+        pos = draw_positions(gen, n, w, 400)
+        pos = np.vstack([pos, pos[::3]])
+        distinct, which = _distinct_rows(pos, n)
+        want, want_which = np.unique(pos, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(which, want_which.reshape(-1))
+        assert np.array_equal(distinct[which], pos)
+
+
 class TestSubsampleAnswer:
     def test_constant_always(self):
         q = Query.deterministic(1, (7,), lambda x: 7, name="c")
@@ -172,6 +267,46 @@ class TestSubsampleAnswer:
             phat = float(np.mean(vals == y))
             se = math.sqrt(max(pmf.masses[yi] * (1 - pmf.masses[yi]), 1e-9) / draws)
             assert abs(phat - pmf.masses[yi]) <= 4 * se
+
+    def test_randomized_and_opaque_batches_match_pmf(self):
+        S = Dataset([0, 1, 1, 2, 0, 2])
+        rand = Query.randomized(2, (0, 1, 2),
+                                lambda a, b: [0.6, 0.3, 0.1] if a == b
+                                else [0.1, 0.2, 0.7], name="r2")
+        opaque = Query.opaque(2, (0, 1, 2, 3, 4),
+                              lambda sub, gen: sub[0] + sub[1], name="sum2")
+        as_table = Query.deterministic(2, opaque.outputs, lambda a, b: a + b)
+        draws = 60_000
+        for q, law in ((rand, rand), (opaque, as_table)):
+            pmf = exact_response_pmf(law, S)
+            vals = subsample_answer(q, S, RandomSource(21), size=draws)
+            for yi, y in enumerate(q.outputs):
+                phat = float(np.mean(vals == y))
+                se = math.sqrt(max(pmf.masses[yi] * (1 - pmf.masses[yi]), 1e-9) / draws)
+                assert abs(phat - pmf.masses[yi]) <= 4 * se
+
+    def test_vector_elements_reach_queries_as_tuples(self):
+        # what Dataset.__getitem__ gives: a tuple of Python ints per element
+        S = Dataset(np.array([(1, -1), (-1, 1), (1, 1), (-1, -1)] * 2, dtype=np.int8))
+        seen = []
+
+        def ev(*xs):
+            seen.extend(xs)
+            return float(sum(sum(x) for x in xs) > 0)
+
+        for w in (1, 2):
+            seen.clear()
+            q = Query.deterministic(w, (0.0, 1.0), ev, name="pos")
+            subsample_answer(q, S, RandomSource(1))
+            subsample_answer(q, S, RandomSource(2), size=50)
+            opaque = Query.opaque(w, (0.0, 1.0), lambda sub, gen: ev(*sub))
+            subsample_answer(opaque, S, RandomSource(3), size=5)
+            MedianSession(S, 2, RandomSource(4)).answer(q)
+            test = TestQuery(w, ev, name="pos")
+            query_expectation_on_sample(test, S, enum_cap=1, mc_draws=5, rng=5)
+            assert seen and all(type(x) is tuple for x in seen)
+            assert all(type(c) is int for x in seen for c in x)
+            assert set(seen) <= {S[i] for i in range(len(S))}
 
     def test_arity_exceeds_sample(self):
         q = Query.deterministic(4, (0,), lambda *xs: 0, name="q")

@@ -13,6 +13,7 @@ from adasub.harness import (
     FixedAnalyst,
     RandomCorrelationAnalyst,
     ShiftingMeanAnalyst,
+    _grid_cell,
     _prob_sign_sum_positive,
     coordinate_indicator,
     constant_test,
@@ -107,6 +108,36 @@ class TestPopulations:
             conv = pop.response_dist(q)
             enum = population_response_pmf(q, pop.ground_truth)
             assert np.max(np.abs(conv.masses - enum.masses)) <= 1e-12
+
+    def test_grid_mean_dist_equals_the_cell_loop_bit_for_bit(self):
+        # the per-sum loop the vectorized oracle replaced, kept as reference
+        def loop_dist(pop, q, w, shift):
+            xs = pop._support.astype(float)
+            step = xs[1] - xs[0]
+            conv = pop._masses.astype(float)
+            for _ in range(w - 1):
+                conv = np.convolve(conv, pop._masses)
+            centers = tuple(float(c) for c in q.outputs)
+            out = np.zeros(len(centers))
+            cstep = centers[1] - centers[0]
+            for j, mass in enumerate(conv):
+                if mass == 0.0:
+                    continue
+                total = xs[0] * w + step * j
+                out[_grid_cell(total, w, shift, centers[0], cstep, len(centers))] += mass
+            return out / out.sum()
+
+        pop = population_generators("discretized_gaussian", {})
+        analyst = ShiftingMeanAnalyst(T=50)
+        laws = 0
+        for w in range(1, analyst.w_max + 1):
+            for cells in range(-analyst.max_shift, analyst.max_shift + 1):
+                shift = cells * analyst.r_step
+                q = grid_mean_query(w, shift, analyst.centers)
+                got = pop.response_dist(q).masses
+                assert np.array_equal(got, loop_dist(pop, q, w, shift))
+                laws += 1
+        assert laws == 28
 
 
 class TestAnalysts:
@@ -436,6 +467,19 @@ class TestRunExperiment:
             hz.check_config(sq_config(**over))
         with pytest.raises(hz.ConfigError, match=needle):
             run_experiment(sq_config(**over))
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", 2.5), ("n", 40.9), ("threads", 1.5), ("seed", 1.5),
+        ("trials", True), ("n", "40"), ("threads", 2.0),
+    ])
+    def test_config_rejects_non_integer_counts(self, key, value):
+        import adasub.harness as hz
+        with pytest.raises(hz.ConfigError, match=f"{key} must be an integer"):
+            sq_config(**{key: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = sq_config(trials=np.int64(2), n=np.int32(60))
+        assert run_experiment(cfg).summary["trials"] == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

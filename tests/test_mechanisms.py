@@ -414,8 +414,33 @@ class TestMedianSession:
         sizes = [len(g) for g in s.groups]
         assert sorted(sizes) == [3, 4, 4]
         assert sum(sizes) == 11
-        joined = np.concatenate([g.array for g in s.groups])
-        assert np.array_equal(joined, np.arange(11))
+        joined = [s.dataset[i] for g in s.groups for i in g]
+        assert joined == list(range(11))
+
+    @pytest.mark.parametrize("noise,randomized", [(True, False), (False, True)])
+    def test_probe_vote_count_law_is_poisson_binomial(self, noise, randomized):
+        # groups of 5, 4 and 4: the batched draw mixes two group sizes
+        S = Dataset([0.0, 2.0, 1.0, 3.0, 1.0, 2.0, 0.0, 3.0, 3.0, 1.0, 0.0, 2.0, 2.0])
+        grid = (0.0, 1.0, 2.0, 3.0)
+        if randomized:
+            q = Query.randomized(2, grid, lambda a, b: [0.02, 0.03, 0.05, 0.9]
+                                 if a + b >= 3 else [0.6, 0.3, 0.05, 0.05], name="r")
+        else:
+            q = Query.deterministic(2, grid, lambda a, b: max(a, b), name="max")
+        r, reps = 2.0, 10_000
+        s = MedianSession(S, 3, RandomSource(31), noise=noise)
+        law = np.array([1.0])
+        for g in s.groups:
+            above = exact_response_pmf(q, Dataset([S[i] for i in g])).prob_ge(r)
+            flip = q.arity / len(g) if noise else 0.0
+            p = above * (1.0 - flip) + (1.0 - above) * flip
+            law = np.convolve(law, [1.0 - p, p])
+        counts = np.bincount([s._vote_round(q, r) for _ in range(reps)],
+                             minlength=s.k + 1)
+        assert counts.size == s.k + 1
+        for c, m in zip(counts, law):
+            se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
+            assert abs(c / reps - m) <= 4 * se
 
     def test_costs_charged_per_round_and_group(self):
         grid = tuple(float(v) for v in range(4))
