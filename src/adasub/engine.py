@@ -160,9 +160,11 @@ def _batch_answers(q: Query, S: Dataset, gen: np.random.Generator,
     pos = draw_positions(gen, len(S), q.arity, size)
     if q.is_opaque:
         return np.asarray([q.sampler(sub, gen) for sub in S.subsamples(pos)])
-    distinct, which = _distinct_rows(pos, len(S))
+    distinct, which = _distinct_rows(pos)
     subs = S.subsamples(distinct)
     outputs = np.asarray(q.outputs)
+    if not subs:
+        return outputs[:0]
     if q.evaluator is not None:
         index = np.asarray([q._output_index(q.evaluator(*sub)) for sub in subs])
         return outputs[index[which]]
@@ -172,21 +174,18 @@ def _batch_answers(q: Query, S: Dataset, gen: np.random.Generator,
     return outputs[np.minimum(idx, len(q.outputs) - 1)]
 
 
-def _distinct_rows(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (m, w) array of positions in [0, n), in
-    lexicographic order, and each row's index among them. Rows are keyed
-    by their base-n value when n^w fits in int64, because a 1-D unique is
-    many times faster than ``np.unique(axis=0)``."""
-    w = pos.shape[1]
-    if n ** w > np.iinfo(np.int64).max:
-        distinct, which = np.unique(pos, axis=0, return_inverse=True)
-        return distinct, which.reshape(-1)
-    key = pos[:, 0].copy()
-    for s in range(1, w):
-        key *= n
-        key += pos[:, s]
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    return pos[first], which.reshape(-1)
+def _distinct_rows(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in lexicographic order, and
+    each row's index among them: ``np.unique(pos, axis=0,
+    return_inverse=True)`` by one ``np.lexsort``, which is several times
+    faster on a million rows."""
+    order = np.lexsort(pos.T[::-1])
+    ranked = pos[order]
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(pos), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return ranked[first], which
 
 
 def exact_response_pmf(q: Query, S: Dataset, *,

@@ -198,13 +198,13 @@ class TestDrawPositions:
         with pytest.raises(ValueError):
             draw_positions(gen, [5, 6, 7], 2, 2)
 
-    @pytest.mark.parametrize("n,w", [(9, 2), (9, 3), (2 ** 16, 4)])
-    def test_distinct_rows_match_numpy_unique(self, n, w):
-        # 2^16 at w = 4 has no int64 key and takes np.unique(axis=0)
+    @pytest.mark.parametrize("n,w,m", [(9, 2, 400), (9, 3, 400),
+                                       (2 ** 16, 4, 400), (9, 2, 0)])
+    def test_distinct_rows_match_numpy_unique(self, n, w, m):
         gen = np.random.default_rng(n + w)
-        pos = draw_positions(gen, n, w, 400)
+        pos = draw_positions(gen, n, w, m)
         pos = np.vstack([pos, pos[::3]])
-        distinct, which = _distinct_rows(pos, n)
+        distinct, which = _distinct_rows(pos)
         want, want_which = np.unique(pos, axis=0, return_inverse=True)
         assert np.array_equal(distinct, want)
         assert np.array_equal(which, want_which.reshape(-1))
@@ -222,6 +222,26 @@ class TestSubsampleAnswer:
         q = Query.deterministic(3, (0, 1, 2, 3), lambda *xs: sum(xs), name="sum")
         got = subsample_answer(q, Dataset([1, 0, 1]), RandomSource(2))
         assert got == 2
+
+    @pytest.mark.parametrize("n,w", [(9, 2), (9, 3), (2 ** 16, 4)])
+    def test_batch_evaluates_every_drawn_subset(self, n, w):
+        # answers must be q on each drawn row, whether rows repeat (small n)
+        # or nearly never do (large n)
+        q = Query.deterministic(w, tuple(range(97)), lambda *xs: sum(xs) % 97,
+                                name="sum97")
+        S = Dataset(np.arange(n))
+        got = subsample_answer(q, S, np.random.default_rng(n + w), size=400)
+        pos = draw_positions(np.random.default_rng(n + w), n, w, 400)
+        assert got.tolist() == [sum(sub) % 97 for sub in S.subsamples(pos)]
+
+    @pytest.mark.parametrize("q", [
+        Query.deterministic(1, (0, 1), lambda x: x, name="id"),
+        Query.deterministic(2, (0, 1, 2), lambda x, y: x + y, name="sum2"),
+        Query.randomized(2, (0, 1), lambda x, y: [0.5, 0.5], name="coin2"),
+    ])
+    def test_size_zero_is_empty(self, q):
+        got = subsample_answer(q, Dataset([0, 1, 1]), RandomSource(3), size=0)
+        assert got.shape == (0,)
 
     def test_w1_frequency_matches_pmf(self):
         # binomial standard error oracle: p = 1/3 over one million draws
