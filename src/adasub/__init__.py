@@ -26,6 +26,7 @@ from .engine import (
     RandomSource,
     ResponsePMF,
     exact_response_pmf,
+    leave_one_out_pmfs,
     population_response_pmf,
     spot_check_uniformity,
     subsample_answer,

@@ -21,6 +21,8 @@ import numpy as np
 
 DEFAULT_ENUM_CAP = 2_000_000
 
+SUBSET_BLOCK = 1 << 15  # position rows an enumeration builds at once
+
 MASS_TOL = 1e-12
 
 
@@ -332,10 +334,23 @@ def _mean_value(q, subsample: tuple) -> float:
     return q.mean_output(subsample)
 
 
+def position_blocks(n: int, w: int) -> Iterator[np.ndarray]:
+    """All C(n, w) ascending w-subsets of [0, n) in ``itertools.combinations``
+    order, as (m, w) int64 arrays of at most ``SUBSET_BLOCK`` rows each."""
+    combos = itertools.combinations(range(n), w)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, SUBSET_BLOCK)), dtype=np.int64)
+        if flat.size:
+            yield flat.reshape(-1, w)
+        if flat.size < SUBSET_BLOCK * w:
+            return
+
+
 def position_subsets(S: Dataset, w: int) -> Iterator[tuple]:
     """All C(n, w) position subsets of S, as element tuples in position order."""
-    for pos in itertools.combinations(range(len(S)), w):
-        yield tuple(S[p] for p in pos)
+    for pos in position_blocks(len(S), w):
+        yield from S.subsamples(pos)
 
 
 def iid_draws(D: GroundTruth, w: int) -> Iterator[tuple[float, tuple]]:

@@ -27,8 +27,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_ENUM_CAP, Dataset, EnumerationCapExceeded, Query
-from .engine import RandomSource, ResponsePMF, exact_response_pmf
+from .core import (DEFAULT_ENUM_CAP, Dataset, EnumerationCapExceeded, Query,
+                   position_blocks)
+from .engine import RandomSource, ResponsePMF, leave_one_out_pmfs
 
 INEQ_TOL = 1e-10
 
@@ -78,11 +79,13 @@ def chi2_stability_bound(n: int, w: int, ysize: int) -> float:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Measured average leave-one-out divergence against its closed form."""
+    """Measured average leave-one-out divergence against its closed form,
+    with the answer law on the full sample that it was measured from."""
 
     measured: float
     bound: float
     per_index: tuple[float, ...]
+    law: ResponsePMF
 
     @property
     def slack(self) -> float:
@@ -93,18 +96,15 @@ def measure_leave_one_out_chi2(q: Query, S: Dataset, *,
                                enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
     by exact enumeration, checked against the closed-form bound."""
-    n = len(S)
-    full = exact_response_pmf(q, S, enum_cap=enum_cap)
-    per = []
-    for i in range(n):
-        loo = exact_response_pmf(q, S.leave_one_out(i), enum_cap=enum_cap)
-        per.append(chi2_divergence(full, loo))
+    full, loo = leave_one_out_pmfs(q, S, enum_cap=enum_cap)
+    per = [chi2_divergence(full, law) for law in loo]
     measured = float(np.mean(per))
-    bound = chi2_stability_bound(n, q.arity, len(q.outputs))
+    bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
     if measured > bound + INEQ_TOL:
         raise RuntimeError(
             f"leave-one-out chi2 {measured} exceeds closed form {bound}")
-    return StabilityReport(measured=measured, bound=bound, per_index=tuple(per))
+    return StabilityReport(measured=measured, bound=bound, per_index=tuple(per),
+                           law=full)
 
 
 def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float, *,
@@ -115,15 +115,11 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float, *,
     stability bound the value is within the general ALKL closed form."""
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix weight must lie in [0, 1]")
-    n = len(S)
     ysize = len(q.outputs)
-    full = exact_response_pmf(q, S, enum_cap=enum_cap)
-    vals = []
-    for i in range(n):
-        loo = exact_response_pmf(q, S.leave_one_out(i), enum_cap=enum_cap)
-        mixed = ResponsePMF(q.outputs, (1.0 - mix) * loo.masses + mix / ysize)
-        vals.append(kl_divergence(full, mixed))
-    return float(np.mean(vals))
+    full, loo = leave_one_out_pmfs(q, S, enum_cap=enum_cap)
+    return float(np.mean([
+        kl_divergence(full, ResponsePMF(q.outputs, (1.0 - mix) * law.masses + mix / ysize))
+        for law in loo]))
 
 
 def alkl_bound_general(eps: float, ysize: int) -> float:
@@ -142,12 +138,6 @@ def alkl_bound_uniform(eps: float, w: int, n: int, p: float) -> float:
     return eps * (1.0 + math.log(1.0 + w / (n * p)))
 
 
-def _subset_values(f, combos) -> np.ndarray:
-    if isinstance(f, Mapping):
-        return np.array([float(f[c]) for c in combos])
-    return np.array([float(f(c)) for c in combos])
-
-
 def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
     """Evaluate both sides of the variance-contraction inequality for a
     function f of the drawn w-subset of [n]:
@@ -159,12 +149,12 @@ def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
     """
     if not 1 <= w <= n - 1:
         raise ValueError(f"need 1 <= w <= n-1, got w={w}, n={n}")
-    combos = list(itertools.combinations(range(n), w))
-    vals = _subset_values(f, combos)
-    mask = np.zeros((n, len(combos)), dtype=bool)
-    for j, combo in enumerate(combos):
-        mask[list(combo), j] = True
-    cond_means = np.array([vals[~mask[i]].mean() for i in range(n)])
+    pos = np.concatenate(list(position_blocks(n, w)))
+    f = f.__getitem__ if isinstance(f, Mapping) else f
+    vals = np.array([float(f(c)) for c in map(tuple, pos.tolist())])
+    hit = np.zeros((n, len(pos)), dtype=bool)
+    hit[pos, np.arange(len(pos))[:, None]] = True
+    cond_means = np.array([vals[~hit[i]].mean() for i in range(n)])
     lhs = float(cond_means.var())
     rhs = w / ((n - 1) * (n - w)) * float(vals.var())
     return lhs, rhs
@@ -211,17 +201,21 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
                               rng: RandomSource | np.random.Generator,
                               *, chunk: int = 4096) -> float:
     """Monte Carlo estimate of Pr[sum of n without-replacement draws from S
-    exceeds its mean minus 1]. Values must lie in [0, 1]."""
+    exceeds its mean minus 1]. Values must lie in [0, 1].
+
+    A trial draws how many copies of each distinct value the n-subset holds,
+    from their multivariate hypergeometric law, which is exactly the law of
+    the sum of a uniform n-subset of S."""
     vals = _probe_values(S, n)
     gen = rng.generator if isinstance(rng, RandomSource) else rng
     target = n * vals.mean() - 1.0
+    levels, colors = np.unique(vals, return_counts=True)
     hits = 0
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        u = gen.random((m, vals.size))
-        idx = np.argpartition(u, n - 1, axis=1)[:, :n]
-        hits += int((vals[idx].sum(axis=1) > target).sum())
+        counts = gen.multivariate_hypergeometric(colors, n, size=m, method="count")
+        hits += int(np.count_nonzero(counts @ levels > target))
         done += m
     return hits / trials
 
@@ -235,8 +229,8 @@ def sample_exceeds_mean_exact(S: Sequence[float], n: int, *,
     if count > enum_cap:
         raise EnumerationCapExceeded(f"C({vals.size},{n}) exceeds cap {enum_cap}")
     target = n * vals.mean() - 1.0
-    hits = sum(1 for combo in itertools.combinations(range(vals.size), n)
-               if vals[list(combo)].sum() > target)
+    hits = sum(int(np.count_nonzero(vals[pos].sum(axis=1) > target))
+               for pos in position_blocks(vals.size, n))
     return hits / count
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .core import (
     MASS_TOL,
     Query,
     iid_draws,
-    position_subsets,
+    position_blocks,
 )
 
 
@@ -192,18 +192,51 @@ def exact_response_pmf(q: Query, S: Dataset, *,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> ResponsePMF:
     """The exact answer law of q on S: the average over all C(n, w) position
     subsets of q's output distribution on that subset."""
-    n = len(S)
-    w = q.arity
+    masses = sum(laws.sum(axis=0) for _, laws in _subset_laws(q, S, enum_cap))
+    return ResponsePMF(q.outputs, masses / math.comb(len(S), q.arity))
+
+
+def leave_one_out_pmfs(q: Query, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP
+                       ) -> tuple[ResponsePMF, list[ResponsePMF]]:
+    """q's exact answer law on S and on every S minus position i, from one
+    enumeration of S's subsets: the w-subsets of S minus i are exactly the
+    w-subsets of S that miss position i, in the same order. Each law on
+    n-1 points sums only the subsets that miss i, so a zero mass is exactly
+    zero."""
+    n, w = len(S), q.arity
+    if w > n - 1:
+        raise ValueError(f"query arity {w} exceeds leave-one-out sample size {n - 1}")
+    full = np.zeros(len(q.outputs))
+    loo = np.zeros((n, len(q.outputs)))
+    for pos, laws in _subset_laws(q, S, enum_cap):
+        full += laws.sum(axis=0)
+        for i in range(n):
+            loo[i] += laws[(pos != i).all(axis=1)].sum(axis=0)
+    return (ResponsePMF(q.outputs, full / math.comb(n, w)),
+            [ResponsePMF(q.outputs, m) for m in loo / math.comb(n - 1, w)])
+
+
+def _subset_laws(q: Query, S: Dataset, enum_cap: int
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, laws) per block of S's w-subsets: row j of ``laws`` is q's
+    output law on the subset in row j of ``positions``, one-hot for a
+    deterministic q, so that summing rows counts outputs exactly."""
+    n, w = len(S), q.arity
     if w > n:
         raise ValueError(f"query arity {w} exceeds sample size {n}")
     count = math.comb(n, w)
     if count * len(q.outputs) > enum_cap:
         raise EnumerationCapExceeded(
             f"C({n},{w})*|Y| = {count * len(q.outputs)} exceeds cap {enum_cap}")
-    masses = np.zeros(len(q.outputs))
-    for sub in position_subsets(S, w):
-        masses += q.output_pmf(sub)
-    return ResponsePMF(q.outputs, masses / count)
+    for pos in position_blocks(n, w):
+        subs = S.subsamples(pos)
+        if q.evaluator is not None:
+            laws = np.zeros((len(subs), len(q.outputs)))
+            index = [q._output_index(q.evaluator(*sub)) for sub in subs]
+            laws[np.arange(len(subs)), index] = 1.0
+        else:
+            laws = np.array([q.output_pmf(sub) for sub in subs])
+        yield pos, laws
 
 
 def population_response_pmf(q: Query, D: GroundTruth, *,

@@ -562,10 +562,10 @@ class MedianMechanism(NaiveMechanism):
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
                            delta, c_m=float(params.pop("c_m", 8.0)))
         self.k_groups = mp.k
-        if n // mp.k < max(analyst.w_list):
+        if n // mp.k <= max(analyst.w_list):
             raise ValueError(
                 f"median splits n={n} into {mp.k} groups of as few as {n // mp.k} "
-                f"elements, below the largest query arity {max(analyst.w_list)}")
+                f"elements, not more than the largest query arity {max(analyst.w_list)}")
         self.summary_extras = {"k_groups": mp.k,
                                "advisory_min_n": mp.advisory_min_n, "delta": delta}
 

@@ -343,6 +343,7 @@ class MedianSession:
         self._starts = np.cumsum(self._sizes) - self._sizes
         self.groups = [range(start, start + size) for start, size
                        in zip(self._starts.tolist(), self._sizes.tolist())]
+        self._probe_charges: dict[int, float] = {}  # arity -> cost of one probe
 
     @property
     def k(self) -> int:
@@ -355,12 +356,11 @@ class MedianSession:
         outputs = [float(y) for y in q.outputs]
         if any(b <= a for a, b in zip(outputs, outputs[1:])):
             raise ValueError("median queries need a strictly increasing real range")
-        min_group = min(len(g) for g in self.groups)
-        if q.arity > min_group:
+        min_group = len(self.groups[-1])  # group sizes never increase
+        if q.arity >= min_group:
             raise ValueError(
-                f"query arity {q.arity} exceeds smallest group size {min_group}")
-        rounds = search_rounds(len(outputs))
-        charge = rounds * sum(self._vote_cost(q.arity, len(g)) for g in self.groups)
+                f"query arity {q.arity} is not below the smallest group size {min_group}")
+        charge = search_rounds(len(outputs)) * self._probe_charge(q.arity)
         self.ledger.charge(charge, label=q.name or "median")
         lo, hi = 0, len(outputs) - 1
         while lo < hi:
@@ -372,6 +372,15 @@ class MedianSession:
         y = outputs[lo]
         self.transcript.append(q.name or "median", y, charge)
         return y
+
+    def _probe_charge(self, w: int) -> float:
+        """The cost of one probe at arity w: one vote per group, summed over
+        the groups in order, computed once per arity."""
+        charge = self._probe_charges.get(w)
+        if charge is None:
+            charge = sum(self._vote_cost(w, len(g)) for g in self.groups)
+            self._probe_charges[w] = charge
+        return charge
 
     def _vote_cost(self, w: int, group_size: int) -> float:
         p = w / group_size if self.noise else 0.0

@@ -1,4 +1,5 @@
 
+import itertools
 import math
 
 import numpy as np
@@ -84,6 +85,28 @@ class TestEnumerators:
                 assert len(subs) == math.comb(n, w)
                 assert all(list(sub) == sorted(sub) for sub in subs)
                 assert len(set(subs)) == len(subs)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 15])
+    @pytest.mark.parametrize("elements", [
+        [4, 1, 1, 9, 0, 7, 2],
+        [[1, -1], [-1, -1], [1, 1], [-1, 1], [1, -1], [0, 0], [1, 0]],
+        [0.5, 0.25, 0.5, 1.0, 0.0, 0.75, 0.125],
+    ])
+    def test_position_subsets_keep_order_across_blocks(self, monkeypatch,
+                                                       block, elements):
+        import adasub.core as core
+        monkeypatch.setattr(core, "SUBSET_BLOCK", block)
+        S = Dataset(elements)
+        for w in range(1, len(S) + 1):
+            want = [tuple(S[p] for p in combo)
+                    for combo in itertools.combinations(range(len(S)), w)]
+            got = list(position_subsets(S, w))
+            assert got == want
+            assert [type(x) for sub in got for x in sub] \
+                == [type(x) for sub in want for x in sub]
+            blocks = list(core.position_blocks(len(S), w))
+            assert all(0 < len(b) <= block for b in blocks)
+            assert sum(len(b) for b in blocks) == math.comb(len(S), w)
 
     def test_iid_draws_masses_sum_to_one_without_zero_mass(self):
         D = GroundTruth((0, 1, 2), np.array([0.25, 0.75, 0.0]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from adasub.divergence import (
     verify_kl_mixture_inequality,
     verify_variance_contraction,
 )
-from adasub.engine import RandomSource, ResponsePMF
+from adasub.engine import RandomSource, ResponsePMF, exact_response_pmf, uniformize
 
 IDENT = Query.deterministic(1, (0, 1), lambda x: x, name="id")
 
@@ -112,6 +113,30 @@ class TestLeaveOneOutChi2:
             assert report.measured <= report.bound + 1e-10
             assert np.mean(report.per_index) == pytest.approx(report.measured,
                                                               abs=1e-12)
+
+
+    def test_measures_equal_the_per_dataset_loop(self):
+        # the old route: one enumeration per leave-one-out dataset
+        for i in range(60):
+            gen = RandomSource(124).child(i).generator
+            q, S = random_query_instance(gen)
+            if i % 3 == 0:
+                q = uniformize(q, 0.05)
+            full = exact_response_pmf(q, S)
+            loo = [exact_response_pmf(q, S.leave_one_out(j)) for j in range(len(S))]
+            report = measure_leave_one_out_chi2(q, S)
+            assert np.array_equal(report.law.masses, full.masses)
+            want = [chi2_divergence(full, law) for law in loo]
+            mix = 0.1
+            kl = float(np.mean([kl_divergence(full, ResponsePMF(
+                q.outputs, (1 - mix) * law.masses + mix / len(q.outputs)))
+                for law in loo]))
+            if q.dist_evaluator is None:
+                assert report.per_index == tuple(want)
+                assert measure_leave_one_out_kl(q, S, mix) == kl
+            else:
+                assert report.per_index == pytest.approx(want, abs=1e-12)
+                assert measure_leave_one_out_kl(q, S, mix) == pytest.approx(kl, abs=1e-12)
 
 
 class TestLeaveOneOutKL:
@@ -207,6 +232,24 @@ class TestVarianceContraction:
         with pytest.raises(ValueError):
             verify_variance_contraction({}, 3, 3)
 
+    def test_matches_the_mask_loop(self):
+        # the combination-by-combination mask loop as the reference, on
+        # mapping and callable f
+        for i in range(60):
+            gen = RandomSource(59).child(i).generator
+            n = int(gen.integers(3, 9))
+            w = int(gen.integers(1, min(3, n - 1) + 1))
+            f = random_subset_function(gen, n, w, linear=bool(i % 2))
+            combos = list(itertools.combinations(range(n), w))
+            vals = np.array([f[c] for c in combos])
+            mask = np.zeros((n, len(combos)), dtype=bool)
+            for j, combo in enumerate(combos):
+                mask[list(combo), j] = True
+            lhs = float(np.array([vals[~mask[k]].mean() for k in range(n)]).var())
+            rhs = w / ((n - 1) * (n - w)) * float(vals.var())
+            assert verify_variance_contraction(f, n, w) == (lhs, rhs)
+            assert verify_variance_contraction(f.__getitem__, n, w) == (lhs, rhs)
+
 
 class TestKlChi2Inequality:
     def test_equal_distributions(self):
@@ -269,10 +312,41 @@ class TestExceedsMeanProbe:
         S = [0.0] * 200 + [1.0] * 200
         trials = 100_000
         est = sample_exceeds_mean_probe(S, 100, trials, RandomSource(2))
-        se = math.sqrt(est * (1 - est) / trials)
-        assert est >= 0.0357 - 4 * se
-        # symmetric instance: true value is 1/2 + P(X = 50)/2
-        assert abs(est - 0.53) < 0.02
+        # symmetric instance: the value is 1/2 + P(X = 50)/2 for X the
+        # hypergeometric count of ones, 0.54594...
+        exact = 0.5 + math.comb(200, 50) ** 2 / (2 * math.comb(400, 100))
+        se = math.sqrt(exact * (1 - exact) / trials)
+        assert exact >= 0.0357
+        assert abs(est - exact) <= 4 * se
+
+    @pytest.mark.parametrize("values,n", [
+        ([0.0] * 6 + [1.0] * 6, 6),                         # two levels
+        ([0, 0, 0, 0, 0.5, 0.5, 1, 1, 1, 1], 5),            # three, duplicated
+        ([0, 0, 0, 0, 0, 0.25, 0.25, 0.5, 1, 1, 1], 5),     # four, uneven counts
+        ([0.0, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0, 0.05], 5),  # distinct
+        ([0.0, 0.9, 0.15, 1.0, 0.4, 0.05, 0.95, 0.6, 0.1], 4),       # distinct
+    ])
+    def test_probe_frequency_matches_exact_enumeration(self, values, n):
+        trials = 20_000
+        exact = sample_exceeds_mean_exact(values, n)
+        assert 0.0 < exact < 1.0
+        est = sample_exceeds_mean_probe(values, n, trials, RandomSource(9),
+                                        chunk=3000)
+        assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 15])
+    def test_exact_matches_the_per_subset_loop(self, monkeypatch, block):
+        import adasub.core as core
+        monkeypatch.setattr(core, "SUBSET_BLOCK", block)
+        for values, n in [([i % 2 for i in range(10)], 5),
+                          ([0.3, 0.9, 0.3, 0.1, 0.75, 0.5, 0.2], 3),
+                          ([0.25, 1.0, 0.0, 0.5, 0.5], 1)]:
+            vals = np.asarray(values, dtype=float)
+            target = n * vals.mean() - 1.0
+            hits = sum(1 for combo in itertools.combinations(range(vals.size), n)
+                       if vals[list(combo)].sum() > target)
+            assert sample_exceeds_mean_exact(values, n) \
+                == hits / math.comb(vals.size, n)
 
     def test_alternating_exact(self):
         got = sample_exceeds_mean_exact([i % 2 for i in range(10)], 5)

@@ -1,14 +1,17 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adasub.core as core
 from adasub.core import (
     Dataset,
+    EnumerationCapExceeded,
     GroundTruth,
     Query,
     TestQuery,
@@ -21,6 +24,7 @@ from adasub.engine import (
     _distinct_rows,
     draw_positions,
     exact_response_pmf,
+    leave_one_out_pmfs,
     population_response_pmf,
     spot_check_uniformity,
     subsample_answer,
@@ -108,6 +112,83 @@ class TestExactResponsePMF:
             loo = np.mean([exact_response_pmf(q, S.leave_one_out(i)).masses
                            for i in range(len(S))], axis=0)
             assert np.max(np.abs(full - loo)) <= 1e-12
+
+
+def _reference_pmf_masses(q, S):
+    """The answer law by the plain loop: q's output law summed over every
+    position subset in combination order, then averaged."""
+    masses = np.zeros(len(q.outputs))
+    for combo in itertools.combinations(range(len(S)), q.arity):
+        masses += q.output_pmf(tuple(S[p] for p in combo))
+    return masses / math.comb(len(S), q.arity)
+
+
+@st.composite
+def _query_instances(draw, randomized):
+    """A small dataset over an alphabet and a query given by a table over
+    ordered w-tuples of it: an output index, or (randomized) an output law
+    whose masses are often exactly zero."""
+    n = draw(st.integers(2, 8))
+    w = draw(st.integers(1, min(3, n - 1)))
+    alphabet = draw(st.integers(1, 4))
+    ysize = draw(st.integers(1, 4))
+    keys = list(itertools.product(range(alphabet), repeat=w))
+    if randomized:
+        weights = st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=ysize,
+                           max_size=ysize).filter(any)
+        table = {key: np.array(draw(weights), dtype=float) for key in keys}
+        table = {key: v / v.sum() for key, v in table.items()}
+        q = Query.randomized(w, tuple(range(ysize)), lambda *sub: table[sub])
+    else:
+        table = {key: draw(st.integers(0, ysize - 1)) for key in keys}
+        q = Query.deterministic(w, tuple(range(ysize)), lambda *sub: table[sub])
+    S = Dataset(draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n)))
+    return q, S
+
+
+class TestLeaveOneOutPmfs:
+    """The laws on S and on every S minus i from one enumeration, against
+    exact_response_pmf on each leave-one-out dataset."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inst=_query_instances(randomized=False), block=st.sampled_from([1, 2, 5, 1 << 15]))
+    def test_deterministic_laws_are_bit_identical(self, inst, block):
+        q, S = inst
+        with mock.patch.object(core, "SUBSET_BLOCK", block):
+            full, loo = leave_one_out_pmfs(q, S)
+            assert np.array_equal(exact_response_pmf(q, S).masses, full.masses)
+        assert np.array_equal(full.masses, _reference_pmf_masses(q, S))
+        assert len(loo) == len(S)
+        for i, law in enumerate(loo):
+            want = exact_response_pmf(q, S.leave_one_out(i)).masses
+            assert np.array_equal(law.masses, want)
+            assert np.array_equal(want, _reference_pmf_masses(q, S.leave_one_out(i)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inst=_query_instances(randomized=True), block=st.sampled_from([1, 2, 5, 1 << 15]))
+    def test_randomized_laws_match_and_keep_zero_masses(self, inst, block):
+        q, S = inst
+        with mock.patch.object(core, "SUBSET_BLOCK", block):
+            full, loo = leave_one_out_pmfs(q, S)
+        want = _reference_pmf_masses(q, S)
+        assert np.max(np.abs(full.masses - want)) <= 1e-12
+        assert np.array_equal(full.masses == 0.0, want == 0.0)
+        for i, law in enumerate(loo):
+            want = exact_response_pmf(q, S.leave_one_out(i)).masses
+            assert np.max(np.abs(law.masses - want)) <= 1e-12
+            assert np.array_equal(law.masses == 0.0, want == 0.0)
+
+    def test_needs_a_leave_one_out_sample_of_arity_size(self):
+        q = Query.deterministic(3, (0, 1), lambda *xs: 0, name="c")
+        with pytest.raises(ValueError):
+            leave_one_out_pmfs(q, Dataset([1, 2, 3]))
+        assert leave_one_out_pmfs(q, Dataset([1, 2, 3, 4]))[1][0].masses[0] == 1.0
+
+    def test_cap_is_checked_on_the_full_enumeration(self):
+        q = Query.deterministic(2, (0, 1), lambda *xs: 0, name="c")
+        with pytest.raises(EnumerationCapExceeded):
+            leave_one_out_pmfs(q, Dataset(np.arange(10)), enum_cap=89)
+        assert len(leave_one_out_pmfs(q, Dataset(np.arange(10)), enum_cap=90)[1]) == 10
 
 
 class TestPopulationResponsePMF:

@@ -457,6 +457,10 @@ class TestRunExperiment:
         ({"n": 10, "mechanism": {"name": "median", "delta": 0.4},
           "analyst": {"name": "shifting-means", "T": 6, "w_max": 2,
                       "r_cells": 16}}, "39 groups"),
+        ({"n": 8, "population": {"name": "discretized_gaussian", "points": 9},
+          "mechanism": {"name": "median", "delta": 0.5, "c_m": 0.5},
+          "analyst": {"name": "shifting-means", "T": 4, "w_max": 4,
+                      "r_cells": 8}}, "groups of as few as 4 elements"),
         ({"analyst": {"name": "fixed"}}, "missing parameter 'queries'"),
     ])
     def test_misfit_config_rejected_before_any_trial(self, over, needle,

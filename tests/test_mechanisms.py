@@ -456,6 +456,33 @@ class TestMedianSession:
         with pytest.raises(ValueError):
             s.answer(q)
 
+    def test_arity_equal_to_smallest_group_rejected(self):
+        # groups of 4, 3 and 3: a vote's cost needs w below its group size
+        q = Query.deterministic(3, (0.0, 1.0), lambda *xs: 0.0, name="big")
+        s = MedianSession(Dataset(np.zeros(10)), 3, RandomSource(6))
+        with pytest.raises(ValueError, match="smallest group size 3"):
+            s.answer(q)
+        assert s.ledger.total == 0.0 and len(s.transcript) == 0
+
+    def test_probe_charge_computed_once_per_arity(self, monkeypatch):
+        import adasub.mechanisms as mech
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cost_uniform(*args)
+
+        monkeypatch.setattr(mech, "cost_uniform", counting)
+        grid = tuple(float(v) for v in range(8))
+        s = MedianSession(Dataset(np.arange(23.0)), 5, RandomSource(8))
+        for w in (1, 2, 1, 2, 2):
+            s.answer(Query.deterministic(w, grid, lambda *xs: 3.0, name=f"w{w}"))
+        assert len(calls) == 2 * s.k  # one pass over the groups per arity
+        for w, rec in zip((1, 2, 1, 2, 2), s.transcript.records):
+            # bit-identical to summing the groups' vote costs afresh
+            assert rec.cost == 3 * sum(cost_uniform(len(g), w, 2, w / len(g))
+                                       for g in s.groups)
+
     def test_refusal_before_any_round(self):
         grid = tuple(float(v) for v in range(8))
         q = Query.deterministic(1, grid, lambda x: 3.0, name="c")
