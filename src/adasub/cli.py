@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    run <config.yaml> [--seed N] [--threads N] [--out PATH]
+    run <config.yaml> [--seed N] [--out PATH]
         Execute an experiment config, write the report CSV plus a
         machine-readable summary JSON sidecar, print a human summary.
 
@@ -44,6 +44,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    config_integer,
     run_experiment,
 )
 from .mechanisms import cost_hp, median_params, search_rounds, sq_params
@@ -58,6 +59,7 @@ OUT_DIR_ENV = "ADASUB_OUT_DIR"
 # ---------------------------------------------------------------------------
 # Config ingestion.
 
+# ``threads`` is a legacy key: accepted and ignored, since trials run serially
 _TOP_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst",
              "out", "threads"}
 _REQUIRED_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst"}
@@ -82,21 +84,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"missing config key {sorted(missing)[0]!r}")
     try:
         return ExperimentConfig(
-            seed=_integer(raw, "seed"), trials=_integer(raw, "trials"),
-            n=_integer(raw, "n"), population=dict(raw["population"]),
+            **{k: config_integer(raw[k], k) for k in ("seed", "trials", "n")},
+            population=dict(raw["population"]),
             mechanism=dict(raw["mechanism"]), analyst=dict(raw["analyst"]),
-            out=raw.get("out"), threads=_integer(raw, "threads", 1))
+            out=raw.get("out"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _integer(raw: dict, key: str, default: int | None = None):
-    """A config value with a whole float such as 3.0 made an int; a
-    fraction, a bool or a string is left for ExperimentConfig to reject."""
-    value = raw.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
 
 
 def format_number(v) -> str:
@@ -136,9 +129,9 @@ def _default_out(seed: int) -> Path:
 
 def cmd_run(args) -> int:
     try:
-        overrides = {k: getattr(args, k) for k in ("seed", "threads")
-                     if getattr(args, k) is not None}
-        cfg = dataclasses.replace(load_config(args.config), **overrides)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         out = Path(args.out) if args.out else (
             Path(cfg.out) if cfg.out else _default_out(cfg.seed))
         report = run_experiment(cfg)
@@ -359,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    # legacy: accepted and ignored, since trials run serially
+    p_run.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(fn=cmd_run)
 

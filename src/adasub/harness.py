@@ -16,8 +16,6 @@ exact where the overfitting attack lives.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +52,30 @@ WITHIN_TOL = 1e-12
 
 MEDIAN_CHECK_THRESHOLD = 0.4
 
-SIGN_SUM_BLOCK = 1 << 20  # elements cast to int64 at once by a sign-sum test
+SIGN_SUM_BLOCK = 1 << 16  # elements cast to int64 at once by a sign-sum test
+
+
+class ConfigError(ValueError):
+    """A config that cannot run: a bad key or value, or parts that do not fit."""
+
+
+def config_integer(value, key: str) -> int:
+    """A config count: a whole float such as 3.0 becomes an int; a fraction,
+    a bool or a string is a ConfigError naming the key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _config_tau(value):
+    """An optional accuracy level tau: a number in (0, 1), as sq_params
+    requires."""
+    if value is not None and not (
+            isinstance(value, (float, np.floating)) and 0.0 < value < 1.0):
+        raise ConfigError(f"tau must be a number in (0, 1), got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +129,13 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
 
 def _grid_cell(total: float, w: int, shift: float, first_center: float,
                step: float, cells: int) -> int:
-    """Cell index of round((total/w + shift - first_center)/step), clipped.
-
-    Shared by the query evaluator and the exact convolution oracle so both
-    round the identical float the identical way.
+    """Cell index of round((total/w + shift - first_center)/step), clipped,
+    rounding halves to even. ``FinitePopulation._grid_mean_dist`` repeats
+    these operations vectorized, so the oracle rounds the identical float
+    the identical way.
     """
     v = total / w + shift
-    idx = int(np.rint((v - first_center) / step))
+    idx = round((v - first_center) / step)
     return min(max(idx, 0), cells - 1)
 
 
@@ -251,13 +272,13 @@ def population_generators(name: str, params: dict) -> Population:
         gt = GroundTruth((0, 1), np.array([1.0 - p, p]))
         return FinitePopulation(gt, name=f"bernoulli({p:g})")
     if name == "uniform_pm1_cube":
-        d = int(params.pop("d"))
+        d = config_integer(params.pop("d"), "d")
         _reject_extras(name, params)
         return CubePopulation(d)
     if name == "discretized_gaussian":
         lo = float(params.pop("lo", -4.0))
         hi = float(params.pop("hi", 4.0))
-        points = int(params.pop("points", 257))
+        points = config_integer(params.pop("points", 257), "points")
         mu = float(params.pop("mu", 0.0))
         sigma = float(params.pop("sigma", 1.0))
         _reject_extras(name, params)
@@ -374,13 +395,15 @@ def make_analyst(name: str, params: dict) -> Analyst:
         _reject_extras(name, params)
         return FixedAnalyst([_query_from_spec(s) for s in specs])
     if name == "random-correlation":
-        T = int(params.pop("T"))
+        T = config_integer(params.pop("T"), "T")
         params.pop("tau", None)  # accepted for older configs; the attack ignores it
         _reject_extras(name, params)
         return RandomCorrelationAnalyst(T)
     if name == "shifting-means":
-        kwargs = {k: params.pop(k) for k in
-                  ("T", "w_max", "r_cells", "r_step", "max_shift") if k in params}
+        kwargs = {k: config_integer(params.pop(k), k)
+                  for k in ("T", "w_max", "r_cells", "max_shift") if k in params}
+        if "r_step" in params:
+            kwargs["r_step"] = params.pop("r_step")
         _reject_extras(name, params)
         return ShiftingMeanAnalyst(**kwargs)
     raise ValueError(f"unknown analyst {name!r}")
@@ -395,7 +418,7 @@ def _query_from_spec(spec) -> TestQuery:
     if kind == "constant":
         return constant_test(spec["value"])
     if kind == "coord":
-        return coordinate_indicator(int(spec["j"]))
+        return coordinate_indicator(config_integer(spec["j"], "j"))
     raise ValueError(f"unknown query kind {kind!r}")
 
 
@@ -407,10 +430,6 @@ def naive_answer(S: Dataset, phi: TestQuery) -> float:
     return query_expectation_on_sample(phi, S).value
 
 
-class ConfigError(ValueError):
-    """A config that cannot run: a bad key or value, or parts that do not fit."""
-
-
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -420,19 +439,18 @@ class ExperimentConfig:
     mechanism: dict
     analyst: dict
     out: Optional[str] = None
-    threads: int = 1
 
     def __post_init__(self):
-        for key in ("seed", "trials", "n", "threads"):
+        for key in ("seed", "trials", "n"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out must be a path")
         for spec_name in ("population", "mechanism", "analyst"):
@@ -489,7 +507,7 @@ class NaiveMechanism:
         _reject_extras(self.name, params)
 
     def _parse(self, params: dict, n: int, analyst: Analyst) -> None:
-        self.tau = params.pop("tau", None)
+        self.tau = _config_tau(params.pop("tau", None))
 
     def open(self, S: Dataset, rng: RandomSource, ledger: BudgetLedger):
         return _NaiveSession(S)
@@ -530,16 +548,16 @@ class SqMechanism(NaiveMechanism):
 
     def _parse(self, params, n, analyst):
         self.delta = float(params.pop("delta"))
-        self.tau = params.pop("tau", None)
+        self.tau = _config_tau(params.pop("tau", None))
         epsilon = params.pop("epsilon", None)
         k = params.pop("k", None)
         if self.tau is not None and (epsilon is None or k is None):
-            sp = sq_params(n, analyst.rounds, float(self.tau), self.delta)
+            sp = sq_params(n, analyst.rounds, self.tau, self.delta)
             epsilon = sp.epsilon if epsilon is None else epsilon
             k = sp.k if k is None else k
         if epsilon is None or k is None:
             raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
-        self.epsilon, self.k = float(epsilon), int(k)
+        self.epsilon, self.k = float(epsilon), config_integer(k, "k")
         if not (0.0 <= self.epsilon < 0.5 and self.k >= 1 and 0.0 < self.delta < 1.0):
             raise ValueError("subsampling-sq needs 0 <= epsilon < 1/2, k >= 1 "
                              "and 0 < delta < 1")
@@ -558,7 +576,9 @@ class MedianMechanism(NaiveMechanism):
 
     def _parse(self, params, n, analyst):
         delta = float(params.pop("delta"))
-        self.noise = bool(params.pop("noise", True))
+        self.noise = params.pop("noise", True)
+        if not isinstance(self.noise, bool):
+            raise ConfigError(f"noise must be true or false, got {self.noise!r}")
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
                            delta, c_m=float(params.pop("c_m", 8.0)))
         self.k_groups = mp.k
@@ -584,9 +604,11 @@ class MedianMechanism(NaiveMechanism):
 MECHANISMS = {m.name: m for m in (NaiveMechanism, SqMechanism, MedianMechanism)}
 
 
-def check_config(cfg: ExperimentConfig) -> tuple[Population, NaiveMechanism]:
+def check_config(
+        cfg: ExperimentConfig) -> tuple[Population, Analyst, NaiveMechanism]:
     """Build the config's population, analyst and mechanism and check that
-    they fit together, without running a trial; a fault is a ConfigError."""
+    they fit together, without running a trial; a fault is a ConfigError.
+    An analyst keeps no state between trials, so one serves them all."""
     try:
         population = population_generators(cfg.population["name"],
                                            _params_of(cfg.population))
@@ -595,7 +617,8 @@ def check_config(cfg: ExperimentConfig) -> tuple[Population, NaiveMechanism]:
             raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
         analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
         _check_compatibility(population, analyst, mech_cls)
-        return population, mech_cls(_params_of(cfg.mechanism), cfg.n, analyst)
+        return (population, analyst,
+                mech_cls(_params_of(cfg.mechanism), cfg.n, analyst))
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -604,27 +627,14 @@ def check_config(cfg: ExperimentConfig) -> tuple[Population, NaiveMechanism]:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the configured analyst against the configured mechanism for
-    ``trials`` independent samples; deterministic given the seed. A config
-    fault raises ConfigError from ``check_config`` before any trial runs.
-
-    Trials run concurrently on split randomness streams, on at most
-    min(threads, trials, cpu count) workers; aggregation is a commutative
-    fold over trial-ordered rows.
+    ``trials`` independent samples, each on its own split random stream;
+    deterministic given the seed. A config fault raises ConfigError from
+    ``check_config`` before any trial runs.
     """
-    population, mechanism = check_config(cfg)
+    population, analyst, mechanism = check_config(cfg)
     root = RandomSource(cfg.seed)
-
-    def one_trial(trial: int) -> list[dict]:
-        analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
-        return _run_trial(trial, cfg.n, population, analyst, mechanism, root)
-
-    workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(one_trial, range(cfg.trials)))
-    else:
-        per_trial = [one_trial(i) for i in range(cfg.trials)]
-    rows = [row for chunk in per_trial for row in chunk]
+    rows = [row for trial in range(cfg.trials) for row in
+            _run_trial(trial, cfg.n, population, analyst, mechanism, root)]
     summary = _summarize(rows, n=cfg.n, trials=cfg.trials, mechanism=mechanism.name)
     summary.update(mechanism.summary_extras)
     return ExperimentReport(rows=rows, summary=summary)

@@ -52,7 +52,6 @@ def desk_scale_sq_report():
                    "delta": SQ_DESK["delta"]},
         analyst={"name": "random-correlation", "T": SQ_DESK["T"],
                  "tau": SQ_DESK["tau"]},
-        threads=2,
     )
     start = time.perf_counter()
     report = run_experiment(cfg)
@@ -142,7 +141,6 @@ def test_criterion_6_median_mechanism_at_desk_scale():
             mechanism={"name": "median", "delta": delta},
             analyst={"name": "shifting-means", "T": T, "w_max": w_max,
                      "r_cells": r_cells, "r_step": 1.6, "max_shift": 3},
-            threads=2,
         )
         report = run_experiment(cfg)
         per_trial_ok = {}

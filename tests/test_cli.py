@@ -53,7 +53,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
 
-    @pytest.mark.parametrize("key", ["seed", "trials", "n", "threads"])
+    @pytest.mark.parametrize("key", ["seed", "trials", "n"])
     @pytest.mark.parametrize("value", [2.7, True, "3"])
     def test_non_integer_numbers_exit_2(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {key: value})
@@ -157,14 +157,52 @@ class TestRunCommand:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
-    def test_bad_out_or_threads_exit_2(self, tmp_path, capsys):
+    def test_bad_out_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"out": 5})
         assert main(["run", str(cfg)]) == 2
         assert "out must be a path" in capsys.readouterr().err
-        cfg = write_config(tmp_path)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv"),
-                     "--threads", "0"]) == 2
-        assert "threads must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv_tail,over", [
+        ([], {"seed": -1}), (["--seed", "-1"], {})])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv_tail, over):
+        cfg = write_config(tmp_path, over)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out), *argv_tail]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seed must be non-negative, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over,key", [
+        ({"population": {"name": "uniform_pm1_cube", "d": 10.7},
+          "analyst": {"name": "random-correlation", "T": 10}}, "d"),
+        ({"population": {"name": "uniform_pm1_cube", "d": True},
+          "analyst": {"name": "random-correlation", "T": 1}}, "d"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 10},
+          "analyst": {"name": "random-correlation", "T": 10.4}}, "T"),
+        ({"mechanism": {"name": "subsampling-sq", "delta": 0.2,
+                        "epsilon": 0.1, "k": 5.9}}, "k"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 3},
+          "analyst": {"name": "fixed", "queries": [{"kind": "coord", "j": 1.5}]}},
+         "j"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2, "noise": "false"},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "noise"),
+        ({"mechanism": {"name": "naive-empirical", "tau": "abc"}}, "tau"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": "abc", "delta": 0.2,
+                        "epsilon": 0.1, "k": 5}}, "tau"),
+    ])
+    def test_nested_value_of_wrong_type_exit_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, over, key):
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "_run_trial", None)  # a trial would exit 3
+        cfg = write_config(tmp_path, over)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_ledger_row_cost_mismatch_exit_3(self, tmp_path, capsys,
                                               monkeypatch):
@@ -184,6 +222,17 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(a)]) == 0
         assert main(["run", str(cfg), "--out", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_legacy_threads_key_keeps_output(self, tmp_path):
+        plain = write_config(tmp_path, {"trials": 3}, name="plain.yaml")
+        legacy = write_config(tmp_path, {"trials": 3, "threads": 2},
+                              name="legacy.yaml")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["run", str(plain), "--out", str(a)]) == 0
+        assert main(["run", str(legacy), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.csv.summary.json").read_bytes() == \
+            (tmp_path / "b.csv.summary.json").read_bytes()
 
 
 class TestVerifyCommand:

@@ -243,7 +243,7 @@ class TestErrorMetric:
             assert e <= delta * delta / (w * var) + 1e-15
             assert 0.0 <= e <= 1.0 / w + 1e-15
 
-    def variance_on_population(self):
+    def test_variance_on_population(self):
         assert variance_on_population(IDENTITY, bernoulli(0.5)) \
             == pytest.approx(0.25, abs=1e-15)
 

@@ -224,36 +224,6 @@ class TestRunExperiment:
         assert r1.rows == r2.rows
         assert r1.summary == r2.summary
 
-    def test_threads_do_not_change_results(self):
-        r1 = run_experiment(sq_config(trials=4, threads=1))
-        r2 = run_experiment(sq_config(trials=4, threads=3))
-        assert r1.rows == r2.rows
-
-    @pytest.mark.parametrize("threads,trials,cpus,want", [
-        (64, 3, 4, [3]), (2, 5, 4, [2]), (64, 10, 4, [4]), (8, 4, None, [])])
-    def test_thread_pool_capped(self, threads, trials, cpus, want, monkeypatch):
-        import adasub.harness as hz
-        seen = []
-
-        class Recorder:  # stands in for the pool; runs the trials in order
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(hz, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(hz.os, "cpu_count", lambda: cpus)
-        report = run_experiment(sq_config(trials=trials, threads=threads))
-        assert seen == want
-        assert report.rows == run_experiment(sq_config(trials=trials)).rows
-
     def test_sq_rows_reuse_the_sessions_sample_mean(self, monkeypatch):
         import adasub.harness as hz
         calls = []
@@ -473,8 +443,8 @@ class TestRunExperiment:
             run_experiment(sq_config(**over))
 
     @pytest.mark.parametrize("key,value", [
-        ("trials", 2.5), ("n", 40.9), ("threads", 1.5), ("seed", 1.5),
-        ("trials", True), ("n", "40"), ("threads", 2.0),
+        ("trials", 2.5), ("n", 40.9), ("seed", 1.5), ("trials", True),
+        ("n", "40"),
     ])
     def test_config_rejects_non_integer_counts(self, key, value):
         import adasub.harness as hz
