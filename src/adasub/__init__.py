@@ -11,7 +11,6 @@ realized bias.
 from .core import (
     Dataset,
     EnumerationCapExceeded,
-    ExpectationEstimate,
     GroundTruth,
     Query,
     TestQuery,

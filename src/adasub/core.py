@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-DEFAULT_ENUM_CAP = 2_000_000
+ENUM_CAP = 2_000_000  # rows an exact enumeration may walk
 
 SUBSET_BLOCK = 1 << 15  # position rows an enumeration builds at once
 
@@ -27,8 +27,16 @@ MASS_TOL = 1e-12
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Exact enumeration would exceed the configured cap and no Monte Carlo
-    budget was supplied."""
+    """An exact enumeration would walk more than ``ENUM_CAP`` rows; raised
+    only by ``check_enumeration``, before any row is built."""
+
+
+def check_enumeration(count: int, what: str) -> None:
+    """Refuse an exact enumeration of ``count`` rows (described by ``what``,
+    such as ``C(n,w)``) when it exceeds ``ENUM_CAP``."""
+    if count > ENUM_CAP:
+        raise EnumerationCapExceeded(
+            f"{what} = {count} rows exceed ENUM_CAP = {ENUM_CAP}")
 
 
 def _as_element(row) -> object:
@@ -309,22 +317,6 @@ class Transcript:
         return len(self._records)
 
 
-@dataclass(frozen=True)
-class ExpectationEstimate:
-    """An expectation value plus its provenance.
-
-    ``stderr`` is 0 for exact enumeration and the Monte Carlo standard error
-    otherwise.
-    """
-
-    value: float
-    stderr: float = 0.0
-    exact: bool = True
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _mean_value(q, subsample: tuple) -> float:
     if isinstance(q, TestQuery):
         v = float(q.evaluator(*subsample))
@@ -361,84 +353,51 @@ def iid_draws(D: GroundTruth, w: int) -> Iterator[tuple[float, tuple]]:
             yield mass, tuple(D.support[i] for i in idx)
 
 
-def query_expectation_on_sample(q, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP,
-                                mc_draws: Optional[int] = None,
-                                rng=None) -> ExpectationEstimate:
+def query_expectation_on_sample(q, S: Dataset) -> float:
     """phi(S): the mean answer of q over a uniform without-replacement
     w-subset of S (and over q's internal randomness).
 
-    Exact for w = 1 (plain average of per-element expectations) and, for
-    w >= 2, by enumerating all C(n, w) position subsets while that count is
-    within ``enum_cap``. Beyond the cap a Monte Carlo draw count must be
-    supplied; the estimate then carries its standard error.
+    An arity-1 test query is the plain average of its per-element values;
+    every other query is averaged exactly over all C(n, w) position subsets.
     """
     n = len(S)
     w = q.arity
     if w > n:
         raise ValueError(f"query arity {w} exceeds sample size {n}")
-    if w == 1:
-        if isinstance(q, TestQuery):
-            return ExpectationEstimate(float(q.values_on(S).mean()))
-        vals = [q.mean_output((x,)) for x in S]
-        return ExpectationEstimate(float(np.mean(vals)))
-    if math.comb(n, w) <= enum_cap:
-        total = 0.0
-        for sub in position_subsets(S, w):
-            total += _mean_value(q, sub)
-        return ExpectationEstimate(total / math.comb(n, w))
-    if mc_draws is None:
-        raise EnumerationCapExceeded(
-            f"C({n},{w}) subsets exceed cap {enum_cap}; supply mc_draws")
-    from .engine import draw_positions  # engine imports this module
-
-    subs = S.subsamples(draw_positions(_generator_of(rng), n, w, mc_draws))
-    vals = np.array([_mean_value(q, sub) for sub in subs])
-    return ExpectationEstimate(float(vals.mean()),
-                               stderr=float(vals.std(ddof=1) / math.sqrt(mc_draws)),
-                               exact=False)
+    if w == 1 and isinstance(q, TestQuery):
+        return float(q.values_on(S).mean())
+    check_enumeration(math.comb(n, w), f"C({n},{w})")
+    total = 0.0
+    for sub in position_subsets(S, w):
+        total += _mean_value(q, sub)
+    return total / math.comb(n, w)
 
 
-def query_expectation_on_population(q, D: GroundTruth, *,
-                                    enum_cap: int = DEFAULT_ENUM_CAP,
-                                    mc_draws: Optional[int] = None,
-                                    rng=None) -> ExpectationEstimate:
+def query_expectation_on_population(q, D: GroundTruth) -> float:
     """phi(D): the mean answer of q on w iid draws from D."""
-    return _population_moment(q, D, power=1, enum_cap=enum_cap,
-                              mc_draws=mc_draws, rng=rng)
+    total = 0.0
+    for weight, v in _population_values(q, D):
+        total += weight * v
+    return total
 
 
-def variance_on_population(psi, D: GroundTruth, *,
-                                enum_cap: int = DEFAULT_ENUM_CAP,
-                                mc_draws: Optional[int] = None,
-                                rng=None) -> float:
-    """Var of psi over w iid draws from D (nonnegative, clamped at 0)."""
-    e1 = _population_moment(psi, D, power=1, enum_cap=enum_cap,
-                            mc_draws=mc_draws, rng=rng).value
-    e2 = _population_moment(psi, D, power=2, enum_cap=enum_cap,
-                            mc_draws=mc_draws, rng=rng).value
+def variance_on_population(psi, D: GroundTruth) -> float:
+    """Var of psi over w iid draws from D (nonnegative, clamped at 0), with
+    both moments summed in one walk over the draws."""
+    e1 = e2 = 0.0
+    for weight, v in _population_values(psi, D):
+        e1 += weight * v
+        e2 += weight * v ** 2
     return max(0.0, e2 - e1 * e1)
 
 
-def _population_moment(q, D: GroundTruth, *, power: int, enum_cap: int,
-                       mc_draws: Optional[int], rng) -> ExpectationEstimate:
+def _population_values(q, D: GroundTruth) -> Iterator[tuple[float, float]]:
+    """(mass, mean answer of q) for every ordered w-tuple of D's support of
+    nonzero mass."""
     w = q.arity
-    size = len(D.support)
-    if size ** w <= enum_cap:
-        total = 0.0
-        for weight, draw in iid_draws(D, w):
-            total += weight * _mean_value(q, draw) ** power
-        return ExpectationEstimate(total)
-    if mc_draws is None:
-        raise EnumerationCapExceeded(
-            f"|support|^{w} = {size ** w} exceeds cap {enum_cap}; supply mc_draws")
-    gen = _generator_of(rng)
-    vals = np.empty(mc_draws)
-    for j in range(mc_draws):
-        idx = gen.choice(size, size=w, replace=True, p=D.masses)
-        vals[j] = _mean_value(q, tuple(D.support[i] for i in idx)) ** power
-    return ExpectationEstimate(float(vals.mean()),
-                               stderr=float(vals.std(ddof=1) / math.sqrt(mc_draws)),
-                               exact=False)
+    check_enumeration(len(D.support) ** w, f"|support|^{w}")
+    for weight, draw in iid_draws(D, w):
+        yield weight, _mean_value(q, draw)
 
 
 def error_value(delta: float, var: float, w: int) -> float:
@@ -450,9 +409,7 @@ def error_value(delta: float, var: float, w: int) -> float:
     return min(delta, delta * delta / var) / w
 
 
-def error_metric(psi: TestQuery, S: Dataset, D: GroundTruth, *,
-                 enum_cap: int = DEFAULT_ENUM_CAP,
-                 mc_draws: Optional[int] = None, rng=None) -> float:
+def error_metric(psi: TestQuery, S: Dataset, D: GroundTruth) -> float:
     """Error of a test: (1/w) min(Delta, Delta^2 / Var_D(psi)) with
     Delta = |psi(S) - psi(D)| and Var_D(psi) the variance of psi on w iid
     draws from D.
@@ -461,19 +418,6 @@ def error_metric(psi: TestQuery, S: Dataset, D: GroundTruth, *,
     Var -> 0 limit for Delta > 0, and 0 when Delta = 0). The result always
     lies in [0, 1/w].
     """
-    kw = dict(enum_cap=enum_cap, mc_draws=mc_draws, rng=rng)
-    delta = abs(query_expectation_on_sample(psi, S, **kw).value
-                - query_expectation_on_population(psi, D, **kw).value)
-    return error_value(delta, variance_on_population(psi, D, **kw), psi.arity)
-
-
-def _generator_of(rng) -> np.random.Generator:
-    """Accept a RandomSource, a numpy Generator, or a seed-like value."""
-    if rng is None:
-        raise ValueError("a randomness source is required for Monte Carlo paths")
-    gen = getattr(rng, "generator", None)
-    if gen is not None:
-        return gen
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+    delta = abs(query_expectation_on_sample(psi, S)
+                - query_expectation_on_population(psi, D))
+    return error_value(delta, variance_on_population(psi, D), psi.arity)

@@ -27,8 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_ENUM_CAP, Dataset, EnumerationCapExceeded, Query,
-                   position_blocks)
+from .core import Dataset, Query, check_enumeration, position_blocks
 from .engine import RandomSource, ResponsePMF, leave_one_out_pmfs
 
 INEQ_TOL = 1e-10
@@ -92,11 +91,10 @@ class StabilityReport:
         return self.bound - self.measured
 
 
-def measure_leave_one_out_chi2(q: Query, S: Dataset, *,
-                               enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityReport:
+def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
     by exact enumeration, checked against the closed-form bound."""
-    full, loo = leave_one_out_pmfs(q, S, enum_cap=enum_cap)
+    full, loo = leave_one_out_pmfs(q, S)
     per = [chi2_divergence(full, law) for law in loo]
     measured = float(np.mean(per))
     bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
@@ -107,8 +105,7 @@ def measure_leave_one_out_chi2(q: Query, S: Dataset, *,
                            law=full)
 
 
-def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float, *,
-                             enum_cap: int = DEFAULT_ENUM_CAP) -> float:
+def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
     """Average over i of KL(law on S || smoothed leave-one-out law), where
     the comparison law mixes the n-1-point law with Unif(Y) at weight
     ``mix``. Finite whenever mix > 0; at mix equal to the chi-squared
@@ -116,7 +113,7 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float, *,
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix weight must lie in [0, 1]")
     ysize = len(q.outputs)
-    full, loo = leave_one_out_pmfs(q, S, enum_cap=enum_cap)
+    full, loo = leave_one_out_pmfs(q, S)
     return float(np.mean([
         kl_divergence(full, ResponsePMF(q.outputs, (1.0 - mix) * law.masses + mix / ysize))
         for law in loo]))
@@ -220,14 +217,12 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
     return hits / trials
 
 
-def sample_exceeds_mean_exact(S: Sequence[float], n: int, *,
-                              enum_cap: int = DEFAULT_ENUM_CAP) -> float:
+def sample_exceeds_mean_exact(S: Sequence[float], n: int) -> float:
     """Exact Pr[sum of n without-replacement draws > mean - 1] by
     enumerating all C(|S|, n) subsets."""
     vals = _probe_values(S, n)
     count = math.comb(vals.size, n)
-    if count > enum_cap:
-        raise EnumerationCapExceeded(f"C({vals.size},{n}) exceeds cap {enum_cap}")
+    check_enumeration(count, f"C({vals.size},{n})")
     target = n * vals.mean() - 1.0
     hits = sum(int(np.count_nonzero(vals[pos].sum(axis=1) > target))
                for pos in position_blocks(vals.size, n))

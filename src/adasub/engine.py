@@ -18,12 +18,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_ENUM_CAP,
     Dataset,
-    EnumerationCapExceeded,
     GroundTruth,
     MASS_TOL,
     Query,
+    check_enumeration,
     iid_draws,
     position_blocks,
 )
@@ -188,16 +187,14 @@ def _distinct_rows(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], which
 
 
-def exact_response_pmf(q: Query, S: Dataset, *,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> ResponsePMF:
+def exact_response_pmf(q: Query, S: Dataset) -> ResponsePMF:
     """The exact answer law of q on S: the average over all C(n, w) position
     subsets of q's output distribution on that subset."""
-    masses = sum(laws.sum(axis=0) for _, laws in _subset_laws(q, S, enum_cap))
+    masses = sum(laws.sum(axis=0) for _, laws in _subset_laws(q, S))
     return ResponsePMF(q.outputs, masses / math.comb(len(S), q.arity))
 
 
-def leave_one_out_pmfs(q: Query, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP
-                       ) -> tuple[ResponsePMF, list[ResponsePMF]]:
+def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, list[ResponsePMF]]:
     """q's exact answer law on S and on every S minus position i, from one
     enumeration of S's subsets: the w-subsets of S minus i are exactly the
     w-subsets of S that miss position i, in the same order. Each law on
@@ -208,7 +205,7 @@ def leave_one_out_pmfs(q: Query, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP
         raise ValueError(f"query arity {w} exceeds leave-one-out sample size {n - 1}")
     full = np.zeros(len(q.outputs))
     loo = np.zeros((n, len(q.outputs)))
-    for pos, laws in _subset_laws(q, S, enum_cap):
+    for pos, laws in _subset_laws(q, S):
         full += laws.sum(axis=0)
         for i in range(n):
             loo[i] += laws[(pos != i).all(axis=1)].sum(axis=0)
@@ -216,18 +213,14 @@ def leave_one_out_pmfs(q: Query, S: Dataset, *, enum_cap: int = DEFAULT_ENUM_CAP
             [ResponsePMF(q.outputs, m) for m in loo / math.comb(n - 1, w)])
 
 
-def _subset_laws(q: Query, S: Dataset, enum_cap: int
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(positions, laws) per block of S's w-subsets: row j of ``laws`` is q's
     output law on the subset in row j of ``positions``, one-hot for a
     deterministic q, so that summing rows counts outputs exactly."""
     n, w = len(S), q.arity
     if w > n:
         raise ValueError(f"query arity {w} exceeds sample size {n}")
-    count = math.comb(n, w)
-    if count * len(q.outputs) > enum_cap:
-        raise EnumerationCapExceeded(
-            f"C({n},{w})*|Y| = {count * len(q.outputs)} exceeds cap {enum_cap}")
+    check_enumeration(math.comb(n, w) * len(q.outputs), f"C({n},{w})*|Y|")
     for pos in position_blocks(n, w):
         subs = S.subsamples(pos)
         if q.evaluator is not None:
@@ -239,15 +232,11 @@ def _subset_laws(q: Query, S: Dataset, enum_cap: int
         yield pos, laws
 
 
-def population_response_pmf(q: Query, D: GroundTruth, *,
-                            enum_cap: int = DEFAULT_ENUM_CAP) -> ResponsePMF:
+def population_response_pmf(q: Query, D: GroundTruth) -> ResponsePMF:
     """The answer law of q on w iid draws from D (ordered tuples enumerated
     over support^w)."""
-    size = len(D.support)
     w = q.arity
-    if size ** w * len(q.outputs) > enum_cap:
-        raise EnumerationCapExceeded(
-            f"|support|^{w}*|Y| = {size ** w * len(q.outputs)} exceeds cap {enum_cap}")
+    check_enumeration(len(D.support) ** w * len(q.outputs), f"|support|^{w}*|Y|")
     masses = np.zeros(len(q.outputs))
     for weight, draw in iid_draws(D, w):
         masses += weight * q.output_pmf(draw)

@@ -185,7 +185,7 @@ class FinitePopulation(Population):
         return Dataset.adopt(self._support[idx])
 
     def truth(self, q: TestQuery) -> float:
-        return query_expectation_on_population(q, self.ground_truth).value
+        return query_expectation_on_population(q, self.ground_truth)
 
     def response_dist(self, q: Query) -> ResponsePMF:
         if q.tag and q.tag[0] == "grid_mean" and self._is_uniform_grid():
@@ -427,7 +427,7 @@ def _query_from_spec(spec) -> TestQuery:
 
 def naive_answer(S: Dataset, phi: TestQuery) -> float:
     """The no-mechanism baseline: the exact sample mean phi(S)."""
-    return query_expectation_on_sample(phi, S).value
+    return query_expectation_on_sample(phi, S)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import adasub.core as core
 from adasub.core import (
     Dataset,
     EnumerationCapExceeded,
@@ -20,6 +21,8 @@ from adasub.core import (
     query_expectation_on_sample,
     variance_on_population,
 )
+from adasub.divergence import sample_exceeds_mean_exact
+from adasub.engine import exact_response_pmf, population_response_pmf
 
 IDENTITY = TestQuery(1, lambda x: float(x), name="identity")
 PAIR_SUM = TestQuery(2, lambda a, b: float(a + b) / 2, name="halfpairsum")
@@ -94,7 +97,6 @@ class TestEnumerators:
     ])
     def test_position_subsets_keep_order_across_blocks(self, monkeypatch,
                                                        block, elements):
-        import adasub.core as core
         monkeypatch.setattr(core, "SUBSET_BLOCK", block)
         S = Dataset(elements)
         for w in range(1, len(S) + 1):
@@ -136,30 +138,30 @@ class TestGroundTruth:
 class TestSampleExpectation:
     def test_identity_mean(self):
         # arithmetic mean for w = 1
-        assert query_expectation_on_sample(IDENTITY, Dataset([1, 0, 0])).value \
+        assert query_expectation_on_sample(IDENTITY, Dataset([1, 0, 0])) \
             == pytest.approx(1 / 3, abs=1e-15)
 
     def test_pair_query_enumerates_all_pairs(self):
         # sums over the 6 position pairs of [1,1,0,0] are 2,1,1,1,1,0
         q = TestQuery(2, lambda a, b: float(a + b) / 2, name="pairsum")
-        got = query_expectation_on_sample(q, Dataset([1, 1, 0, 0])).value
+        got = query_expectation_on_sample(q, Dataset([1, 1, 0, 0]))
         assert got == pytest.approx(0.5, abs=1e-15)  # mean sum 1.0, halved
 
     def test_real_valued_query_pair_sum(self):
         q = Query.deterministic(2, (0, 1, 2), lambda a, b: a + b, name="sum")
-        got = query_expectation_on_sample(q, Dataset([1, 1, 0, 0])).value
+        got = query_expectation_on_sample(q, Dataset([1, 1, 0, 0]))
         assert got == pytest.approx(1.0, abs=1e-15)
 
     def test_constant(self):
         q = TestQuery(1, lambda x: 0.7, name="c")
-        assert query_expectation_on_sample(q, Dataset([5, 6])).value == 0.7
+        assert query_expectation_on_sample(q, Dataset([5, 6])) == 0.7
 
     def test_w1_matches_direct_loop(self):
         gen = np.random.default_rng(7)
         for _ in range(25):
             vals = gen.random(int(gen.integers(1, 12)))
             S = Dataset(vals)
-            got = query_expectation_on_sample(IDENTITY, S).value
+            got = query_expectation_on_sample(IDENTITY, S)
             direct = sum(float(x) for x in S) / len(S)
             assert abs(got - direct) <= 1e-12
 
@@ -167,15 +169,12 @@ class TestSampleExpectation:
         with pytest.raises(ValueError):
             query_expectation_on_sample(PAIR_SUM, Dataset([1]))
 
-    def test_cap_exceeded_requires_mc(self):
+    def test_cap_exceeded_raises(self, monkeypatch):
         S = Dataset(np.arange(40) % 2)
         q = TestQuery(4, lambda *xs: float(sum(xs)) / 4, name="mean4")
+        monkeypatch.setattr(core, "ENUM_CAP", 100)
         with pytest.raises(EnumerationCapExceeded):
-            query_expectation_on_sample(q, S, enum_cap=100)
-        est = query_expectation_on_sample(q, S, enum_cap=100, mc_draws=4000,
-                                          rng=np.random.default_rng(3))
-        assert not est.exact and est.stderr > 0
-        assert abs(est.value - 0.5) <= 4 * est.stderr + 1e-9
+            query_expectation_on_sample(q, S)
 
     def test_range_violation_raises(self):
         bad = TestQuery(1, lambda x: 1.5, name="bad")
@@ -185,26 +184,18 @@ class TestSampleExpectation:
 
 class TestPopulationExpectation:
     def test_identity_bernoulli(self):
-        assert query_expectation_on_population(IDENTITY, bernoulli(0.3)).value \
+        assert query_expectation_on_population(IDENTITY, bernoulli(0.3)) \
             == pytest.approx(0.3, abs=1e-15)
 
     def test_match_indicator_uniform(self):
         # 4 ordered pairs, two of them equal
         q = TestQuery(2, lambda a, b: 1.0 if a == b else 0.0, name="match")
-        got = query_expectation_on_population(q, bernoulli(0.5)).value
+        got = query_expectation_on_population(q, bernoulli(0.5))
         assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_zero(self):
         q = TestQuery(1, lambda x: 0.0, name="z")
-        assert query_expectation_on_population(q, bernoulli(0.2)).value == 0.0
-
-    def test_mc_path(self):
-        gt = GroundTruth(tuple(range(10)), np.full(10, 0.1))
-        q = TestQuery(3, lambda *xs: float(max(xs)) / 9, name="max3")
-        exact = query_expectation_on_population(q, gt).value
-        est = query_expectation_on_population(q, gt, enum_cap=10, mc_draws=4000,
-                                              rng=np.random.default_rng(11))
-        assert abs(est.value - exact) <= 4 * est.stderr + 1e-9
+        assert query_expectation_on_population(q, bernoulli(0.2)) == 0.0
 
 
 class TestErrorMetric:
@@ -246,6 +237,55 @@ class TestErrorMetric:
     def test_variance_on_population(self):
         assert variance_on_population(IDENTITY, bernoulli(0.5)) \
             == pytest.approx(0.25, abs=1e-15)
+
+    def test_variance_walks_the_draws_once(self):
+        calls = []
+
+        def ev(a, b):
+            calls.append((a, b))
+            return (a + 2 * b) / 6
+
+        psi = TestQuery(2, ev, name="weighted")
+        gt = GroundTruth((0, 1, 2), np.array([0.1, 0.3, 0.6]))
+        var = variance_on_population(psi, gt)
+        assert len(calls) == 3 ** 2
+        # the two-pass value: E[psi] over the draws, then E[psi^2] over them again
+        e1 = 0.0
+        for m, d in iid_draws(gt, 2):
+            e1 += m * ev(*d)
+        e2 = 0.0
+        for m, d in iid_draws(gt, 2):
+            e2 += m * ev(*d) ** 2
+        assert var == max(0.0, e2 - e1 * e1) and var > 0
+
+
+class TestEnumerationCap:
+    """Each exact enumeration counts its own rows against core.ENUM_CAP:
+    it runs at a cap equal to that count and refuses one below it."""
+
+    @pytest.mark.parametrize("count,walk", [
+        (math.comb(6, 2),  # C(n, w) subsets of S
+         lambda: query_expectation_on_sample(PAIR_SUM, Dataset([1, 0, 0, 1, 1, 0]))),
+        (3 ** 2,  # |support|^w iid draws
+         lambda: variance_on_population(
+             PAIR_SUM, GroundTruth((0, 0.5, 1), np.full(3, 1 / 3)))),
+        (math.comb(5, 2) * 3,  # C(n, w) subsets times |Y| outputs
+         lambda: exact_response_pmf(
+             Query.deterministic(2, (0, 1, 2), lambda a, b: a + b),
+             Dataset([1, 0, 0, 1, 0]))),
+        (3 ** 2 * 5,  # |support|^w draws times |Y| outputs
+         lambda: population_response_pmf(
+             Query.deterministic(2, (0, 1, 2, 3, 4), lambda a, b: a + b),
+             GroundTruth((0, 1, 2), np.full(3, 1 / 3)))),
+        (math.comb(8, 3),  # C(|S|, n) subsets of the probe's values
+         lambda: sample_exceeds_mean_exact([0, 1] * 4, 3)),
+    ])
+    def test_cap_counts_rows(self, monkeypatch, count, walk):
+        monkeypatch.setattr(core, "ENUM_CAP", count)
+        walk()
+        monkeypatch.setattr(core, "ENUM_CAP", count - 1)
+        with pytest.raises(EnumerationCapExceeded, match=f"= {count} rows"):
+            walk()
 
 
 class TestTranscript:

@@ -91,7 +91,7 @@ class TestExactResponsePMF:
         for _ in range(30):
             q, S = random_query_instance(gen)
             pmf = exact_response_pmf(q, S)
-            expect = query_expectation_on_sample(q, S).value
+            expect = query_expectation_on_sample(q, S)
             assert abs(pmf.mean() - expect) <= 1e-12
 
     def test_w1_direct_loop(self):
@@ -184,11 +184,13 @@ class TestLeaveOneOutPmfs:
             leave_one_out_pmfs(q, Dataset([1, 2, 3]))
         assert leave_one_out_pmfs(q, Dataset([1, 2, 3, 4]))[1][0].masses[0] == 1.0
 
-    def test_cap_is_checked_on_the_full_enumeration(self):
+    def test_cap_is_checked_on_the_full_enumeration(self, monkeypatch):
         q = Query.deterministic(2, (0, 1), lambda *xs: 0, name="c")
+        monkeypatch.setattr(core, "ENUM_CAP", 89)
         with pytest.raises(EnumerationCapExceeded):
-            leave_one_out_pmfs(q, Dataset(np.arange(10)), enum_cap=89)
-        assert len(leave_one_out_pmfs(q, Dataset(np.arange(10)), enum_cap=90)[1]) == 10
+            leave_one_out_pmfs(q, Dataset(np.arange(10)))
+        monkeypatch.setattr(core, "ENUM_CAP", 90)
+        assert len(leave_one_out_pmfs(q, Dataset(np.arange(10)))[1]) == 10
 
 
 class TestPopulationResponsePMF:
@@ -404,7 +406,7 @@ class TestSubsampleAnswer:
             subsample_answer(opaque, S, RandomSource(3), size=5)
             MedianSession(S, 2, RandomSource(4)).answer(q)
             test = TestQuery(w, ev, name="pos")
-            query_expectation_on_sample(test, S, enum_cap=1, mc_draws=5, rng=5)
+            query_expectation_on_sample(test, S)
             assert seen and all(type(x) is tuple for x in seen)
             assert all(type(c) is int for x in seen for c in x)
             assert set(seen) <= {S[i] for i in range(len(S))}
