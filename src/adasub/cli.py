@@ -85,9 +85,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             **{k: config_integer(raw[k], k) for k in ("seed", "trials", "n")},
-            population=dict(raw["population"]),
-            mechanism=dict(raw["mechanism"]), analyst=dict(raw["analyst"]),
-            out=raw.get("out"))
+            population=raw["population"], mechanism=raw["mechanism"],
+            analyst=raw["analyst"], out=raw.get("out"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -283,7 +282,12 @@ def run_suite(name: str, trials: int | None = None, seed: int = 1) -> SuiteResul
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
     default_trials, fn = SUITES[name]
-    return fn(trials if trials is not None else default_trials, seed)
+    trials = default_trials if trials is None else trials
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return fn(trials, seed)
 
 
 def cmd_verify(args) -> int:
@@ -313,7 +317,10 @@ def cmd_params(args) -> int:
         if args.median:
             if args.T is None or args.rmax is None or args.delta is None:
                 raise ConfigError("median params need --T, --rmax and --delta")
-            wmax = args.wmax or 1
+            wmax = 1 if args.wmax is None else args.wmax
+            for flag, value in (("T", args.T), ("rmax", args.rmax), ("wmax", wmax)):
+                if value < 1:
+                    raise ConfigError(f"--{flag} must be at least 1, got {value}")
             mp = median_params(args.T, [wmax] * args.T, [args.rmax] * args.T,
                                args.delta)
             print(f"groups k            : {mp.k}")

@@ -69,11 +69,19 @@ def config_integer(value, key: str) -> int:
     return int(value)
 
 
+def config_number(value, key: str) -> float:
+    """A real config value: an int or a float (infinity included) becomes a
+    float; a bool, a string or NaN is a ConfigError naming the key."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)) or math.isnan(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _config_tau(value):
     """An optional accuracy level tau: a number in (0, 1), as sq_params
     requires."""
-    if value is not None and not (
-            isinstance(value, (float, np.floating)) and 0.0 < value < 1.0):
+    if value is not None and not 0.0 < config_number(value, "tau") < 1.0:
         raise ConfigError(f"tau must be a number in (0, 1), got {value!r}")
     return value
 
@@ -90,7 +98,7 @@ def identity_test() -> TestQuery:
 def constant_test(c: float) -> TestQuery:
     c = float(c)
     if not 0.0 <= c <= 1.0:
-        raise ValueError("constant tests must lie in [0, 1]")
+        raise ValueError(f"constant value must lie in [0, 1], got {c!r}")
     return TestQuery(1, lambda x, _c=c: _c, name=f"const:{c:g}",
                      batch=lambda arr, _c=c: np.full(arr.shape[0], _c),
                      tag=("constant", c))
@@ -265,10 +273,10 @@ def population_generators(name: str, params: dict) -> Population:
     """Named finite populations resolvable from experiment configs."""
     params = dict(params)
     if name == "bernoulli":
-        p = float(params.pop("p"))
+        p = config_number(params.pop("p"), "p")
         _reject_extras(name, params)
         if not 0.0 <= p <= 1.0:
-            raise ValueError("bernoulli parameter must lie in [0, 1]")
+            raise ValueError(f"p must lie in [0, 1], got {p!r}")
         gt = GroundTruth((0, 1), np.array([1.0 - p, p]))
         return FinitePopulation(gt, name=f"bernoulli({p:g})")
     if name == "uniform_pm1_cube":
@@ -276,12 +284,14 @@ def population_generators(name: str, params: dict) -> Population:
         _reject_extras(name, params)
         return CubePopulation(d)
     if name == "discretized_gaussian":
-        lo = float(params.pop("lo", -4.0))
-        hi = float(params.pop("hi", 4.0))
+        lo, hi, mu, sigma = (
+            config_number(params.pop(key, default), key) for key, default
+            in (("lo", -4.0), ("hi", 4.0), ("mu", 0.0), ("sigma", 1.0)))
         points = config_integer(params.pop("points", 257), "points")
-        mu = float(params.pop("mu", 0.0))
-        sigma = float(params.pop("sigma", 1.0))
         _reject_extras(name, params)
+        for key, value in (("lo", lo), ("hi", hi), ("mu", mu), ("sigma", sigma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if not (lo < hi and points >= 2 and sigma > 0):
             raise ValueError("discretized_gaussian needs lo < hi, points >= 2, sigma > 0")
         xs = np.linspace(lo, hi, points)
@@ -364,8 +374,12 @@ class ShiftingMeanAnalyst(Analyst):
 
     def __init__(self, T: int, w_max: int = 4, r_cells: int = 64,
                  r_step: float = 1.6, max_shift: int = 3):
-        if T < 1 or w_max < 1 or r_cells < 2 or r_step <= 0 or max_shift < 0:
-            raise ValueError("invalid shifting-means analyst parameters")
+        for key, value, least in (("T", T, 1), ("w_max", w_max, 1),
+                                  ("r_cells", r_cells, 2), ("max_shift", max_shift, 0)):
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
+        if not 0.0 < r_step < math.inf:
+            raise ValueError(f"r_step must be positive and finite, got {r_step!r}")
         self.rounds = int(T)
         self.w_max = int(w_max)
         self.max_shift = int(max_shift)
@@ -393,6 +407,8 @@ def make_analyst(name: str, params: dict) -> Analyst:
     if name == "fixed":
         specs = params.pop("queries")
         _reject_extras(name, params)
+        if not isinstance(specs, list):
+            raise ValueError(f"queries must be a list, got {specs!r}")
         return FixedAnalyst([_query_from_spec(s) for s in specs])
     if name == "random-correlation":
         T = config_integer(params.pop("T"), "T")
@@ -403,7 +419,7 @@ def make_analyst(name: str, params: dict) -> Analyst:
         kwargs = {k: config_integer(params.pop(k), k)
                   for k in ("T", "w_max", "r_cells", "max_shift") if k in params}
         if "r_step" in params:
-            kwargs["r_step"] = params.pop("r_step")
+            kwargs["r_step"] = config_number(params.pop("r_step"), "r_step")
         _reject_extras(name, params)
         return ShiftingMeanAnalyst(**kwargs)
     raise ValueError(f"unknown analyst {name!r}")
@@ -412,11 +428,13 @@ def make_analyst(name: str, params: dict) -> Analyst:
 def _query_from_spec(spec) -> TestQuery:
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ValueError(f"queries must be kind names or mappings, got {spec!r}")
     kind = spec.get("kind")
     if kind == "identity":
         return identity_test()
     if kind == "constant":
-        return constant_test(spec["value"])
+        return constant_test(config_number(spec["value"], "value"))
     if kind == "coord":
         return coordinate_indicator(config_integer(spec["j"], "j"))
     raise ValueError(f"unknown query kind {kind!r}")
@@ -455,7 +473,9 @@ class ExperimentConfig:
             raise ConfigError("out must be a path")
         for spec_name in ("population", "mechanism", "analyst"):
             spec = getattr(self, spec_name)
-            if not isinstance(spec, dict) or "name" not in spec:
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{spec_name} must be a mapping, got {spec!r}")
+            if "name" not in spec:
                 raise ConfigError(f"{spec_name} spec needs a 'name' key")
 
 
@@ -499,8 +519,10 @@ class NaiveMechanism:
     name = "naive-empirical"
 
     def __init__(self, params: dict, n: int, analyst: Analyst):
-        self.budget = (params.pop("budget_mode", "expectation"),
-                       float(params.pop("budget_limit", math.inf)))
+        limit = config_number(params.pop("budget_limit", math.inf), "budget_limit")
+        if limit < 0:
+            raise ConfigError(f"budget_limit must be non-negative, got {limit!r}")
+        self.budget = (params.pop("budget_mode", "expectation"), limit)
         BudgetLedger(*self.budget)  # rejects an unknown mode before any trial
         self.summary_extras: dict = {}
         self._parse(params, n, analyst)
@@ -547,7 +569,7 @@ class SqMechanism(NaiveMechanism):
     name = "subsampling-sq"
 
     def _parse(self, params, n, analyst):
-        self.delta = float(params.pop("delta"))
+        self.delta = config_number(params.pop("delta"), "delta")
         self.tau = _config_tau(params.pop("tau", None))
         epsilon = params.pop("epsilon", None)
         k = params.pop("k", None)
@@ -557,7 +579,7 @@ class SqMechanism(NaiveMechanism):
             k = sp.k if k is None else k
         if epsilon is None or k is None:
             raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
-        self.epsilon, self.k = float(epsilon), config_integer(k, "k")
+        self.epsilon, self.k = config_number(epsilon, "epsilon"), config_integer(k, "k")
         if not (0.0 <= self.epsilon < 0.5 and self.k >= 1 and 0.0 < self.delta < 1.0):
             raise ValueError("subsampling-sq needs 0 <= epsilon < 1/2, k >= 1 "
                              "and 0 < delta < 1")
@@ -575,12 +597,12 @@ class MedianMechanism(NaiveMechanism):
     name = "median"
 
     def _parse(self, params, n, analyst):
-        delta = float(params.pop("delta"))
+        delta = config_number(params.pop("delta"), "delta")
         self.noise = params.pop("noise", True)
         if not isinstance(self.noise, bool):
             raise ConfigError(f"noise must be true or false, got {self.noise!r}")
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
-                           delta, c_m=float(params.pop("c_m", 8.0)))
+                           delta, c_m=config_number(params.pop("c_m", 8.0), "c_m"))
         self.k_groups = mp.k
         if n // mp.k <= max(analyst.w_list):
             raise ValueError(

@@ -302,6 +302,8 @@ def median_params(T: int, w_list, r_sizes, delta: float, *,
         raise ValueError("arities and range sizes must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < c_m < math.inf:
+        raise ValueError(f"c_m must be positive and finite, got {c_m!r}")
     log_rounds = search_rounds(max(r_sizes))
     if log_rounds == 0:
         k = 2  # single-value ranges take zero search rounds

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -191,6 +192,37 @@ class TestRunCommand:
         ({"mechanism": {"name": "naive-empirical", "tau": "abc"}}, "tau"),
         ({"mechanism": {"name": "subsampling-sq", "tau": "abc", "delta": 0.2,
                         "epsilon": 0.1, "k": 5}}, "tau"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": "abc"}},
+         "delta"),
+        ({"mechanism": {"name": "subsampling-sq", "delta": 0.2, "epsilon": "0.1",
+                        "k": 5}}, "epsilon"),
+        ({"population": {"name": "bernoulli", "p": "0.3"}}, "p"),
+        ({"population": {"name": "discretized_gaussian", "sigma": "1"},
+          "mechanism": {"name": "median", "delta": 0.2},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "sigma"),
+        ({"population": [1, 2]}, "population"),
+        ({"mechanism": "subsampling-sq"}, "mechanism"),
+        ({"analyst": {"name": "fixed", "queries": [5]}}, "queries"),
+        ({"analyst": {"name": "fixed", "queries": [{"kind": "constant",
+                                                    "value": "0.4"}]}}, "value"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 0.2,
+                        "budget_mode": "almost_sure", "budget_limit": math.nan}},
+         "budget_limit"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 0.2,
+                        "budget_limit": -1}}, "budget_limit"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2, "c_m": -1},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "c_m"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16, "r_step": "y"}}, "r_step"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 1}}, "r_cells"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):
@@ -277,6 +309,20 @@ class TestVerifyCommand:
         finally:
             cli.run_suite = orig
         assert "counterexample" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "exceeds-mean", "--trials", "0"], "--trials"),
+        (["verify", "all", "--trials", "0"], "--trials"),
+        (["verify", "kl-chi2", "--trials", "-3"], "--trials"),
+        (["verify", "chi2-stability", "--seed", "-1"], "--seed"),
+        (["params", "--median", "--T", "10", "--rmax", "16", "--delta", "0.1",
+          "--wmax", "0"], "--wmax"),
+    ])
+    def test_bad_count_or_seed_exit_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {flag} must be ")
+        assert err.count("\n") == 1
 
     def test_run_suite_api(self):
         res = run_suite("var-contraction", trials=25, seed=3)

@@ -451,6 +451,19 @@ class TestRunExperiment:
         with pytest.raises(hz.ConfigError, match=f"{key} must be an integer"):
             sq_config(**{key: value})
 
+    @pytest.mark.parametrize("value", [True, "0.3", math.nan, None, [1]])
+    def test_config_number_rejects_non_numbers(self, value):
+        import adasub.harness as hz
+        with pytest.raises(hz.ConfigError, match="^delta must be a number"):
+            hz.config_number(value, "delta")
+
+    def test_config_number_accepts_ints_floats_and_infinity(self):
+        import adasub.harness as hz
+        values = (3, 0.25, -math.inf, np.float32(0.5), np.int64(2))
+        got = [hz.config_number(v, "x") for v in values]
+        assert got == [3.0, 0.25, -math.inf, 0.5, 2.0]
+        assert all(type(x) is float for x in got)
+
     def test_config_accepts_numpy_integers(self):
         cfg = sq_config(trials=np.int64(2), n=np.int32(60))
         assert run_experiment(cfg).summary["trials"] == 2
