@@ -1,0 +1,54 @@
+"""Layering guard: adasub's modules import each other only downward,
+core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
+statement sits inside a function, where an import cycle could hide."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "adasub"
+
+# a module may import only modules of a lower layer
+LAYER = {"core": 0, "engine": 1, "divergence": 2, "mechanisms": 2,
+         "harness": 3, "cli": 4}
+
+
+def _sibling_imports(tree: ast.Module):
+    """(line, module) for every import of another adasub module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "adasub"):
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                path = path[1:]
+            names = path[:1] or [alias.name for alias in node.names]
+            yield from ((node.lineno, name) for name in names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "adasub" and len(path) > 1:
+                    yield node.lineno, path[1]
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER)
+
+
+def test_modules_import_only_lower_layers():
+    upward = []
+    for name, layer in LAYER.items():
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        upward += [f"{name}.py:{line} imports {target}"
+                   for line, target in _sibling_imports(tree)
+                   if LAYER[target] >= layer]
+    assert not upward, f"imports that do not go down a layer: {upward}"
+
+
+def test_no_import_inside_a_function():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions: {nested}"
