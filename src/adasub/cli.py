@@ -318,7 +318,7 @@ def cmd_params(args) -> int:
             if args.T is None or args.rmax is None or args.delta is None:
                 raise ConfigError("median params need --T, --rmax and --delta")
             wmax = 1 if args.wmax is None else args.wmax
-            for flag, value in (("T", args.T), ("rmax", args.rmax), ("wmax", wmax)):
+            for flag, value in (("rmax", args.rmax), ("wmax", wmax)):
                 if value < 1:
                     raise ConfigError(f"--{flag} must be at least 1, got {value}")
             mp = median_params(args.T, [wmax] * args.T, [args.rmax] * args.T,
