@@ -117,10 +117,7 @@ def _tight_budget(config: dict, refuse_at: int, folder: Path) -> dict:
     every trial that charges anything refuses that round."""
     report = run_experiment(_load({**config, "trials": 1}, folder))
     costs = [r["cost"] for r in report.rows if not r["query_id"].startswith("test:")]
-    limit = 0.0
-    for cost in costs[:refuse_at - 1]:
-        limit += cost
-    limit += costs[refuse_at - 1] / 2
+    limit = sum(costs[:refuse_at - 1]) + costs[refuse_at - 1] / 2
     return {**config, "mechanism": {**config["mechanism"], "budget_mode": "almost_sure",
                                     "budget_limit": limit}}
 
@@ -159,9 +156,8 @@ def test_every_config_is_refused_or_runs_with_its_invariants(family, tight, data
     assert math.isclose(report.summary["mi_upper_bound"], cfg.n * mean_total,
                         rel_tol=1e-12, abs_tol=1e-15)
 
-    assert len(parsed) == len(report.rows)
+    assert len(parsed) == len(report.rows) and list(parsed[0]) == list(ROW_COLUMNS)
     for row, back in zip(report.rows, parsed):
-        assert list(back) == list(ROW_COLUMNS)
         assert (int(back["trial"]), int(back["t"]), back["query_id"], back["mechanism"]) \
             == (row["trial"], row["t"], row["query_id"], row["mechanism"])
         for column in NUMERIC_COLUMNS:
