@@ -38,32 +38,38 @@ def _check_same_range(dp: ResponsePMF, ep: ResponsePMF) -> None:
         raise ValueError("distributions must share the same ordered range")
 
 
+def kl_divergence_rows(d, e) -> np.ndarray:
+    """Row-wise KL(D || E) over the last axis of (..., |Y|) mass arrays: the
+    sum over D(y) > 0 of D(y) ln(D(y)/E(y)); +inf where some y has D(y) > 0
+    but E(y) = 0."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    finite = (d > 0.0) & (e > 0.0)
+    ratio = np.divide(d, e, out=np.ones(finite.shape), where=finite)
+    total = (d * np.log(ratio)).sum(axis=-1)
+    return np.where(((d > 0.0) & ~finite).any(axis=-1), math.inf, total)
+
+
+def chi2_divergence_rows(d, e) -> np.ndarray:
+    """Row-wise reversed Neyman chi-squared over the last axis of (..., |Y|)
+    mass arrays: the sum over supp(D) of (D(y)-E(y))^2/D(y); +inf where
+    supp(E) is not contained in supp(D)."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    sq = (d - e) ** 2
+    total = np.divide(sq, d, out=np.zeros(sq.shape), where=d > 0.0).sum(axis=-1)
+    return np.where(((d <= 0.0) & (e > 0.0)).any(axis=-1), math.inf, total)
+
+
 def kl_divergence(dp: ResponsePMF, ep: ResponsePMF) -> float:
-    """KL(D || E) = sum_{y: D(y)>0} D(y) ln(D(y)/E(y)); +inf iff some y has
-    D(y) > 0 but E(y) = 0."""
+    """KL(D || E) of two laws on the same range (see kl_divergence_rows)."""
     _check_same_range(dp, ep)
-    total = 0.0
-    for d, e in zip(dp.masses, ep.masses):
-        if d <= 0.0:
-            continue
-        if e <= 0.0:
-            return math.inf
-        total += d * math.log(d / e)
-    return total
+    return float(kl_divergence_rows(dp.masses, ep.masses))
 
 
 def chi2_divergence(dp: ResponsePMF, ep: ResponsePMF) -> float:
-    """Reversed Neyman chi-squared: sum over supp(D) of (D(y)-E(y))^2/D(y);
-    +inf iff supp(E) is not contained in supp(D)."""
+    """Reversed chi2(D || E) of two laws on the same range (see
+    chi2_divergence_rows)."""
     _check_same_range(dp, ep)
-    total = 0.0
-    for d, e in zip(dp.masses, ep.masses):
-        if d <= 0.0:
-            if e > 0.0:
-                return math.inf
-            continue
-        total += (d - e) ** 2 / d
-    return total
+    return float(chi2_divergence_rows(dp.masses, ep.masses))
 
 
 def chi2_stability_bound(n: int, w: int, ysize: int) -> float:
@@ -95,7 +101,7 @@ def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
     by exact enumeration, checked against the closed-form bound."""
     full, loo = leave_one_out_pmfs(q, S)
-    per = [chi2_divergence(full, law) for law in loo]
+    per = chi2_divergence_rows(full.masses, [law.masses for law in loo]).tolist()
     measured = float(np.mean(per))
     bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
     if measured > bound + INEQ_TOL:
@@ -114,9 +120,8 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
         raise ValueError("mix weight must lie in [0, 1]")
     ysize = len(q.outputs)
     full, loo = leave_one_out_pmfs(q, S)
-    return float(np.mean([
-        kl_divergence(full, ResponsePMF(q.outputs, (1.0 - mix) * law.masses + mix / ysize))
-        for law in loo]))
+    mixed = (1.0 - mix) * np.array([law.masses for law in loo]) + mix / ysize
+    return float(np.mean(kl_divergence_rows(full.masses, mixed)))
 
 
 def alkl_bound_general(eps: float, ysize: int) -> float:
@@ -159,39 +164,58 @@ def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    passed: bool
-    lhs: float
-    rhs: float
+    """Both sides of an inequality and whether it held; arrays, one entry
+    per row, from a row-wise check."""
+
+    passed: bool | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+
+
+def kl_chi2_rows(d, e, tau) -> InequalityCheck:
+    """Row-wise check of KL(D || E) <= (1 + ln(1/tau)) chi2(D || E) over
+    (..., |Y|) mass arrays, tau one per row. The pointwise floor
+    E(y) >= tau * D(y) is the caller's precondition."""
+    lhs = kl_divergence_rows(d, e)
+    rhs = (1.0 + np.log(1.0 / np.asarray(tau, dtype=float))) * chi2_divergence_rows(d, e)
+    return InequalityCheck(passed=lhs <= rhs + INEQ_TOL, lhs=lhs, rhs=rhs)
+
+
+def kl_mixture_rows(d, e, tau, ysize) -> InequalityCheck:
+    """Row-wise check of KL(D || E') <= (1 + ln(|Y|/tau)) (chi2(D || E) + tau)
+    + tau for E' = (1-tau) E + tau Unif(Y), tau and the range size |Y| one
+    per row. Zero-padded columns past a row's |Y| have D(y) = 0, so they
+    add nothing to either side."""
+    tau = np.asarray(tau, dtype=float)
+    mixed = (1.0 - tau[..., None]) * e + (tau / ysize)[..., None]
+    lhs = kl_divergence_rows(d, mixed)
+    rhs = (1.0 + np.log(ysize / tau)) * (chi2_divergence_rows(d, e) + tau) + tau
+    return InequalityCheck(passed=lhs <= rhs + INEQ_TOL, lhs=lhs, rhs=rhs)
+
+
+def _one_row(check: InequalityCheck) -> InequalityCheck:
+    return InequalityCheck(bool(check.passed), float(check.lhs), float(check.rhs))
 
 
 def verify_kl_chi2_inequality(dp: ResponsePMF, ep: ResponsePMF,
                               tau: float) -> InequalityCheck:
-    """Check KL(D || E) <= (1 + ln(1/tau)) chi2(D || E) under the pointwise
-    floor E(y) >= tau * D(y). A violated floor raises (it is a precondition,
-    not a failed check)."""
+    """kl_chi2_rows on one pair of laws. A violated floor E(y) >= tau * D(y)
+    raises (it is a precondition, not a failed check)."""
     _check_same_range(dp, ep)
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     if np.any(ep.masses < tau * dp.masses - 1e-12):
         raise ValueError("precondition E(y) >= tau*D(y) violated")
-    lhs = kl_divergence(dp, ep)
-    rhs = (1.0 + math.log(1.0 / tau)) * chi2_divergence(dp, ep)
-    return InequalityCheck(passed=lhs <= rhs + INEQ_TOL, lhs=lhs, rhs=rhs)
+    return _one_row(kl_chi2_rows(dp.masses, ep.masses, tau))
 
 
 def verify_kl_mixture_inequality(dp: ResponsePMF, ep: ResponsePMF,
                                  tau: float) -> InequalityCheck:
-    """Check KL(D || E') <= (1 + ln(|Y|/tau)) (chi2(D || E) + tau) + tau for
-    the uniform-smoothed mixture E' = (1-tau) E + tau Unif(Y)."""
+    """kl_mixture_rows on one pair of laws."""
     _check_same_range(dp, ep)
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    ysize = len(dp.outputs)
-    mixed = ResponsePMF(dp.outputs, (1.0 - tau) * ep.masses + tau / ysize)
-    lhs = kl_divergence(dp, mixed)
-    chi2 = chi2_divergence(dp, ep)
-    rhs = (1.0 + math.log(ysize / tau)) * (chi2 + tau) + tau
-    return InequalityCheck(passed=lhs <= rhs + INEQ_TOL, lhs=lhs, rhs=rhs)
+    return _one_row(kl_mixture_rows(dp.masses, ep.masses, tau, len(dp.outputs)))
 
 
 def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
@@ -240,17 +264,25 @@ def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Random instance generators for the verification suites. Instances are
-# drawn from a caller-supplied stream so every suite run is reproducible
-# from its seed.
+# drawn from seeded streams so every suite run is reproducible from its
+# seed.
 
-def random_pmf(gen: np.random.Generator, size: int) -> ResponsePMF:
-    """A Dirichlet(1, ..., 1) point of the given size over range 0..size-1."""
-    return ResponsePMF(tuple(range(size)), gen.dirichlet(np.ones(size)))
-
-def random_pmf_pair(gen: np.random.Generator,
-                    size_range: tuple[int, int] = (2, 6)) -> tuple[ResponsePMF, ResponsePMF]:
-    size = int(gen.integers(size_range[0], size_range[1] + 1))
-    return random_pmf(gen, size), random_pmf(gen, size)
+def random_pmf_rows(seed: int, start: int, stop: int,
+                    size_range: tuple[int, int] = (2, 6),
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instances start..stop-1 of a pair-of-laws suite: instance i draws a
+    size from ``size_range`` (inclusive), then D and E from Dirichlet(1, ...,
+    1) of that size, all from RandomSource(seed).child(i). Returns the sizes
+    and the D and E rows, zero-padded to width size_range[1]."""
+    m, width = stop - start, size_range[1]
+    ones, sizes = np.ones(width), np.empty(m, dtype=np.int64)
+    d, e = np.zeros((m, width)), np.zeros((m, width))
+    for j in range(m):
+        gen = RandomSource(seed).child(start + j).generator
+        size = sizes[j] = gen.integers(size_range[0], width + 1)
+        d[j, :size] = gen.dirichlet(ones[:size])
+        e[j, :size] = gen.dirichlet(ones[:size])
+    return sizes, d, e
 
 
 def random_query_instance(gen: np.random.Generator, *,

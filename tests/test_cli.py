@@ -6,12 +6,17 @@ from pathlib import Path
 import pytest
 import yaml
 
+import numpy as np
+
+import adasub.cli as cli
+import adasub.divergence as dv
 from adasub.cli import (
     ConfigError,
     load_config,
     main,
     run_suite,
 )
+from adasub.engine import RandomSource, ResponsePMF
 
 SMALL_CONFIG = {
     "seed": 99,
@@ -327,6 +332,71 @@ class TestVerifyCommand:
     def test_run_suite_api(self):
         res = run_suite("var-contraction", trials=25, seed=3)
         assert res.passed and res.instances == 25
+
+
+# The first three counterexamples at seed 20260803 as the per-instance
+# suites printed them, up to the kl and bound values.
+KL_COUNTEREXAMPLES = {
+    "kl-chi2": [
+        ("instance 0: D=[0.004732172633383242, 0.11440923554961388, "
+         "0.8808585918170029] E=[0.4841908130832841, 0.14551925916961947, "
+         "0.3702899277470964] tau=0.420373861578935",
+         0.713942172431137, 91.24484966277005),
+        ("instance 1: D=[0.16370793964156732, 0.8362920603584325] "
+         "E=[0.5806038640063619, 0.4193961359936381] tau=0.5014948196613107",
+         0.3699252515459473, 2.1456353516311606),
+        ("instance 2: D=[0.4586904660588795, 0.5413095339411206] "
+         "E=[0.7823203901503516, 0.21767960984964846] tau=0.4021351855098232",
+         0.248225425268248, 0.8060929677534077),
+    ],
+    "kl-mixture": [
+        ("instance 0: D=[0.004732172633383242, 0.11440923554961388, "
+         "0.8808585918170029] E=[0.4841908130832841, 0.14551925916961947, "
+         "0.3702899277470964] tau=0.5",
+         0.7028664328830779, 138.36443051111004),
+        ("instance 1: D=[0.16370793964156732, 0.8362920603584325] "
+         "E=[0.5806038640063619, 0.4193961359936381] tau=0.1",
+         0.3562936726283574, 5.572095515210689),
+        ("instance 2: D=[0.4586904660588795, 0.5413095339411206] "
+         "E=[0.7823203901503516, 0.21767960984964846] tau=0.01",
+         0.2429083238275555, 2.7297686817815747),
+    ],
+}
+
+
+class TestKlSuites:
+    @pytest.mark.parametrize("suite", ["kl-chi2", "kl-mixture"])
+    def test_forced_failures_keep_the_counterexample_layout(self, monkeypatch,
+                                                            suite):
+        monkeypatch.setattr(dv, "INEQ_TOL", -1e9)
+        res = run_suite(suite, trials=3, seed=20260803)
+        assert len(res.failures) == 3
+        for text, (head, kl, bound) in zip(res.failures, KL_COUNTEREXAMPLES[suite]):
+            m = re.fullmatch(r"(.*) kl=(\S+) bound=(\S+)", text)
+            assert m.group(1) == head
+            assert float(m.group(2)) == pytest.approx(kl, rel=1e-12)
+            assert float(m.group(3)) == pytest.approx(bound, rel=1e-12)
+
+    def test_block_boundary_matches_per_instance_checks(self, monkeypatch):
+        # a tolerance of -5 fails 30-70% of the rows, so both verdicts occur
+        monkeypatch.setattr(dv, "INEQ_TOL", -5.0)
+        trials = cli.KL_BLOCK + 1
+        want = {"kl-chi2": [], "kl-mixture": []}
+        for i in range(trials):
+            gen = RandomSource(7).child(i).generator
+            size = int(gen.integers(2, 7))
+            dp, ep = (ResponsePMF(tuple(range(size)), gen.dirichlet(np.ones(size)))
+                      for _ in range(2))
+            tau = min(1.0, float(np.min(ep.masses / dp.masses)))
+            if not dv.verify_kl_chi2_inequality(dp, ep, tau).passed:
+                want["kl-chi2"].append(i)
+            if not dv.verify_kl_mixture_inequality(dp, ep, (0.5, 0.1, 0.01)[i % 3]).passed:
+                want["kl-mixture"].append(i)
+        for suite, failing in want.items():
+            res = run_suite(suite, trials=trials, seed=7)
+            assert res.instances == trials
+            assert [int(f.split(":")[0].split()[1]) for f in res.failures] == failing
+            assert 0.3 * trials < len(failing) < 0.7 * trials
 
 
 class TestParamsCommand:

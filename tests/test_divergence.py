@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasub.core import Dataset, Query
 from adasub.divergence import (
     alkl_bound_general,
     alkl_bound_uniform,
     chi2_divergence,
+    chi2_divergence_rows,
     chi2_stability_bound,
     kl_divergence,
+    kl_divergence_rows,
     measure_leave_one_out_chi2,
     measure_leave_one_out_kl,
-    random_pmf_pair,
+    random_pmf_rows,
     random_query_instance,
     random_subset_function,
     sample_exceeds_mean_exact,
@@ -29,6 +33,13 @@ IDENT = Query.deterministic(1, (0, 1), lambda x: x, name="id")
 
 def pmf(*masses):
     return ResponsePMF(tuple(range(len(masses))), np.array(masses))
+
+
+def pmf_pairs(seed, count):
+    """The (D, E) laws of random_pmf_rows' instances 0..count-1."""
+    sizes, d, e = random_pmf_rows(seed, 0, count)
+    for k, dr, er in zip(sizes, d, e):
+        yield pmf(*dr[:k]), pmf(*er[:k])
 
 
 class TestKL:
@@ -69,13 +80,93 @@ class TestChi2:
         assert chi2_divergence(pmf(1.0, 0.0), pmf(0.5, 0.5)) == math.inf
 
     def test_zero_iff_equal(self):
-        gen = np.random.default_rng(1)
-        for _ in range(50):
-            dp, ep = random_pmf_pair(gen)
+        for dp, ep in pmf_pairs(1, 50):
             if chi2_divergence(dp, ep) == 0.0:
                 assert np.allclose(dp.masses, ep.masses, atol=1e-12)
             if kl_divergence(dp, ep) == 0.0:
                 assert np.allclose(dp.masses, ep.masses, atol=1e-12)
+
+
+def _kl_loop(d, e):
+    total = 0.0
+    for a, b in zip(d, e):
+        if a <= 0.0:
+            continue
+        if b <= 0.0:
+            return math.inf
+        total += a * math.log(a / b)
+    return total
+
+
+def _chi2_loop(d, e):
+    total = 0.0
+    for a, b in zip(d, e):
+        if a <= 0.0:
+            if b > 0.0:
+                return math.inf
+            continue
+        total += (a - b) ** 2 / a
+    return total
+
+
+@st.composite
+def _mass_row_pairs(draw):
+    """Two (m, k) arrays of normalized rows (an all-zero row stays zero),
+    with exact zero masses on either side."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    cell = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+
+    def rows():
+        raw = np.array(draw(st.lists(cell, min_size=m * k, max_size=m * k)))
+        raw = raw.reshape(m, k)
+        sums = raw.sum(axis=1, keepdims=True)
+        return np.divide(raw, sums, out=raw.copy(), where=sums > 0.0)
+    return rows(), rows()
+
+
+class TestRowWiseDivergences:
+    """The row-wise primitives against the per-element loops they replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=_mass_row_pairs())
+    def test_rows_match_the_per_element_loops(self, pair):
+        d, e = pair
+        for rows, loop in ((kl_divergence_rows, _kl_loop),
+                           (chi2_divergence_rows, _chi2_loop)):
+            got = rows(d, e)
+            assert got.shape == (len(d),)
+            for g, want in zip(got.tolist(), (loop(a, b) for a, b in zip(d, e))):
+                assert (g == math.inf) == (want == math.inf)
+                if want != math.inf:
+                    assert g == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_zero_masses_on_either_side(self):
+        d = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        e = np.array([[0.5, 0.0, 0.5], [0.25, 0.75, 0.0], [0.5, 0.5, 0.0]])
+        assert kl_divergence_rows(d, e).tolist() == [
+            math.inf, _kl_loop(d[1], e[1]), math.log(2)]
+        assert chi2_divergence_rows(d, e).tolist() == [
+            math.inf, _chi2_loop(d[1], e[1]), math.inf]
+
+    def test_broadcasts_over_leading_axes(self):
+        sizes, d, e = random_pmf_rows(3, 0, 12)
+        d, e = d.reshape(3, 4, -1), e.reshape(3, 4, -1)
+        for rows in (kl_divergence_rows, chi2_divergence_rows):
+            assert rows(d, e).shape == (3, 4)
+            assert np.array_equal(rows(d, e)[1], rows(d[1], e[1]))
+            assert rows(d[0, 0], e).shape == (3, 4)
+            assert rows(d[0, 0], e[0, 0]).shape == ()
+
+    def test_draws_replay_from_each_instance_stream(self):
+        sizes, d, e = random_pmf_rows(9, 5, 9)
+        assert d.shape == e.shape == (4, 6)
+        for j, i in enumerate(range(5, 9)):
+            gen = RandomSource(9).child(i).generator
+            k = int(gen.integers(2, 7))
+            assert sizes[j] == k
+            assert np.array_equal(d[j, :k], gen.dirichlet(np.ones(k)))
+            assert np.array_equal(e[j, :k], gen.dirichlet(np.ones(k)))
+            assert not d[j, k:].any() and not e[j, k:].any()
 
 
 class TestStabilityBound:
@@ -262,14 +353,18 @@ class TestKlChi2Inequality:
         assert check.lhs == pytest.approx(0.143841, abs=1e-6)
         assert check.rhs == pytest.approx((1 + math.log(2)) * 0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
+    def test_tau_outside_unit_interval_is_an_error(self, tau):
+        for check in (verify_kl_chi2_inequality, verify_kl_mixture_inequality):
+            with pytest.raises(ValueError, match="tau"):
+                check(pmf(0.5, 0.5), pmf(0.5, 0.5), tau)
+
     def test_precondition_violation_is_an_error(self):
         with pytest.raises(ValueError):
             verify_kl_chi2_inequality(pmf(0.5, 0.5), pmf(0.1, 0.9), 0.5)
 
     def test_random_pairs(self):
-        for i in range(500):
-            gen = RandomSource(57).child(i).generator
-            dp, ep = random_pmf_pair(gen)
+        for dp, ep in pmf_pairs(57, 500):
             tau = min(1.0, float(np.min(ep.masses / dp.masses)))
             assert verify_kl_chi2_inequality(dp, ep, tau).passed
 
@@ -297,9 +392,7 @@ class TestKlMixtureInequality:
 
     def test_random_pairs(self):
         taus = (0.5, 0.1, 0.01)
-        for i in range(500):
-            gen = RandomSource(58).child(i).generator
-            dp, ep = random_pmf_pair(gen)
+        for i, (dp, ep) in enumerate(pmf_pairs(58, 500)):
             assert verify_kl_mixture_inequality(dp, ep, taus[i % 3]).passed
 
 
