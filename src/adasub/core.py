@@ -124,10 +124,13 @@ class GroundTruth:
         object.__setattr__(self, "support", tuple(self.support))
         if len(self.support) != masses.shape[0]:
             raise ValueError("support and masses lengths differ")
+        total = masses.sum()
+        if not math.isfinite(total):  # a NaN or inf mass
+            raise ValueError("masses must be finite")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {masses.sum()!r}, not 1")
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"masses sum to {total!r}, not 1")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support entries must be distinct")
 

@@ -76,10 +76,13 @@ class ResponsePMF:
         object.__setattr__(self, "masses", masses)
         if masses.shape != (len(self.outputs),):
             raise ValueError("masses must align index-for-index with outputs")
+        total = masses.sum()
+        if not math.isfinite(total):  # a NaN or inf mass
+            raise ValueError("masses must be finite")
         if np.any(masses < -MASS_TOL):
             raise ValueError("masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {masses.sum()!r}, not 1")
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"masses sum to {total!r}, not 1")
 
     def mass_of(self, y) -> float:
         try:

@@ -296,6 +296,10 @@ def population_generators(name: str, params: dict) -> Population:
             raise ValueError("discretized_gaussian needs lo < hi, points >= 2, sigma > 0")
         xs = np.linspace(lo, hi, points)
         masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
+        if not masses.sum() > 0.0:
+            raise ConfigError(
+                f"mu must be within reach of the grid [{lo!r}, {hi!r}] at "
+                f"sigma={sigma!r}, got {mu!r}: every mass underflows to 0")
         masses /= masses.sum()
         gt = GroundTruth(tuple(float(x) for x in xs), masses)
         return FinitePopulation(gt, name=f"discretized_gaussian({points}pt)")
@@ -522,8 +526,11 @@ class NaiveMechanism:
         limit = config_number(params.pop("budget_limit", math.inf), "budget_limit")
         if limit < 0:
             raise ConfigError(f"budget_limit must be non-negative, got {limit!r}")
-        self.budget = (params.pop("budget_mode", "expectation"), limit)
-        BudgetLedger(*self.budget)  # rejects an unknown mode before any trial
+        mode = params.pop("budget_mode", "expectation")
+        if mode not in BudgetLedger.MODES:
+            raise ConfigError(
+                f"budget_mode must be one of {BudgetLedger.MODES}, got {mode!r}")
+        self.budget = (mode, limit)
         self.summary_extras: dict = {}
         self._parse(params, n, analyst)
         _reject_extras(self.name, params)
@@ -570,6 +577,8 @@ class SqMechanism(NaiveMechanism):
 
     def _parse(self, params, n, analyst):
         self.delta = config_number(params.pop("delta"), "delta")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
         self.tau = _config_tau(params.pop("tau", None))
         epsilon = params.pop("epsilon", None)
         k = params.pop("k", None)
@@ -580,9 +589,12 @@ class SqMechanism(NaiveMechanism):
         if epsilon is None or k is None:
             raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
         self.epsilon, self.k = config_number(epsilon, "epsilon"), config_integer(k, "k")
-        if not (0.0 <= self.epsilon < 0.5 and self.k >= 1 and 0.0 < self.delta < 1.0):
-            raise ValueError("subsampling-sq needs 0 <= epsilon < 1/2, k >= 1 "
-                             "and 0 < delta < 1")
+        if not 0.0 <= self.epsilon < 0.5:
+            raise ConfigError(f"epsilon must be in [0, 1/2), got {self.epsilon!r}")
+        if self.k < 1:
+            raise ConfigError(f"k must be a vote count k >= 1, got {self.k!r}")
+        if self.k > np.iinfo(np.int64).max:  # the most votes gen.binomial takes
+            raise ConfigError(f"k must be at most 2**63 - 1, got {self.k!r}")
         self.summary_extras = {"epsilon": self.epsilon, "k": self.k,
                                "delta": self.delta}
 

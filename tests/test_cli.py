@@ -228,6 +228,24 @@ class TestRunCommand:
           "mechanism": {"name": "median", "delta": 0.2},
           "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
                       "r_cells": 1}}, "r_cells"),
+        # every grid mass underflows, so the masses would be 0/0 = NaN
+        ({"n": 400, "population": {"name": "discretized_gaussian", "mu": 100},
+          "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "mu"),
+        # more votes than gen.binomial takes (int64)
+        ({"population": {"name": "uniform_pm1_cube", "d": 3},
+          "mechanism": {"name": "subsampling-sq", "delta": 0.2, "epsilon": 0.1,
+                        "k": 10 ** 20},
+          "analyst": {"name": "random-correlation", "T": 3}}, "k"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 0.2,
+                        "budget_mode": 5}}, "budget_mode"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 0.2,
+                        "epsilon": 0.7}}, "epsilon"),
+        ({"mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 1.5}},
+         "delta"),
+        ({"mechanism": {"name": "subsampling-sq", "delta": 0.2, "epsilon": 0.1,
+                        "k": 0}}, "k"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):

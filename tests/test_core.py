@@ -134,6 +134,12 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth((0, 0), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("masses", [[math.nan, math.nan], [math.nan, 1.0],
+                                        [math.inf, 0.0]])
+    def test_non_finite_masses(self, masses):
+        with pytest.raises(ValueError, match="finite"):
+            GroundTruth((0, 1), np.array(masses))
+
 
 class TestSampleExpectation:
     def test_identity_mean(self):

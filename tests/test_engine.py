@@ -62,6 +62,12 @@ class TestResponsePMF:
         with pytest.raises(ValueError):
             ResponsePMF((0, 1), [1.0])
 
+    @pytest.mark.parametrize("masses", [[math.nan, math.nan], [math.nan, 1.0],
+                                        [math.inf, 0.0]])
+    def test_non_finite_masses(self, masses):
+        with pytest.raises(ValueError, match="finite"):
+            ResponsePMF((0, 1), masses)
+
     def test_tails(self):
         pmf = ResponsePMF((1, 2, 3, 4), [0.1, 0.2, 0.3, 0.4])
         assert pmf.prob_le(2) == pytest.approx(0.3)
