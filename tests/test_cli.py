@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,6 +18,8 @@ from adasub.cli import (
     run_suite,
 )
 from adasub.engine import RandomSource, ResponsePMF
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 SMALL_CONFIG = {
     "seed": 99,
@@ -121,6 +124,18 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(a)]) == 0
         assert main(["run", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["desk", "nondyadic"])
+    def test_median_csv_bytes_match_pins(self, tmp_path, name):
+        # the bytes the per-group scalar votes wrote: the median path's
+        # answers and random stream must not move
+        pinned = json.loads(
+            (FIXTURES / "median_runs.json").read_text())["runs"][name]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(pinned["config"]))
+        out = tmp_path / "run.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["csv_sha256"]
 
     def test_seed_override_changes_report(self, tmp_path):
         cfg = write_config(tmp_path)
