@@ -137,14 +137,14 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
 
 def _grid_cell(total: float, w: int, shift: float, first_center: float,
                step: float, cells: int) -> int:
-    """Cell index of round((total/w + shift - first_center)/step), clipped,
-    rounding halves to even. ``FinitePopulation._grid_mean_dist`` repeats
-    these operations vectorized, so the oracle rounds the identical float
-    the identical way.
+    """Cell index of (total/w + shift - first_center)/step, clamped to
+    [0, cells - 1] and then rounded half to even, so a quotient that
+    overflows to +-inf takes an end cell. ``FinitePopulation._grid_mean_dist``
+    repeats these operations vectorized, so the oracle rounds the identical
+    float the identical way.
     """
     v = total / w + shift
-    idx = round((v - first_center) / step)
-    return min(max(idx, 0), cells - 1)
+    return round(min(max((v - first_center) / step, 0.0), cells - 1.0))
 
 
 def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
@@ -219,8 +219,9 @@ class FinitePopulation(Population):
         # _grid_cell's operations in its order, on every support sum at once;
         # bincount adds the masses into their cells in the order of the sums
         totals = xs[0] * w + step * np.arange(len(conv))
-        cells = np.rint((totals / w + shift - centers[0]) / cstep)
-        cells = np.clip(cells, 0, len(centers) - 1).astype(np.intp)
+        with np.errstate(over="ignore"):  # an overflow takes an end cell
+            quotients = (totals / w + shift - centers[0]) / cstep
+        cells = np.rint(np.clip(quotients, 0, len(centers) - 1)).astype(np.intp)
         out = np.bincount(cells, weights=conv, minlength=len(centers))
         return ResponsePMF(q.outputs, out / out.sum())
 
@@ -390,6 +391,10 @@ class ShiftingMeanAnalyst(Analyst):
         self.r_step = float(r_step)
         self.centers = tuple((i - (r_cells - 1) / 2) * self.r_step
                              for i in range(r_cells))
+        if not (all(map(math.isfinite, self.centers))
+                and all(b > a for a, b in zip(self.centers, self.centers[1:]))):
+            raise ConfigError(f"r_step must be a step that keeps the {r_cells} grid "
+                              f"centres finite and strictly increasing, got {r_step!r}")
         self.w_list = [((t % self.w_max) + 1) for t in range(self.rounds)]
         self.r_sizes = [r_cells] * self.rounds
 

@@ -243,6 +243,11 @@ class TestRunCommand:
           "mechanism": {"name": "median", "delta": 0.2},
           "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
                       "r_cells": 1}}, "r_cells"),
+        # the outer grid centres overflow to +-inf
+        ({"population": {"name": "discretized_gaussian"},
+          "mechanism": {"name": "median", "delta": 0.2},
+          "analyst": {"name": "shifting-means", "T": 4, "r_step": 1.0e307}},
+         "r_step"),
         # every grid mass underflows, so the masses would be 0/0 = NaN
         ({"n": 400, "population": {"name": "discretized_gaussian", "mu": 100},
           "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
@@ -273,6 +278,19 @@ class TestRunCommand:
         assert err.startswith(f"config error: {key} must be ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_overflowing_grid_quotient_runs(self, tmp_path, capsys):
+        # the centres stay finite and increasing, but a subsample mean over
+        # a step of 1e-320 overflows to +-inf and takes an end cell
+        cfg = write_config(tmp_path, {
+            "n": 400, "trials": 1,
+            "population": {"name": "discretized_gaussian"},
+            "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
+            "analyst": {"name": "shifting-means", "T": 4, "r_step": 1.0e-320}})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 4
 
     def test_ledger_row_cost_mismatch_exit_3(self, tmp_path, capsys,
                                               monkeypatch):

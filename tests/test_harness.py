@@ -140,6 +140,20 @@ class TestPopulations:
         assert laws == 28
 
 
+    def test_overflowing_quotient_takes_an_end_cell(self):
+        step = 1e-320
+        centers = tuple((i - 31.5) * step for i in range(64))
+        assert _grid_cell(1.0, 1, 0.0, centers[0], step, 64) == 63
+        assert _grid_cell(-1.0, 1, 0.0, centers[0], step, 64) == 0
+        pop = population_generators("discretized_gaussian", {"points": 33})
+        for w in (1, 2):
+            q = grid_mean_query(w, 0.0, centers)
+            conv = pop.response_dist(q).masses
+            enum = population_response_pmf(q, pop.ground_truth).masses
+            assert np.max(np.abs(conv - enum)) <= 1e-12
+            assert conv[0] == pytest.approx(conv[-1]) and conv[0] > 0.45
+
+
 class TestAnalysts:
     def test_fixed_replays_queries(self):
         qs = [constant_test(0.2), identity_test()]
