@@ -159,6 +159,11 @@ class Query:
     by construction for queries built via ``engine.uniformize`` and merely
     declared for others. ``tag`` is an opaque structured label used by
     harness populations to recognize queries with closed-form answer laws.
+
+    ``batch``, allowed only beside ``evaluator``, vectorizes it: it maps an
+    (m, w) element array (``Dataset.array`` indexed by an (m, w) position
+    array) to the m indices into ``outputs`` of the values ``evaluator``
+    gives row by row, with which it must agree exactly.
     """
 
     arity: int
@@ -169,6 +174,7 @@ class Query:
     uniformity: float = 0.0
     name: str = ""
     tag: Optional[tuple] = None
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
@@ -179,6 +185,8 @@ class Query:
         forms = [self.evaluator, self.dist_evaluator, self.sampler]
         if sum(f is not None for f in forms) != 1:
             raise ValueError("exactly one of evaluator/dist_evaluator/sampler required")
+        if self.batch is not None and self.evaluator is None:
+            raise ValueError("batch evaluation needs a deterministic evaluator")
         if self.uniformity < 0 or self.uniformity * len(self.outputs) > 1 + MASS_TOL:
             raise ValueError("uniformity floor must satisfy 0 <= p*|Y| <= 1")
 
@@ -223,6 +231,24 @@ class Query:
             return self.sampler(subsample, gen)
         pmf = self.output_pmf(subsample)
         return self.outputs[gen.choice(len(self.outputs), p=pmf / pmf.sum())]
+
+    def output_indices(self, S: Dataset, positions: np.ndarray) -> np.ndarray:
+        """The index into ``outputs`` of a deterministic query's answer on
+        each row of an (m, w) position array of S: one ``batch`` call when
+        it is set, else ``evaluator`` on each row's element tuple."""
+        if self.evaluator is None:
+            raise ValueError("output indices need a deterministic evaluator")
+        if self.batch is None:
+            return np.fromiter(
+                (self._output_index(self.evaluator(*sub))
+                 for sub in S.subsamples(positions)),
+                dtype=np.intp, count=len(positions))
+        index = np.asarray(self.batch(S.array[positions]))
+        if index.shape != (len(positions),) or index.dtype.kind not in "iu":
+            raise ValueError("batch evaluator must return one integer index per row")
+        if index.size and (index.min() < 0 or index.max() >= len(self.outputs)):
+            raise ValueError("batch evaluator gave an index outside the declared range")
+        return index
 
     def _output_index(self, y) -> int:
         try:

@@ -124,7 +124,9 @@ def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
         raise ValueError(f"need one population size or one per row, got shape {n.shape}")
     if w < 1 or np.any(n < w):
         raise ValueError(f"cannot draw {w} distinct positions from [0, {n})")
-    high = np.broadcast_to(n.reshape(-1, 1) + np.arange(1 - w, 1), (m, w))
+    high = n.reshape(-1, 1) + np.arange(1 - w, 1)
+    if high.shape[0] != m:  # one size for every row
+        high = np.broadcast_to(high, (m, w))
     pos = gen.integers(0, high)
     for s in range(1, w):
         taken = (pos[:, :s] == pos[:, s, None]).any(axis=1)
@@ -163,13 +165,12 @@ def _batch_answers(q: Query, S: Dataset, gen: np.random.Generator,
     if q.is_opaque:
         return np.asarray([q.sampler(sub, gen) for sub in S.subsamples(pos)])
     distinct, which = _distinct_rows(pos)
-    subs = S.subsamples(distinct)
     outputs = np.asarray(q.outputs)
+    if q.evaluator is not None:
+        return outputs[q.output_indices(S, distinct)[which]]
+    subs = S.subsamples(distinct)
     if not subs:
         return outputs[:0]
-    if q.evaluator is not None:
-        index = np.asarray([q._output_index(q.evaluator(*sub)) for sub in subs])
-        return outputs[index[which]]
     cdf = np.cumsum(np.vstack([q.output_pmf(sub) for sub in subs]), axis=1)
     u = gen.random(size)
     idx = (u[:, None] > cdf[which]).sum(axis=1)
@@ -225,13 +226,11 @@ def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]
         raise ValueError(f"query arity {w} exceeds sample size {n}")
     check_enumeration(math.comb(n, w) * len(q.outputs), f"C({n},{w})*|Y|")
     for pos in position_blocks(n, w):
-        subs = S.subsamples(pos)
         if q.evaluator is not None:
-            laws = np.zeros((len(subs), len(q.outputs)))
-            index = [q._output_index(q.evaluator(*sub)) for sub in subs]
-            laws[np.arange(len(subs)), index] = 1.0
+            laws = np.zeros((len(pos), len(q.outputs)))
+            laws[np.arange(len(pos)), q.output_indices(S, pos)] = 1.0
         else:
-            laws = np.array([q.output_pmf(sub) for sub in subs])
+            laws = np.array([q.output_pmf(sub) for sub in S.subsamples(pos)])
         yield pos, laws
 
 

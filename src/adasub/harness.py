@@ -149,14 +149,34 @@ def _grid_cell(total: float, w: int, shift: float, first_center: float,
 
 def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
     """Query rounding the mean of w real elements (plus a shift) onto an
-    ordered uniform grid of output values."""
+    ordered uniform grid of output values, with an exact batch form."""
     centers = tuple(float(c) for c in centers)
     step = centers[1] - centers[0]
 
     def ev(*xs, _c0=centers[0], _step=step, _m=len(centers), _w=w, _s=shift):
         return centers[_grid_cell(math.fsum(xs), _w, _s, _c0, _step, _m)]
 
-    return Query(arity=w, outputs=centers, evaluator=ev,
+    def batch(arr, _c0=centers[0], _step=step, _m=len(centers), _w=w, _s=shift):
+        # math.fsum of each row: when no partial sum of the left-to-right
+        # sum rounds (TwoSum's error term is 0), the sum is exact and so
+        # equal to fsum, up to the sign of a zero sum, which no cell depends
+        # on; any other row (an overflow included) is summed again by fsum
+        x = np.asarray(arr, dtype=float)
+        total = x[:, 0].copy()
+        redo = np.zeros(len(x), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, _w):
+                t = total + x[:, j]
+                back = t - total
+                redo |= (total - (t - back)) + (x[:, j] - back) != 0.0
+                total = t
+            for i in np.flatnonzero(redo).tolist():
+                total[i] = math.fsum(x[i].tolist())
+            # _grid_cell's operations in its order; an overflow takes an end cell
+            quotients = (total / _w + _s - _c0) / _step
+        return np.rint(np.clip(quotients, 0, _m - 1)).astype(np.intp)
+
+    return Query(arity=w, outputs=centers, evaluator=ev, batch=batch,
                  name=f"grid-mean:w={w},shift={shift:g}",
                  tag=("grid_mean", w, float(shift)))
 
@@ -180,13 +200,16 @@ class Population:
 
 
 class FinitePopulation(Population):
-    """A population backed by an explicit finite distribution."""
+    """A population backed by an explicit finite distribution. Each
+    grid-mean answer law is built once, keyed by the query's tag and
+    outputs, which fix it (a run asks for few distinct ones)."""
 
     def __init__(self, ground_truth: GroundTruth, name: str = "finite"):
         self.ground_truth = ground_truth
         self.name = name
         self._support = np.asarray(ground_truth.support)
         self._masses = np.asarray(ground_truth.masses)
+        self._grid_laws: dict[tuple, ResponsePMF] = {}
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
         idx = rng.generator.choice(self._support.shape[0], size=n, p=self._masses)
@@ -196,9 +219,14 @@ class FinitePopulation(Population):
         return query_expectation_on_population(q, self.ground_truth)
 
     def response_dist(self, q: Query) -> ResponsePMF:
-        if q.tag and q.tag[0] == "grid_mean" and self._is_uniform_grid():
-            return self._grid_mean_dist(q, q.tag[1], q.tag[2])
-        return population_response_pmf(q, self.ground_truth)
+        if not (q.tag and q.tag[0] == "grid_mean"):
+            return population_response_pmf(q, self.ground_truth)
+        key = (q.tag, q.outputs)
+        if key not in self._grid_laws:
+            self._grid_laws[key] = (
+                self._grid_mean_dist(q, q.tag[1], q.tag[2]) if self._is_uniform_grid()
+                else population_response_pmf(q, self.ground_truth))
+        return self._grid_laws[key]
 
     def _is_uniform_grid(self) -> bool:
         if self._support.dtype.kind not in "fiu" or self._support.size < 2:

@@ -391,12 +391,18 @@ class MedianSession:
     def _vote_round(self, q: Query, r: float) -> int:
         """One probe: the number of groups voting that q's answer is at least
         r. Each group's w-subset comes from one batched draw, then q answers
-        on it, then (with noise) the vote flips with probability w/|group|."""
+        on it (a deterministic q on all groups in one ``output_indices``
+        call), then (with noise) the vote flips with probability w/|group|."""
         pos = draw_positions(self._gen, self._sizes, q.arity, self.k)
         pos += self._starts[:, None]
-        votes = np.fromiter((float(q.sample_output(sub, self._gen)) >= r
-                             for sub in self.dataset.subsamples(pos)),
-                            dtype=bool, count=self.k)
+        if q.evaluator is not None:
+            answers = np.asarray(q.outputs, dtype=float)[
+                q.output_indices(self.dataset, pos)]
+        else:
+            answers = np.fromiter((float(q.sample_output(sub, self._gen))
+                                   for sub in self.dataset.subsamples(pos)),
+                                  dtype=float, count=self.k)
+        votes = answers >= r
         if self.noise:
             votes ^= self._gen.random(self.k) < q.arity / self._sizes
         return int(np.count_nonzero(votes))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adasub.core import Dataset, TestQuery
 from adasub.engine import RandomSource, population_response_pmf
@@ -152,6 +154,75 @@ class TestPopulations:
             enum = population_response_pmf(q, pop.ground_truth).masses
             assert np.max(np.abs(conv - enum)) <= 1e-12
             assert conv[0] == pytest.approx(conv[-1]) and conv[0] > 0.45
+
+
+    def test_grid_law_cached_per_tag_and_outputs(self):
+        params = {"lo": -3.0, "hi": 3.0, "points": 101, "mu": 0.3, "sigma": 0.9}
+        pop = population_generators("discretized_gaussian", params)
+        centers = ShiftingMeanAnalyst(T=1, r_cells=40, r_step=0.7).centers
+        law = pop.response_dist(grid_mean_query(3, 0.7, centers))
+        again = pop.response_dist(grid_mean_query(3, 0.7, centers))
+        assert again is law
+        fresh = population_generators("discretized_gaussian", params)
+        assert np.array_equal(
+            law.masses, fresh.response_dist(grid_mean_query(3, 0.7, centers)).masses)
+        # the same tag over other outputs is another law
+        wider = ShiftingMeanAnalyst(T=1, r_cells=40, r_step=1.4).centers
+        other = pop.response_dist(grid_mean_query(3, 0.7, wider))
+        assert other is not law and other.outputs == wider
+        assert np.array_equal(
+            other.masses, fresh.response_dist(grid_mean_query(3, 0.7, wider)).masses)
+        assert not np.array_equal(other.masses, law.masses)
+
+
+_GRID_ELEMENTS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.6, 2.5, -0.0, 0.0, 1.0, 1e-17, 1e16]),
+    st.integers(0, 100).map(lambda j: -3.0 + 0.06 * j),  # a non-dyadic grid
+    st.floats(-50.0, 50.0))
+
+
+@st.composite
+def _grid_batch_cases(draw):
+    """(w, shift, centres, rows): centres as the shifting-means analyst
+    builds them, with steps that are not powers of two and one so small
+    that most quotients overflow."""
+    w = draw(st.integers(1, 4))
+    cells = draw(st.integers(2, 40))
+    step = draw(st.sampled_from([1.0, 0.4, 0.3, 0.7, 1.6, 1e-320]))
+    centers = tuple((i - (cells - 1) / 2) * step for i in range(cells))
+    shift = draw(st.one_of(st.integers(-3, 3).map(lambda c: c * step),
+                           st.floats(-5.0, 5.0)))
+    rows = draw(st.lists(st.lists(_GRID_ELEMENTS, min_size=w, max_size=w),
+                         min_size=1, max_size=12))
+    return w, shift, centers, rows
+
+
+class TestGridMeanBatch:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_grid_batch_cases())
+    # a left-to-right sum gives 0.6000000000000001 and cell 1; fsum gives
+    # 0.6, a quotient just below the half-way point, and cell 0
+    @example(case=(3, 0.0, tuple(0.4 * i for i in range(8)), [[0.1, 0.2, 0.3]]))
+    # exact half-way quotients round to even
+    @example(case=(2, 0.0, tuple(float(i) for i in range(10)),
+                   [[2.0, 3.0], [3.0, 4.0], [-1.0, 0.0]]))
+    @example(case=(2, 0.0, (-1.0, 0.0, 1.0), [[-0.0, -0.0], [0.1, -0.1]]))
+    @example(case=(2, 0.5, (0.0, 1.0, 2.0, 3.0), [[1, 0], [1, 1], [0, 0]]))
+    @example(case=(1, 0.0, tuple((i - 31.5) * 1e-320 for i in range(64)),
+                   [[1.0], [-1.0], [0.0]]))
+    def test_batch_equals_evaluator_row_by_row(self, case):
+        w, shift, centers, rows = case
+        q = grid_mean_query(w, shift, centers)
+        got = q.batch(np.array(rows))
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [q.outputs.index(q.evaluator(*row)) for row in rows]
+
+    def test_overflowing_sum_raises_like_the_evaluator(self):
+        q = grid_mean_query(2, 0.0, (0.0, 1.0))
+        with pytest.raises(OverflowError):
+            q.evaluator(1e308, 1e308)
+        with pytest.raises(OverflowError):
+            q.batch(np.array([[1.0, 2.0], [1e308, 1e308]]))
 
 
 class TestAnalysts:

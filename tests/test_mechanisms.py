@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from adasub.core import Dataset, Query, TestQuery
 from adasub.engine import RandomSource, ResponsePMF, exact_response_pmf
+from adasub.harness import ShiftingMeanAnalyst, population_generators
 from adasub.mechanisms import (
     BudgetExhausted,
     BudgetLedger,
@@ -441,6 +443,28 @@ class TestMedianSession:
         for c, m in zip(counts, law):
             se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
             assert abs(c / reps - m) <= 4 * se
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_batch_keeps_transcript_and_stream(self, noise):
+        # a non-dyadic grid, where many subsample sums round
+        pop = population_generators("discretized_gaussian", {
+            "lo": -3.0, "hi": 3.0, "points": 101, "mu": 0.3, "sigma": 0.9})
+        S = pop.draw(400, RandomSource(9))
+        analyst = ShiftingMeanAnalyst(T=16, w_max=4, r_cells=40, r_step=0.7)
+        runs = []
+        for batched in (True, False):
+            s = MedianSession(S, 9, RandomSource(10), noise=noise)
+            responses = []
+            for t in range(1, analyst.rounds + 1):
+                q = analyst.next_query(t, tuple(responses), None)
+                assert q.batch is not None
+                if not batched:
+                    q = dataclasses.replace(q, batch=None)
+                responses.append(s.answer(q))
+            runs.append((s.transcript.records, s._gen.bit_generator.state))
+        (records, state), (scalar_records, scalar_state) = runs
+        assert records == scalar_records
+        np.testing.assert_equal(state, scalar_state)  # no draw added or removed
 
     def test_costs_charged_per_round_and_group(self):
         grid = tuple(float(v) for v in range(4))
