@@ -39,6 +39,19 @@ def check_enumeration(count: int, what: str) -> None:
             f"{what} = {count} rows exceed ENUM_CAP = {ENUM_CAP}")
 
 
+def check_mass_rows(masses: np.ndarray) -> None:
+    """Raise ValueError unless every row of a (..., |Y|) mass array is a law:
+    finite, nonnegative up to MASS_TOL, and summing to 1 within MASS_TOL."""
+    totals = np.atleast_1d(masses.sum(axis=-1))
+    if not np.isfinite(totals).all():  # a NaN or inf mass
+        raise ValueError("masses must be finite")
+    if np.any(masses < -MASS_TOL):
+        raise ValueError("masses must be nonnegative")
+    off = np.abs(totals - 1.0) > MASS_TOL
+    if off.any():
+        raise ValueError(f"masses sum to {totals[off][0]!r}, not 1")
+
+
 def _as_element(row) -> object:
     if isinstance(row, np.ndarray):
         return tuple(row.tolist())
@@ -124,13 +137,9 @@ class GroundTruth:
         object.__setattr__(self, "support", tuple(self.support))
         if len(self.support) != masses.shape[0]:
             raise ValueError("support and masses lengths differ")
-        total = masses.sum()
-        if not math.isfinite(total):  # a NaN or inf mass
-            raise ValueError("masses must be finite")
-        if np.any(masses < 0):
+        check_mass_rows(masses)
+        if np.any(masses < 0):  # no tolerance: a draw takes the masses as p
             raise ValueError("masses must be nonnegative")
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support entries must be distinct")
 
@@ -160,10 +169,11 @@ class Query:
     declared for others. ``tag`` is an opaque structured label used by
     harness populations to recognize queries with closed-form answer laws.
 
-    ``batch``, allowed only beside ``evaluator``, vectorizes it: it maps an
-    (m, w) element array (``Dataset.array`` indexed by an (m, w) position
-    array) to the m indices into ``outputs`` of the values ``evaluator``
-    gives row by row, with which it must agree exactly.
+    ``batch`` maps an (m, w) element array (``Dataset.array`` indexed by an
+    (m, w) position array) to the m indices into ``outputs`` of the answers.
+    Given alone, it is the deterministic form, and ``evaluator`` is the batch
+    on one row, index-checked as in ``output_indices``; given beside
+    ``evaluator``, it must agree with it row by row.
     """
 
     arity: int
@@ -182,11 +192,14 @@ class Query:
             raise ValueError("arity must be positive")
         if not self.outputs:
             raise ValueError("output range must be nonempty")
+        if self.evaluator is None and self.batch is not None:
+            batch, outputs = self.batch, self.outputs
+            object.__setattr__(self, "evaluator", lambda *xs: outputs[
+                _batch_indices(batch, np.array([xs]), len(outputs))[0]])
         forms = [self.evaluator, self.dist_evaluator, self.sampler]
         if sum(f is not None for f in forms) != 1:
-            raise ValueError("exactly one of evaluator/dist_evaluator/sampler required")
-        if self.batch is not None and self.evaluator is None:
-            raise ValueError("batch evaluation needs a deterministic evaluator")
+            raise ValueError("exactly one of evaluator (or batch), dist_evaluator "
+                             "and sampler required")
         if self.uniformity < 0 or self.uniformity * len(self.outputs) > 1 + MASS_TOL:
             raise ValueError("uniformity floor must satisfy 0 <= p*|Y| <= 1")
 
@@ -211,9 +224,8 @@ class Query:
     def output_pmf(self, subsample: tuple) -> np.ndarray:
         """Exact output law on one subsample, as a vector aligned with Y."""
         if self.evaluator is not None:
-            y = self.evaluator(*subsample)
             pmf = np.zeros(len(self.outputs))
-            pmf[self._output_index(y)] = 1.0
+            pmf[self._output_index(self.evaluator(*subsample))] = 1.0
             return pmf
         if self.dist_evaluator is not None:
             pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
@@ -243,12 +255,7 @@ class Query:
                 (self._output_index(self.evaluator(*sub))
                  for sub in S.subsamples(positions)),
                 dtype=np.intp, count=len(positions))
-        index = np.asarray(self.batch(S.array[positions]))
-        if index.shape != (len(positions),) or index.dtype.kind not in "iu":
-            raise ValueError("batch evaluator must return one integer index per row")
-        if index.size and (index.min() < 0 or index.max() >= len(self.outputs)):
-            raise ValueError("batch evaluator gave an index outside the declared range")
-        return index
+        return _batch_indices(self.batch, S.array[positions], len(self.outputs))
 
     def _output_index(self, y) -> int:
         try:
@@ -264,21 +271,33 @@ class Query:
         return float(np.dot(pmf, np.asarray(self.outputs, dtype=float)))
 
 
+def _batch_indices(batch: Callable, elements: np.ndarray, ysize: int) -> np.ndarray:
+    """``batch`` on an (m, w) element array, checked to give one index in
+    [0, ysize) per row."""
+    index = np.asarray(batch(elements))
+    if index.shape != (len(elements),) or index.dtype.kind not in "iu":
+        raise ValueError("batch evaluator must return one integer index per row")
+    if index.size and (index.min() < 0 or index.max() >= ysize):
+        raise ValueError("batch evaluator gave an index outside the declared range")
+    return index
+
+
 @dataclass(frozen=True)
 class TestQuery:
     """A real-valued test on w-tuples with outputs in [0, 1].
 
     The evaluator must already respect the [0, 1] range; outputs outside it
-    are a contract violation, never silently clamped. ``batch``, when given,
-    vectorizes an arity-1 evaluator over a dataset's element array and must
-    agree with ``evaluator`` pointwise. ``tag`` is an opaque structured label
-    used by harness populations to recognize queries with closed-form truth.
+    are a contract violation, never silently clamped. ``batch`` (arity 1
+    only) maps a dataset's element array to the per-element values. Given
+    alone, it is the test, and ``evaluator`` is the batch on one element;
+    given beside ``evaluator``, it must agree with it pointwise. ``tag`` is
+    an opaque label by which populations recognize closed-form truths.
     """
 
     __test__ = False  # pytest: not a test class despite the name
 
     arity: int
-    evaluator: Callable[..., float]
+    evaluator: Optional[Callable[..., float]] = None
     name: str = ""
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tag: Optional[tuple] = None
@@ -288,6 +307,12 @@ class TestQuery:
             raise ValueError("arity must be positive")
         if self.batch is not None and self.arity != 1:
             raise ValueError("batch evaluation is defined for arity-1 tests only")
+        if self.evaluator is None:
+            if self.batch is None:
+                raise ValueError("a test query needs an evaluator or a batch")
+            batch = self.batch
+            object.__setattr__(self, "evaluator",
+                               lambda x: float(batch(np.array([x]))[0]))
 
     def values_on(self, dataset: Dataset) -> np.ndarray:
         """Per-element values on a dataset (arity 1 only)."""

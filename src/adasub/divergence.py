@@ -101,7 +101,7 @@ def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
     by exact enumeration, checked against the closed-form bound."""
     full, loo = leave_one_out_pmfs(q, S)
-    per = chi2_divergence_rows(full.masses, [law.masses for law in loo]).tolist()
+    per = chi2_divergence_rows(full.masses, loo).tolist()
     measured = float(np.mean(per))
     bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
     if measured > bound + INEQ_TOL:
@@ -118,9 +118,8 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
     stability bound the value is within the general ALKL closed form."""
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix weight must lie in [0, 1]")
-    ysize = len(q.outputs)
     full, loo = leave_one_out_pmfs(q, S)
-    mixed = (1.0 - mix) * np.array([law.masses for law in loo]) + mix / ysize
+    mixed = (1.0 - mix) * loo + mix / len(q.outputs)
     return float(np.mean(kl_divergence_rows(full.masses, mixed)))
 
 
@@ -232,12 +231,10 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
     target = n * vals.mean() - 1.0
     levels, colors = np.unique(vals, return_counts=True)
     hits = 0
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
         counts = gen.multivariate_hypergeometric(colors, n, size=m, method="count")
         hits += int(np.count_nonzero(counts @ levels > target))
-        done += m
     return hits / trials
 
 
@@ -267,19 +264,23 @@ def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
 # drawn from seeded streams so every suite run is reproducible from its
 # seed.
 
-def random_pmf_rows(seed: int, start: int, stop: int,
-                    size_range: tuple[int, int] = (2, 6),
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+PMF_SIZE_RANGE = (2, 6)  # range sizes of a pair-of-laws instance, inclusive
+QUERY_Y_RANGE = (2, 4)  # range sizes of a random query instance, inclusive
+QUERY_ALPHABET_RANGE = (2, 5)  # its alphabet sizes, inclusive
+
+
+def random_pmf_rows(seed: int, start: int,
+                    stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instances start..stop-1 of a pair-of-laws suite: instance i draws a
-    size from ``size_range`` (inclusive), then D and E from Dirichlet(1, ...,
-    1) of that size, all from RandomSource(seed).child(i). Returns the sizes
-    and the D and E rows, zero-padded to width size_range[1]."""
-    m, width = stop - start, size_range[1]
+    size from ``PMF_SIZE_RANGE``, then D and E from Dirichlet(1, ..., 1) of
+    that size, all from RandomSource(seed).child(i). Returns the sizes and
+    the D and E rows, zero-padded to width PMF_SIZE_RANGE[1]."""
+    m, width = stop - start, PMF_SIZE_RANGE[1]
     ones, sizes = np.ones(width), np.empty(m, dtype=np.int64)
     d, e = np.zeros((m, width)), np.zeros((m, width))
     for j in range(m):
         gen = RandomSource(seed).child(start + j).generator
-        size = sizes[j] = gen.integers(size_range[0], width + 1)
+        size = sizes[j] = gen.integers(PMF_SIZE_RANGE[0], width + 1)
         d[j, :size] = gen.dirichlet(ones[:size])
         e[j, :size] = gen.dirichlet(ones[:size])
     return sizes, d, e
@@ -288,16 +289,15 @@ def random_pmf_rows(seed: int, start: int, stop: int,
 def random_query_instance(gen: np.random.Generator, *,
                           n_range: tuple[int, int] = (3, 8),
                           w_range: tuple[int, int] = (1, 3),
-                          y_range: tuple[int, int] = (2, 4),
-                          alphabet_range: tuple[int, int] = (2, 5),
                           ) -> tuple[Query, Dataset]:
     """A random deterministic query (a uniform random map from ordered
     w-tuples of a small alphabet to 0..|Y|-1) plus a random dataset over
-    that alphabet. Datasets may contain duplicates."""
+    that alphabet, with |Y| from ``QUERY_Y_RANGE`` and the alphabet size
+    from ``QUERY_ALPHABET_RANGE``. Datasets may contain duplicates."""
     n = int(gen.integers(n_range[0], n_range[1] + 1))
     w = int(gen.integers(w_range[0], min(w_range[1], n - 1) + 1))
-    ysize = int(gen.integers(y_range[0], y_range[1] + 1))
-    a = int(gen.integers(alphabet_range[0], alphabet_range[1] + 1))
+    ysize = int(gen.integers(QUERY_Y_RANGE[0], QUERY_Y_RANGE[1] + 1))
+    a = int(gen.integers(QUERY_ALPHABET_RANGE[0], QUERY_ALPHABET_RANGE[1] + 1))
     table = {key: int(gen.integers(0, ysize))
              for key in itertools.product(range(a), repeat=w)}
     q = Query.deterministic(w, tuple(range(ysize)),

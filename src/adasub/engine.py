@@ -23,6 +23,7 @@ from .core import (
     MASS_TOL,
     Query,
     check_enumeration,
+    check_mass_rows,
     iid_draws,
     position_blocks,
 )
@@ -76,13 +77,7 @@ class ResponsePMF:
         object.__setattr__(self, "masses", masses)
         if masses.shape != (len(self.outputs),):
             raise ValueError("masses must align index-for-index with outputs")
-        total = masses.sum()
-        if not math.isfinite(total):  # a NaN or inf mass
-            raise ValueError("masses must be finite")
-        if np.any(masses < -MASS_TOL):
-            raise ValueError("masses must be nonnegative")
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {total!r}, not 1")
+        check_mass_rows(masses)
 
     def mass_of(self, y) -> float:
         try:
@@ -198,12 +193,12 @@ def exact_response_pmf(q: Query, S: Dataset) -> ResponsePMF:
     return ResponsePMF(q.outputs, masses / math.comb(len(S), q.arity))
 
 
-def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, list[ResponsePMF]]:
-    """q's exact answer law on S and on every S minus position i, from one
-    enumeration of S's subsets: the w-subsets of S minus i are exactly the
-    w-subsets of S that miss position i, in the same order. Each law on
-    n-1 points sums only the subsets that miss i, so a zero mass is exactly
-    zero."""
+def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, np.ndarray]:
+    """q's exact answer law on S, and a read-only (n, |Y|) array whose row i
+    is the law on S minus position i, from one enumeration of S's subsets:
+    the w-subsets of S minus i are exactly the w-subsets of S that miss
+    position i, in the same order. Each law on n-1 points sums only the
+    subsets that miss i, so a zero mass is exactly zero."""
     n, w = len(S), q.arity
     if w > n - 1:
         raise ValueError(f"query arity {w} exceeds leave-one-out sample size {n - 1}")
@@ -213,8 +208,10 @@ def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, list[Response
         full += laws.sum(axis=0)
         for i in range(n):
             loo[i] += laws[(pos != i).all(axis=1)].sum(axis=0)
-    return (ResponsePMF(q.outputs, full / math.comb(n, w)),
-            [ResponsePMF(q.outputs, m) for m in loo / math.comb(n - 1, w)])
+    loo /= math.comb(n - 1, w)
+    check_mass_rows(loo)
+    loo.setflags(write=False)
+    return ResponsePMF(q.outputs, full / math.comb(n, w)), loo
 
 
 def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -91,25 +91,24 @@ def _config_tau(value):
 
 def identity_test() -> TestQuery:
     """phi(x) = x for populations over values in [0, 1]."""
-    return TestQuery(1, lambda x: float(x), name="identity",
-                     batch=lambda arr: arr.astype(float), tag=("identity",))
+    return TestQuery(1, name="identity", batch=lambda arr: arr.astype(float),
+                     tag=("identity",))
 
 
 def constant_test(c: float) -> TestQuery:
     c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"constant value must lie in [0, 1], got {c!r}")
-    return TestQuery(1, lambda x, _c=c: _c, name=f"const:{c:g}",
+    return TestQuery(1, name=f"const:{c:g}",
                      batch=lambda arr, _c=c: np.full(arr.shape[0], _c),
                      tag=("constant", c))
 
 
 def coordinate_indicator(j: int) -> TestQuery:
     """phi(x) = 1[x_j = 1] on ±1 vector elements."""
-    return TestQuery(
-        1, lambda x, _j=j: 1.0 if x[_j] == 1 else 0.0, name=f"coord:{j}",
-        batch=lambda arr, _j=j: (arr[:, _j] == 1).astype(float),
-        tag=("coord", j))
+    return TestQuery(1, name=f"coord:{j}",
+                     batch=lambda arr, _j=j: (arr[:, _j] == 1).astype(float),
+                     tag=("coord", j))
 
 
 def sign_sum_test(signs: Sequence[int]) -> TestQuery:
@@ -118,9 +117,6 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be ±1")
     s_arr = np.asarray(signs, dtype=np.int64)
-
-    def ev(x, _s=s_arr):
-        return 1.0 if int(np.dot(np.asarray(x), _s)) > 0 else 0.0
 
     def batch(arr, _s=s_arr):
         # exact int64 sums, a block of rows at a time: casting a whole
@@ -131,32 +127,26 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
             out[i:i + rows] = arr[i:i + rows].astype(np.int64) @ _s > 0
         return out
 
-    return TestQuery(1, ev, name="test:sign-sum", batch=batch,
-                     tag=("sign_sum", signs))
+    return TestQuery(1, name="test:sign-sum", batch=batch, tag=("sign_sum", signs))
 
 
-def _grid_cell(total: float, w: int, shift: float, first_center: float,
-               step: float, cells: int) -> int:
-    """Cell index of (total/w + shift - first_center)/step, clamped to
-    [0, cells - 1] and then rounded half to even, so a quotient that
-    overflows to +-inf takes an end cell. ``FinitePopulation._grid_mean_dist``
-    repeats these operations vectorized, so the oracle rounds the identical
-    float the identical way.
-    """
-    v = total / w + shift
-    return round(min(max((v - first_center) / step, 0.0), cells - 1.0))
+def _grid_cells(totals: np.ndarray, w: int, shift: float,
+                centers: Sequence[float]) -> np.ndarray:
+    """The cell of each mean totals/w + shift on a uniform grid of centres:
+    its offset from the first centre in steps, clamped to [0, cells - 1]
+    and then rounded half to even, so a quotient that overflows to +-inf
+    takes an end cell (callers silence numpy's overflow warning)."""
+    quotients = (totals / w + shift - centers[0]) / (centers[1] - centers[0])
+    return np.rint(np.clip(quotients, 0, len(centers) - 1)).astype(np.intp)
 
 
 def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
     """Query rounding the mean of w real elements (plus a shift) onto an
-    ordered uniform grid of output values, with an exact batch form."""
+    ordered uniform grid of output values. The rows' sums are exact: equal
+    to ``math.fsum`` of each row."""
     centers = tuple(float(c) for c in centers)
-    step = centers[1] - centers[0]
 
-    def ev(*xs, _c0=centers[0], _step=step, _m=len(centers), _w=w, _s=shift):
-        return centers[_grid_cell(math.fsum(xs), _w, _s, _c0, _step, _m)]
-
-    def batch(arr, _c0=centers[0], _step=step, _m=len(centers), _w=w, _s=shift):
+    def batch(arr, _w=w, _s=shift):
         # math.fsum of each row: when no partial sum of the left-to-right
         # sum rounds (TwoSum's error term is 0), the sum is exact and so
         # equal to fsum, up to the sign of a zero sum, which no cell depends
@@ -172,11 +162,9 @@ def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
                 total = t
             for i in np.flatnonzero(redo).tolist():
                 total[i] = math.fsum(x[i].tolist())
-            # _grid_cell's operations in its order; an overflow takes an end cell
-            quotients = (total / _w + _s - _c0) / _step
-        return np.rint(np.clip(quotients, 0, _m - 1)).astype(np.intp)
+            return _grid_cells(total, _w, _s, centers)
 
-    return Query(arity=w, outputs=centers, evaluator=ev, batch=batch,
+    return Query(arity=w, outputs=centers, batch=batch,
                  name=f"grid-mean:w={w},shift={shift:g}",
                  tag=("grid_mean", w, float(shift)))
 
@@ -242,15 +230,12 @@ class FinitePopulation(Population):
         conv = self._masses.astype(float)
         for _ in range(w - 1):
             conv = np.convolve(conv, self._masses)
-        centers = tuple(float(c) for c in q.outputs)
-        cstep = centers[1] - centers[0]
-        # _grid_cell's operations in its order, on every support sum at once;
-        # bincount adds the masses into their cells in the order of the sums
+        # the batch's cell rule on every support sum at once; bincount adds
+        # the masses into their cells in the order of the sums
         totals = xs[0] * w + step * np.arange(len(conv))
-        with np.errstate(over="ignore"):  # an overflow takes an end cell
-            quotients = (totals / w + shift - centers[0]) / cstep
-        cells = np.rint(np.clip(quotients, 0, len(centers) - 1)).astype(np.intp)
-        out = np.bincount(cells, weights=conv, minlength=len(centers))
+        with np.errstate(over="ignore"):
+            cells = _grid_cells(totals, w, shift, q.outputs)
+        out = np.bincount(cells, weights=conv, minlength=len(q.outputs))
         return ResponsePMF(q.outputs, out / out.sum())
 
 
@@ -323,8 +308,12 @@ def population_generators(name: str, params: dict) -> Population:
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if not (lo < hi and points >= 2 and sigma > 0):
             raise ValueError("discretized_gaussian needs lo < hi, points >= 2, sigma > 0")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"lo and hi must be less than the largest float apart, "
+                              f"got lo={lo!r}, hi={hi!r}")
         xs = np.linspace(lo, hi, points)
-        masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
+        with np.errstate(over="ignore"):  # a mass that far out underflows to 0
+            masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
         if not masses.sum() > 0.0:
             raise ConfigError(
                 f"mu must be within reach of the grid [{lo!r}, {hi!r}] at "
@@ -521,15 +510,13 @@ class ExperimentReport:
     rows: list[dict]
     summary: dict
 
-    def recompute_summary(self) -> dict:
-        """Rebuild the summary from rows alone (test-error recomputation
-        assumes the shipped analysts' {0,1}-valued arity-1 tests)."""
-        return _summarize(self.rows, n=int(self.summary["n"]),
-                          trials=int(self.summary["trials"]),
-                          mechanism=str(self.summary["mechanism"]))
-
     def verify_consistency(self) -> None:
-        recomputed = self.recompute_summary()
+        """Rebuild the summary from rows alone (test-error recomputation
+        assumes the shipped analysts' {0,1}-valued arity-1 tests) and raise
+        unless it matches."""
+        recomputed = _summarize(self.rows, n=int(self.summary["n"]),
+                                trials=int(self.summary["trials"]),
+                                mechanism=str(self.summary["mechanism"]))
         for key, val in recomputed.items():
             ref = self.summary[key]
             if isinstance(val, float) and isinstance(ref, float):
@@ -732,8 +719,16 @@ def _check_compatibility(population, analyst, mechanism: type) -> None:
     if median_queries != (mechanism is MedianMechanism):
         raise ValueError("the median mechanism answers only the shifting-means "
                          "analyst's median queries")
-    if median_queries and not isinstance(population, FinitePopulation):
+    if not median_queries:
+        return
+    if not isinstance(population, FinitePopulation):
         raise ValueError("shifting-means queries need a finite population")
+    support = population.ground_truth.support
+    lo, hi = float(min(support)), float(max(support))
+    if not math.isfinite(2 * analyst.w_max * max(-lo, hi)):
+        raise ValueError(
+            f"lo and hi must be small enough for sums of w_max = {analyst.w_max} "
+            f"points to stay finite, got lo={lo!r}, hi={hi!r}")
 
 
 def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
@@ -775,12 +770,10 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
 
 
 def _dist_median(dist: ResponsePMF) -> float:
-    acc = 0.0
-    for y, m in zip(dist.outputs, dist.masses):
-        acc += m
-        if acc >= 0.5:
-            return float(y)
-    return float(dist.outputs[-1])
+    """The first output whose running mass (summed left to right) reaches
+    1/2, else the last."""
+    reached = np.cumsum(dist.masses) >= 0.5
+    return float(dist.outputs[int(np.argmax(reached)) if reached.any() else -1])
 
 
 def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict:
@@ -789,12 +782,10 @@ def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict
     by_trial_within: dict[int, bool] = {}
     by_trial_cost: dict[int, float] = {}
     for r in query_rows:
-        by_trial_within.setdefault(r["trial"], True)
-        by_trial_cost.setdefault(r["trial"], 0.0)
-        if not r["within_bound"]:
-            by_trial_within[r["trial"]] = False
-        by_trial_cost[r["trial"]] += r["cost"]
-    per_trial_cost = [by_trial_cost.get(i, 0.0) for i in sorted(by_trial_cost)]
+        i = r["trial"]
+        by_trial_within[i] = by_trial_within.get(i, True) and bool(r["within_bound"])
+        by_trial_cost[i] = by_trial_cost.get(i, 0.0) + r["cost"]
+    per_trial_cost = [by_trial_cost[i] for i in sorted(by_trial_cost)]
     mean_cost = float(np.mean(per_trial_cost)) if per_trial_cost else 0.0
     # error = min(Delta, Delta^2/Var) for a {0,1}-valued arity-1 test
     test_errors = [error_value(r["bias"], r["truth"] * (1.0 - r["truth"]), 1)

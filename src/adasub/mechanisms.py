@@ -91,14 +91,7 @@ def cost_uniform(n: int, w: int, ysize: int, p: float) -> float:
     """Per-query charge for a p-uniform query; p = 0 falls back to the
     ln(n) branch."""
     _check_cost_args(n, w, ysize)
-    if p < 0:
-        raise ValueError("uniformity floor must be nonnegative")
-    log_n = math.log(n)
-    if p == 0.0:
-        branch = log_n
-    else:
-        branch = min(log_n, 1.0 + math.log(1.0 + w / (n * p)))
-    return w * ysize / (n - w) * branch
+    return w * ysize / (n - w) * _uniform_branch(n, w, p)
 
 
 def cost_hp(n: int, ysize: int, p: float, delta: float) -> float:
@@ -107,14 +100,15 @@ def cost_hp(n: int, ysize: int, p: float, delta: float) -> float:
         raise ValueError("need n >= 1 and |Y| >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    return ysize / n * _uniform_branch(n, math.log(1.0 / delta), p)
+
+
+def _uniform_branch(n: int, a: float, p: float) -> float:
+    """min(ln n, 1 + ln(1 + a/(n p))) for a p-uniform query; ln n at p = 0."""
     if p < 0:
         raise ValueError("uniformity floor must be nonnegative")
     log_n = math.log(n)
-    if p == 0.0:
-        branch = log_n
-    else:
-        branch = min(log_n, 1.0 + math.log(1.0 + math.log(1.0 / delta) / (n * p)))
-    return ysize / n * branch
+    return log_n if p == 0.0 else min(log_n, 1.0 + math.log(1.0 + a / (n * p)))
 
 
 def _check_cost_args(n: int, w: int, ysize: int) -> None:
@@ -141,22 +135,12 @@ def squash(phi: TestQuery, epsilon: float) -> TestQuery:
     if phi.arity != 1:
         raise ValueError("squash is defined for arity-1 statistical queries")
     lo, hi = epsilon, 1.0 - epsilon
-
-    def ev(x, _f=phi.evaluator):
-        v = float(_f(x))
-        if v <= lo:
-            return lo
-        if v >= hi:
-            return hi
-        return v
-
-    batch = None
+    name = f"squash({phi.name or 'phi'},{epsilon:g})"
     if phi.batch is not None:
-        def batch(arr, _b=phi.batch):
-            return np.clip(np.asarray(_b(arr), dtype=float), lo, hi)
-
-    return TestQuery(arity=1, evaluator=ev, batch=batch, tag=phi.tag,
-                     name=f"squash({phi.name or 'phi'},{epsilon:g})")
+        return TestQuery(1, name=name, tag=phi.tag, batch=lambda arr, _b=phi.batch:
+                         np.clip(np.asarray(_b(arr), dtype=float), lo, hi))
+    return TestQuery(1, lambda x, _f=phi.evaluator: min(max(float(_f(x)), lo), hi),
+                     name=name, tag=phi.tag)
 
 
 def std_binary(truth: float) -> float:
@@ -177,14 +161,18 @@ class SqParams:
     advisory_min_n: int
 
 
-def sq_params(n: int, T: int, tau: float, delta: float, *,
-              c_eps: float = 1.0, c_k: float = 8.0) -> SqParams:
+SQ_C_EPS = 1.0  # the constant of the squash level in sq_params
+SQ_C_K = 8.0  # the constant of the vote count in sq_params
+
+
+def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
     """Parameter schedule for the statistical-query mechanism.
 
-    eps = min(c_eps ln(2/delta)/n, 0.49) and k = ceil(c_k ln(4T/delta)/tau^2).
-    ``advisory_min_n`` is the sample-size gate sqrt(T ln(T/delta)
-    ln(1/delta))/tau^2 with leading constant 1; runs below it carry no
-    accuracy claim. Default constants are validated by the acceptance suite.
+    eps = min(c_eps ln(2/delta)/n, 0.49) and k = ceil(c_k ln(4T/delta)/tau^2),
+    with c_eps = ``SQ_C_EPS`` and c_k = ``SQ_C_K``. ``advisory_min_n`` is
+    the sample-size gate sqrt(T ln(T/delta) ln(1/delta))/tau^2 with leading
+    constant 1; runs below it carry no accuracy claim. The constants are
+    validated by the acceptance suite.
     """
     if n < 1 or T < 1:
         raise ValueError("need n >= 1 and T >= 1")
@@ -192,8 +180,8 @@ def sq_params(n: int, T: int, tau: float, delta: float, *,
         raise ValueError("tau must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    epsilon = min(c_eps * math.log(2.0 / delta) / n, 0.49)
-    k = math.ceil(c_k * math.log(4.0 * T / delta) / tau ** 2)
+    epsilon = min(SQ_C_EPS * math.log(2.0 / delta) / n, 0.49)
+    k = math.ceil(SQ_C_K * math.log(4.0 * T / delta) / tau ** 2)
     advisory = math.ceil(
         math.sqrt(T * math.log(T / delta) * math.log(1.0 / delta)) / tau ** 2)
     return SqParams(epsilon=epsilon, k=k, advisory_min_n=advisory)
@@ -378,11 +366,9 @@ class MedianSession:
     def _probe_charge(self, w: int) -> float:
         """The cost of one probe at arity w: one vote per group, summed over
         the groups in order, computed once per arity."""
-        charge = self._probe_charges.get(w)
-        if charge is None:
-            charge = sum(self._vote_cost(w, len(g)) for g in self.groups)
-            self._probe_charges[w] = charge
-        return charge
+        if w not in self._probe_charges:
+            self._probe_charges[w] = sum(self._vote_cost(w, len(g)) for g in self.groups)
+        return self._probe_charges[w]
 
     def _vote_cost(self, w: int, group_size: int) -> float:
         p = w / group_size if self.noise else 0.0

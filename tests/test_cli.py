@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,17 @@ SMALL_CONFIG = {
     "mechanism": {"name": "subsampling-sq", "tau": 0.4, "delta": 0.2},
     "analyst": {"name": "fixed", "queries": ["identity"]},
 }
+
+
+# Gaussian grids whose arithmetic overflows: hi - lo ("spread"), or the
+# sums of w_max = 4 support points that a median query's law adds ("sums")
+_OVERFLOWING_GRIDS = {
+    name: {"n": 400, "population": {"name": "discretized_gaussian", **grid},
+           "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
+           "analyst": {"name": "shifting-means", "T": 4}}
+    for name, grid in (
+        ("spread", {"lo": -1.0e308, "hi": 1.0e308}),
+        ("sums", {"lo": -8.0e307, "hi": 8.0e307, "sigma": 3.0e307}))}
 
 
 def write_config(tmp_path, overrides=None, name="cfg.yaml"):
@@ -266,6 +278,8 @@ class TestRunCommand:
          "delta"),
         ({"mechanism": {"name": "subsampling-sq", "delta": 0.2, "epsilon": 0.1,
                         "k": 0}}, "k"),
+        # the w_max-fold support sums of the grid overflow
+        (_OVERFLOWING_GRIDS["sums"], "lo and hi"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):
@@ -278,6 +292,20 @@ class TestRunCommand:
         assert err.startswith(f"config error: {key} must be ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWING_GRIDS))
+    def test_overflowing_gaussian_grid_exit_2_without_numpy_warnings(
+            self, tmp_path, capsys, monkeypatch, case):
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "_run_trial", None)  # a trial would exit 3
+        cfg = write_config(tmp_path, _OVERFLOWING_GRIDS[case])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lo and hi must be ")
+        assert err.count("\n") == 1 and "got lo=" in err
 
     def test_overflowing_grid_quotient_runs(self, tmp_path, capsys):
         # the centres stay finite and increasing, but a subsample mean over

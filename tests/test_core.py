@@ -1,4 +1,5 @@
 
+import dataclasses
 import itertools
 import math
 
@@ -331,3 +332,54 @@ class TestQueryType:
     def test_mean_output(self):
         q = Query.randomized(1, (0, 1, 2), lambda x: [0.2, 0.3, 0.5])
         assert q.mean_output((None,)) == pytest.approx(1.3, abs=1e-15)
+
+    def test_batch_only_query_derives_its_evaluator(self):
+        # the index of (a + b) mod 3 into three labels
+        q = Query(2, ("r0", "r1", "r2"), batch=lambda arr: arr.sum(axis=1) % 3)
+        for a, b in itertools.product(range(4), repeat=2):
+            assert q.evaluator(a, b) == q.outputs[q.batch(np.array([[a, b]]))[0]]
+            assert q.evaluator(a, b) == f"r{(a + b) % 3}"
+        assert q.output_pmf((1, 1)).tolist() == [0.0, 0.0, 1.0]
+        S = Dataset([0, 1, 2, 5])
+        # the batch path and the derived evaluator's loop give one law
+        looped = dataclasses.replace(q, batch=None)
+        assert looped.batch is None and looped.evaluator is q.evaluator
+        assert np.array_equal(exact_response_pmf(q, S).masses,
+                              exact_response_pmf(looped, S).masses)
+        assert exact_response_pmf(q, S).masses.tolist() == [2 / 6, 2 / 6, 2 / 6]
+
+    def test_batch_only_test_derives_its_evaluator(self):
+        psi = TestQuery(1, batch=lambda arr: arr.astype(float) / 4, name="quarter")
+        for x in range(5):
+            assert psi.evaluator(x) == psi.batch(np.array([x]))[0] == x / 4
+            assert type(psi.evaluator(x)) is float
+        D = GroundTruth((0, 4), np.array([0.5, 0.5]))
+        assert query_expectation_on_population(psi, D) == 0.5
+        coord = TestQuery(1, batch=lambda arr: (arr[:, 1] == 1).astype(float))
+        assert [coord.evaluator(x) for x in ((1, -1), (-1, 1))] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("index", [
+        lambda m: np.full(m, -1),  # would wrap to the last output unchecked
+        lambda m: np.full(m, 2),
+        lambda m: np.zeros(m),  # not integers
+        lambda m: np.zeros(m + 1, dtype=int),  # not one per row
+    ])
+    def test_batch_only_evaluator_checks_its_index(self, index):
+        q = Query(1, ("a", "b"), batch=lambda arr: index(len(arr)))
+        with pytest.raises(ValueError, match="batch evaluator"):
+            q.evaluator(0)
+        with pytest.raises(ValueError, match="batch evaluator"):
+            q.output_pmf((0,))
+        with pytest.raises(ValueError, match="batch evaluator"):
+            q.output_indices(Dataset([0, 1]), np.array([[0], [1]]))
+
+    def test_batch_needs_the_deterministic_form_alone(self):
+        batch = lambda arr: np.zeros(len(arr), dtype=int)  # noqa: E731
+        with pytest.raises(ValueError):
+            Query(1, (0, 1), batch=batch, dist_evaluator=lambda x: [0.5, 0.5])
+        with pytest.raises(ValueError):
+            Query(1, (0, 1), batch=batch, sampler=lambda sub, gen: 0)
+        with pytest.raises(ValueError):
+            TestQuery(1)
+        with pytest.raises(ValueError):
+            TestQuery(2, batch=lambda arr: np.zeros(len(arr)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adasub.core as core
+import adasub.engine as engine
 from adasub.core import (
     Dataset,
     EnumerationCapExceeded,
@@ -164,10 +165,10 @@ class TestLeaveOneOutPmfs:
             full, loo = leave_one_out_pmfs(q, S)
             assert np.array_equal(exact_response_pmf(q, S).masses, full.masses)
         assert np.array_equal(full.masses, _reference_pmf_masses(q, S))
-        assert len(loo) == len(S)
+        assert loo.shape == (len(S), len(q.outputs))
         for i, law in enumerate(loo):
             want = exact_response_pmf(q, S.leave_one_out(i)).masses
-            assert np.array_equal(law.masses, want)
+            assert np.array_equal(law, want)
             assert np.array_equal(want, _reference_pmf_masses(q, S.leave_one_out(i)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -181,14 +182,34 @@ class TestLeaveOneOutPmfs:
         assert np.array_equal(full.masses == 0.0, want == 0.0)
         for i, law in enumerate(loo):
             want = exact_response_pmf(q, S.leave_one_out(i)).masses
-            assert np.max(np.abs(law.masses - want)) <= 1e-12
-            assert np.array_equal(law.masses == 0.0, want == 0.0)
+            assert np.max(np.abs(law - want)) <= 1e-12
+            assert np.array_equal(law == 0.0, want == 0.0)
 
     def test_needs_a_leave_one_out_sample_of_arity_size(self):
         q = Query.deterministic(3, (0, 1), lambda *xs: 0, name="c")
         with pytest.raises(ValueError):
             leave_one_out_pmfs(q, Dataset([1, 2, 3]))
-        assert leave_one_out_pmfs(q, Dataset([1, 2, 3, 4]))[1][0].masses[0] == 1.0
+        assert leave_one_out_pmfs(q, Dataset([1, 2, 3, 4]))[1][0, 0] == 1.0
+
+    def test_laws_are_checked_once_and_read_only(self):
+        q = Query.deterministic(1, (0, 1), lambda x: x % 2, name="odd")
+        with mock.patch.object(engine, "check_mass_rows",
+                               wraps=engine.check_mass_rows) as check:
+            full, loo = leave_one_out_pmfs(q, Dataset([0, 1, 1]))
+        assert [c.args[0].shape for c in check.call_args_list] == [(3, 2), (2,)]
+        assert check.call_args_list[0].args[0] is loo
+        assert loo.tolist() == [[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]]
+        assert not loo.flags.writeable
+
+    @pytest.mark.parametrize("bad,message", [
+        ([0.7, 0.7], "sum to"), ([math.nan, 1.0], "finite"),
+        ([1.5, -0.5], "nonnegative")])
+    def test_every_row_is_a_law(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            engine.check_mass_rows(np.array([[0.5, 0.5], bad]))
+        with pytest.raises(ValueError, match=message):
+            ResponsePMF((0, 1), bad)
+        engine.check_mass_rows(np.array([[0.5, 0.5], [1.0, -1e-13]]))
 
     def test_cap_is_checked_on_the_full_enumeration(self, monkeypatch):
         q = Query.deterministic(2, (0, 1), lambda *xs: 0, name="c")

@@ -15,7 +15,6 @@ from adasub.harness import (
     FixedAnalyst,
     RandomCorrelationAnalyst,
     ShiftingMeanAnalyst,
-    _grid_cell,
     _prob_sign_sum_positive,
     coordinate_indicator,
     constant_test,
@@ -27,6 +26,16 @@ from adasub.harness import (
     sign_sum_test,
 )
 from adasub.mechanisms import SqSession, cost_hp, sq_params
+
+
+def _grid_cell(total: float, w: int, shift: float, first_center: float,
+               step: float, cells: int) -> int:
+    """The grid-mean cell rule on one sum, in scalar Python floats: the
+    reference that ``harness._grid_cells`` vectorizes. The quotient is
+    clamped to [0, cells - 1] before it is rounded half to even, so +-inf
+    takes an end cell."""
+    v = total / w + shift
+    return round(min(max((v - first_center) / step, 0.0), cells - 1.0))
 
 
 def sq_config(**over):
@@ -70,8 +79,10 @@ class TestPopulations:
         arr = np.vstack(rows + [gen.choice([-1, 1], size=(7, d))]).astype(np.int8)
         for signs in (np.ones(d, dtype=int), gen.choice([-1, 1], size=d)):
             psi = sign_sum_test(signs)
-            want = [psi.evaluator(x) for x in arr]
+            want = [1.0 if sum(int(v) * s for v, s in zip(x, signs)) > 0 else 0.0
+                    for x in arr]
             assert psi.batch(arr).tolist() == want
+            assert [psi.evaluator(tuple(x.tolist())) for x in arr] == want
         assert sign_sum_test(np.ones(d, dtype=int)).batch(arr)[:3].tolist() \
             == [1.0, 0.0, 1.0]
 
@@ -147,6 +158,8 @@ class TestPopulations:
         centers = tuple((i - 31.5) * step for i in range(64))
         assert _grid_cell(1.0, 1, 0.0, centers[0], step, 64) == 63
         assert _grid_cell(-1.0, 1, 0.0, centers[0], step, 64) == 0
+        assert grid_mean_query(1, 0.0, centers).batch(
+            np.array([[1.0], [-1.0]])).tolist() == [63, 0]
         pop = population_generators("discretized_gaussian", {"points": 33})
         for w in (1, 2):
             q = grid_mean_query(w, 0.0, centers)
@@ -211,11 +224,17 @@ class TestGridMeanBatch:
     @example(case=(1, 0.0, tuple((i - 31.5) * 1e-320 for i in range(64)),
                    [[1.0], [-1.0], [0.0]]))
     def test_batch_equals_evaluator_row_by_row(self, case):
+        # the reference is math.fsum of each row and the scalar cell rule;
+        # the evaluator, derived from the batch, must give the same values
         w, shift, centers, rows = case
         q = grid_mean_query(w, shift, centers)
+        step = centers[1] - centers[0]
+        want = [_grid_cell(math.fsum(row), w, shift, centers[0], step, len(centers))
+                for row in rows]
         got = q.batch(np.array(rows))
         assert got.dtype.kind == "i"
-        assert got.tolist() == [q.outputs.index(q.evaluator(*row)) for row in rows]
+        assert got.tolist() == want
+        assert [q.evaluator(*row) for row in rows] == [centers[i] for i in want]
 
     def test_overflowing_sum_raises_like_the_evaluator(self):
         q = grid_mean_query(2, 0.0, (0.0, 1.0))
