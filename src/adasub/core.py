@@ -224,15 +224,15 @@ class Query:
     def output_pmf(self, subsample: tuple) -> np.ndarray:
         """Exact output law on one subsample, as a vector aligned with Y."""
         if self.evaluator is not None:
+            y = self.evaluator(*subsample)
             pmf = np.zeros(len(self.outputs))
-            pmf[self._output_index(self.evaluator(*subsample))] = 1.0
+            pmf[self._output_index(y)] = 1.0
             return pmf
         if self.dist_evaluator is not None:
             pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
             if pmf.shape != (len(self.outputs),):
                 raise ValueError(f"output distribution has shape {pmf.shape}")
-            if np.any(pmf < -MASS_TOL) or abs(pmf.sum() - 1.0) > MASS_TOL:
-                raise ValueError("output distribution is not a probability vector")
+            check_mass_rows(pmf)
             return np.clip(pmf, 0.0, None)
         raise ValueError("opaque query has no computable output law")
 
@@ -447,9 +447,14 @@ def variance_on_population(psi, D: GroundTruth) -> float:
 
 def _population_values(q, D: GroundTruth) -> Iterator[tuple[float, float]]:
     """(mass, mean answer of q) for every ordered w-tuple of D's support of
-    nonzero mass."""
+    nonzero mass. A test with a batch form answers on the whole support in
+    one call."""
     w = q.arity
     check_enumeration(len(D.support) ** w, f"|support|^{w}")
+    if isinstance(q, TestQuery) and q.batch is not None:
+        vals = q.values_on(Dataset(D.support)).tolist()
+        yield from ((m, v) for m, v in zip(D.masses.tolist(), vals) if m != 0.0)
+        return
     for weight, draw in iid_draws(D, w):
         yield weight, _mean_value(q, draw)
 

@@ -118,8 +118,9 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
     stability bound the value is within the general ALKL closed form."""
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix weight must lie in [0, 1]")
+    ysize = len(q.outputs)
     full, loo = leave_one_out_pmfs(q, S)
-    mixed = (1.0 - mix) * loo + mix / len(q.outputs)
+    mixed = (1.0 - mix) * loo + mix / ysize
     return float(np.mean(kl_divergence_rows(full.masses, mixed)))
 
 
@@ -231,10 +232,12 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
     target = n * vals.mean() - 1.0
     levels, colors = np.unique(vals, return_counts=True)
     hits = 0
-    for done in range(0, trials, chunk):
+    done = 0
+    while done < trials:
         m = min(chunk, trials - done)
         counts = gen.multivariate_hypergeometric(colors, n, size=m, method="count")
         hits += int(np.count_nonzero(counts @ levels > target))
+        done += m
     return hits / trials
 
 

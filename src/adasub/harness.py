@@ -222,19 +222,22 @@ class FinitePopulation(Population):
         steps = np.diff(self._support.astype(float))
         return bool(np.all(np.abs(steps - steps[0]) < 1e-9 * max(1.0, abs(steps[0]))))
 
+    def _support_sums(self, w: int) -> np.ndarray:
+        """Every sum of w points of a uniform-grid support, in increasing
+        order: the first point times w plus j steps, j = 0..w(|support|-1)."""
+        xs = self._support.astype(float)
+        return xs[0] * w + (xs[1] - xs[0]) * np.arange(w * (len(xs) - 1) + 1)
+
     def _grid_mean_dist(self, q: Query, w: int, shift: float) -> ResponsePMF:
         """Exact law of a grid-mean query on w iid draws, by convolving the
         support masses w times (support sums stay on the same uniform grid)."""
-        xs = self._support.astype(float)
-        step = xs[1] - xs[0]
         conv = self._masses.astype(float)
         for _ in range(w - 1):
             conv = np.convolve(conv, self._masses)
         # the batch's cell rule on every support sum at once; bincount adds
         # the masses into their cells in the order of the sums
-        totals = xs[0] * w + step * np.arange(len(conv))
         with np.errstate(over="ignore"):
-            cells = _grid_cells(totals, w, shift, q.outputs)
+            cells = _grid_cells(self._support_sums(w), w, shift, q.outputs)
         out = np.bincount(cells, weights=conv, minlength=len(q.outputs))
         return ResponsePMF(q.outputs, out / out.sum())
 
@@ -303,14 +306,12 @@ def population_generators(name: str, params: dict) -> Population:
             in (("lo", -4.0), ("hi", 4.0), ("mu", 0.0), ("sigma", 1.0)))
         points = config_integer(params.pop("points", 257), "points")
         _reject_extras(name, params)
-        for key, value in (("lo", lo), ("hi", hi), ("mu", mu), ("sigma", sigma)):
+        for key, value in (("lo", lo), ("hi", hi), ("mu", mu), ("sigma", sigma),
+                           ("hi - lo", hi - lo)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if not (lo < hi and points >= 2 and sigma > 0):
             raise ValueError("discretized_gaussian needs lo < hi, points >= 2, sigma > 0")
-        if not math.isfinite(hi - lo):
-            raise ConfigError(f"lo and hi must be less than the largest float apart, "
-                              f"got lo={lo!r}, hi={hi!r}")
         xs = np.linspace(lo, hi, points)
         with np.errstate(over="ignore"):  # a mass that far out underflows to 0
             masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
@@ -510,13 +511,15 @@ class ExperimentReport:
     rows: list[dict]
     summary: dict
 
-    def verify_consistency(self) -> None:
+    def recompute_summary(self) -> dict:
         """Rebuild the summary from rows alone (test-error recomputation
-        assumes the shipped analysts' {0,1}-valued arity-1 tests) and raise
-        unless it matches."""
-        recomputed = _summarize(self.rows, n=int(self.summary["n"]),
-                                trials=int(self.summary["trials"]),
-                                mechanism=str(self.summary["mechanism"]))
+        assumes the shipped analysts' {0,1}-valued arity-1 tests)."""
+        return _summarize(self.rows, n=int(self.summary["n"]),
+                          trials=int(self.summary["trials"]),
+                          mechanism=str(self.summary["mechanism"]))
+
+    def verify_consistency(self) -> None:
+        recomputed = self.recompute_summary()
         for key, val in recomputed.items():
             ref = self.summary[key]
             if isinstance(val, float) and isinstance(ref, float):
@@ -723,9 +726,12 @@ def _check_compatibility(population, analyst, mechanism: type) -> None:
         return
     if not isinstance(population, FinitePopulation):
         raise ValueError("shifting-means queries need a finite population")
-    support = population.ground_truth.support
-    lo, hi = float(min(support)), float(max(support))
-    if not math.isfinite(2 * analyst.w_max * max(-lo, hi)):
+    if not population._is_uniform_grid():
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        sums = population._support_sums(analyst.w_max)  # as the oracle forms them
+    if not np.isfinite(sums).all():
+        lo, hi = float(population._support.min()), float(population._support.max())
         raise ValueError(
             f"lo and hi must be small enough for sums of w_max = {analyst.w_max} "
             f"points to stay finite, got lo={lo!r}, hi={hi!r}")
@@ -770,10 +776,12 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
 
 
 def _dist_median(dist: ResponsePMF) -> float:
-    """The first output whose running mass (summed left to right) reaches
-    1/2, else the last."""
-    reached = np.cumsum(dist.masses) >= 0.5
-    return float(dist.outputs[int(np.argmax(reached)) if reached.any() else -1])
+    acc = 0.0
+    for y, m in zip(dist.outputs, dist.masses):
+        acc += m
+        if acc >= 0.5:
+            return float(y)
+    return float(dist.outputs[-1])
 
 
 def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict:
@@ -782,10 +790,12 @@ def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict
     by_trial_within: dict[int, bool] = {}
     by_trial_cost: dict[int, float] = {}
     for r in query_rows:
-        i = r["trial"]
-        by_trial_within[i] = by_trial_within.get(i, True) and bool(r["within_bound"])
-        by_trial_cost[i] = by_trial_cost.get(i, 0.0) + r["cost"]
-    per_trial_cost = [by_trial_cost[i] for i in sorted(by_trial_cost)]
+        by_trial_within.setdefault(r["trial"], True)
+        by_trial_cost.setdefault(r["trial"], 0.0)
+        if not r["within_bound"]:
+            by_trial_within[r["trial"]] = False
+        by_trial_cost[r["trial"]] += r["cost"]
+    per_trial_cost = [by_trial_cost.get(i, 0.0) for i in sorted(by_trial_cost)]
     mean_cost = float(np.mean(per_trial_cost)) if per_trial_cost else 0.0
     # error = min(Delta, Delta^2/Var) for a {0,1}-valued arity-1 test
     test_errors = [error_value(r["bias"], r["truth"] * (1.0 - r["truth"]), 1)

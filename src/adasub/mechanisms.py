@@ -366,9 +366,11 @@ class MedianSession:
     def _probe_charge(self, w: int) -> float:
         """The cost of one probe at arity w: one vote per group, summed over
         the groups in order, computed once per arity."""
-        if w not in self._probe_charges:
-            self._probe_charges[w] = sum(self._vote_cost(w, len(g)) for g in self.groups)
-        return self._probe_charges[w]
+        charge = self._probe_charges.get(w)
+        if charge is None:
+            charge = sum(self._vote_cost(w, len(g)) for g in self.groups)
+            self._probe_charges[w] = charge
+        return charge
 
     def _vote_cost(self, w: int, group_size: int) -> float:
         p = w / group_size if self.noise else 0.0

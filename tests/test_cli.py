@@ -32,15 +32,20 @@ SMALL_CONFIG = {
 }
 
 
+def _median_on_grid(grid):
+    return {"n": 400, "population": {"name": "discretized_gaussian", **grid},
+            "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
+            "analyst": {"name": "shifting-means", "T": 4}}
+
+
 # Gaussian grids whose arithmetic overflows: hi - lo ("spread"), or the
-# sums of w_max = 4 support points that a median query's law adds ("sums")
+# sums of w_max = 4 support points that a median query's law adds ("sums",
+# and "sums-from-0", where 4 * hi = 2e308)
 _OVERFLOWING_GRIDS = {
-    name: {"n": 400, "population": {"name": "discretized_gaussian", **grid},
-           "mechanism": {"name": "median", "delta": 0.2, "c_m": 1},
-           "analyst": {"name": "shifting-means", "T": 4}}
-    for name, grid in (
+    name: _median_on_grid(grid) for name, grid in (
         ("spread", {"lo": -1.0e308, "hi": 1.0e308}),
-        ("sums", {"lo": -8.0e307, "hi": 8.0e307, "sigma": 3.0e307}))}
+        ("sums", {"lo": -8.0e307, "hi": 8.0e307, "sigma": 3.0e307}),
+        ("sums-from-0", {"lo": 0.0, "hi": 5.0e307}))}
 
 
 def write_config(tmp_path, overrides=None, name="cfg.yaml"):
@@ -304,8 +309,19 @@ class TestRunCommand:
             assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert err.startswith("config error: lo and hi must be ")
-        assert err.count("\n") == 1 and "got lo=" in err
+        assert err.startswith("config error: hi - lo must be finite, got inf"
+                              if case == "spread" else
+                              "config error: lo and hi must be small enough ")
+        assert err.count("\n") == 1
+
+    def test_gaussian_grid_with_finite_sums_runs(self, tmp_path, capsys):
+        # 4 * hi = 1.2e308 is finite, though 2 * 4 * hi is not
+        cfg = write_config(tmp_path, {"trials": 1, **_median_on_grid(
+            {"lo": 0.0, "hi": 3.0e307})})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 4
 
     def test_overflowing_grid_quotient_runs(self, tmp_path, capsys):
         # the centres stay finite and increasing, but a subsample mean over

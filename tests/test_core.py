@@ -329,6 +329,14 @@ class TestQueryType:
         with pytest.raises(ValueError):
             q.output_pmf((0,))
 
+    @pytest.mark.parametrize("law", [[math.nan, 1.0], [math.inf, 1.0],
+                                     [1.5, -0.5]])
+    def test_randomized_pmf_must_be_a_law(self, law):
+        # a NaN mass once passed: NaN compares false with both bounds
+        q = Query.randomized(1, (0, 1), lambda x: law)
+        with pytest.raises(ValueError, match="masses must be"):
+            q.output_pmf((0,))
+
     def test_mean_output(self):
         q = Query.randomized(1, (0, 1, 2), lambda x: [0.2, 0.3, 0.5])
         assert q.mean_output((None,)) == pytest.approx(1.3, abs=1e-15)

@@ -26,16 +26,7 @@ from adasub.harness import (
     sign_sum_test,
 )
 from adasub.mechanisms import SqSession, cost_hp, sq_params
-
-
-def _grid_cell(total: float, w: int, shift: float, first_center: float,
-               step: float, cells: int) -> int:
-    """The grid-mean cell rule on one sum, in scalar Python floats: the
-    reference that ``harness._grid_cells`` vectorizes. The quotient is
-    clamped to [0, cells - 1] before it is rounded half to even, so +-inf
-    takes an end cell."""
-    v = total / w + shift
-    return round(min(max((v - first_center) / step, 0.0), cells - 1.0))
+from grid_reference import grid_cell, scalar_grid_mean
 
 
 def sq_config(**over):
@@ -119,7 +110,7 @@ class TestPopulations:
         for w, shift in ((1, 0.0), (2, 0.5), (3, -0.25)):
             q = grid_mean_query(w, shift, centers)
             conv = pop.response_dist(q)
-            enum = population_response_pmf(q, pop.ground_truth)
+            enum = population_response_pmf(scalar_grid_mean(q), pop.ground_truth)
             assert np.max(np.abs(conv.masses - enum.masses)) <= 1e-12
 
     def test_grid_mean_dist_equals_the_cell_loop_bit_for_bit(self):
@@ -137,7 +128,7 @@ class TestPopulations:
                 if mass == 0.0:
                     continue
                 total = xs[0] * w + step * j
-                out[_grid_cell(total, w, shift, centers[0], cstep, len(centers))] += mass
+                out[grid_cell(total, w, shift, centers[0], cstep, len(centers))] += mass
             return out / out.sum()
 
         pop = population_generators("discretized_gaussian", {})
@@ -156,15 +147,16 @@ class TestPopulations:
     def test_overflowing_quotient_takes_an_end_cell(self):
         step = 1e-320
         centers = tuple((i - 31.5) * step for i in range(64))
-        assert _grid_cell(1.0, 1, 0.0, centers[0], step, 64) == 63
-        assert _grid_cell(-1.0, 1, 0.0, centers[0], step, 64) == 0
+        assert grid_cell(1.0, 1, 0.0, centers[0], step, 64) == 63
+        assert grid_cell(-1.0, 1, 0.0, centers[0], step, 64) == 0
         assert grid_mean_query(1, 0.0, centers).batch(
             np.array([[1.0], [-1.0]])).tolist() == [63, 0]
         pop = population_generators("discretized_gaussian", {"points": 33})
         for w in (1, 2):
             q = grid_mean_query(w, 0.0, centers)
             conv = pop.response_dist(q).masses
-            enum = population_response_pmf(q, pop.ground_truth).masses
+            enum = population_response_pmf(
+                scalar_grid_mean(q), pop.ground_truth).masses
             assert np.max(np.abs(conv - enum)) <= 1e-12
             assert conv[0] == pytest.approx(conv[-1]) and conv[0] > 0.45
 
@@ -229,7 +221,7 @@ class TestGridMeanBatch:
         w, shift, centers, rows = case
         q = grid_mean_query(w, shift, centers)
         step = centers[1] - centers[0]
-        want = [_grid_cell(math.fsum(row), w, shift, centers[0], step, len(centers))
+        want = [grid_cell(math.fsum(row), w, shift, centers[0], step, len(centers))
                 for row in rows]
         got = q.batch(np.array(rows))
         assert got.dtype.kind == "i"
@@ -238,6 +230,8 @@ class TestGridMeanBatch:
 
     def test_overflowing_sum_raises_like_the_evaluator(self):
         q = grid_mean_query(2, 0.0, (0.0, 1.0))
+        with pytest.raises(OverflowError):
+            scalar_grid_mean(q).evaluator(1e308, 1e308)
         with pytest.raises(OverflowError):
             q.evaluator(1e308, 1e308)
         with pytest.raises(OverflowError):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -27,6 +26,7 @@ from adasub.mechanisms import (
     sq_vote_budget,
     squash,
 )
+from grid_reference import scalar_grid_mean
 
 IDENT = TestQuery(1, lambda x: float(x), name="id",
                   batch=lambda a: a.astype(float))
@@ -459,7 +459,7 @@ class TestMedianSession:
                 q = analyst.next_query(t, tuple(responses), None)
                 assert q.batch is not None
                 if not batched:
-                    q = dataclasses.replace(q, batch=None)
+                    q = scalar_grid_mean(q)  # fsum and the scalar cell rule
                 responses.append(s.answer(q))
             runs.append((s.transcript.records, s._gen.bit_generator.state))
         (records, state), (scalar_records, scalar_state) = runs
