@@ -27,7 +27,6 @@ from .engine import (
     exact_response_pmf,
     leave_one_out_pmfs,
     population_response_pmf,
-    spot_check_uniformity,
     subsample_answer,
     uniformize,
 )

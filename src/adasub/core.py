@@ -1,6 +1,6 @@
 """Data model for subsampling-based analysis: datasets, populations, queries.
 
-A dataset is an ordered multiset of opaque elements (ints for categorical
+A dataset is an ordered multiset of elements of any type (ints for categorical
 alphabets, floats for median-style queries, fixed-length ±1 tuples for the
 attack harness). A query evaluates on a size-w subsample drawn uniformly
 without replacement; its answer distribution on a dataset S, and on fresh
@@ -131,7 +131,7 @@ class GroundTruth:
     masses: np.ndarray
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
+        masses = np.array(self.masses, dtype=float)  # a copy: the caller keeps its array
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "support", tuple(self.support))
@@ -154,20 +154,14 @@ class GroundTruth:
 class Query:
     """A query on w-tuples with a declared finite ordered range Y.
 
-    Exactly one evaluation form is set:
+    Exactly one evaluation form is set, and each has an exact output law:
 
     * ``evaluator`` -- deterministic, maps a w-tuple to a value in Y;
-    * ``dist_evaluator`` -- randomized with an explicit law, maps a w-tuple
-      to a length-|Y| probability vector aligned with ``outputs``;
-    * ``sampler`` -- opaque randomized, maps (w-tuple, numpy Generator) to a
-      value in Y. Opaque queries support sampling and spot checks only; no
-      exact answer law can be computed for them.
+    * ``dist_evaluator`` -- randomized, maps a w-tuple to a length-|Y|
+      probability vector aligned with ``outputs``.
 
-    ``uniformity`` is the declared floor p: every output value has
-    probability >= p on every input (0 when not claimed). It is guaranteed
-    by construction for queries built via ``engine.uniformize`` and merely
-    declared for others. ``tag`` is an opaque structured label used by
-    harness populations to recognize queries with closed-form answer laws.
+    ``tag`` is a structured label used by harness populations to
+    recognize queries with closed-form answer laws.
 
     ``batch`` maps an (m, w) element array (``Dataset.array`` indexed by an
     (m, w) position array) to the m indices into ``outputs`` of the answers.
@@ -180,8 +174,6 @@ class Query:
     outputs: tuple
     evaluator: Optional[Callable] = None
     dist_evaluator: Optional[Callable] = None
-    sampler: Optional[Callable] = None
-    uniformity: float = 0.0
     name: str = ""
     tag: Optional[tuple] = None
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -196,53 +188,54 @@ class Query:
             batch, outputs = self.batch, self.outputs
             object.__setattr__(self, "evaluator", lambda *xs: outputs[
                 _batch_indices(batch, np.array([xs]), len(outputs))[0]])
-        forms = [self.evaluator, self.dist_evaluator, self.sampler]
-        if sum(f is not None for f in forms) != 1:
-            raise ValueError("exactly one of evaluator (or batch), dist_evaluator "
-                             "and sampler required")
-        if self.uniformity < 0 or self.uniformity * len(self.outputs) > 1 + MASS_TOL:
-            raise ValueError("uniformity floor must satisfy 0 <= p*|Y| <= 1")
+        if (self.evaluator is None) == (self.dist_evaluator is None):
+            raise ValueError("exactly one of evaluator (or batch) and "
+                             "dist_evaluator required")
 
     @classmethod
     def deterministic(cls, arity, outputs, fn, name="") -> "Query":
         return cls(arity=arity, outputs=outputs, evaluator=fn, name=name)
 
     @classmethod
-    def randomized(cls, arity, outputs, dist_fn, uniformity=0.0, name="") -> "Query":
-        return cls(arity=arity, outputs=outputs, dist_evaluator=dist_fn,
-                   uniformity=uniformity, name=name)
-
-    @classmethod
-    def opaque(cls, arity, outputs, sampler, uniformity=0.0, name="") -> "Query":
-        return cls(arity=arity, outputs=outputs, sampler=sampler,
-                   uniformity=uniformity, name=name)
-
-    @property
-    def is_opaque(self) -> bool:
-        return self.sampler is not None
+    def randomized(cls, arity, outputs, dist_fn, name="") -> "Query":
+        return cls(arity=arity, outputs=outputs, dist_evaluator=dist_fn, name=name)
 
     def output_pmf(self, subsample: tuple) -> np.ndarray:
         """Exact output law on one subsample, as a vector aligned with Y."""
         if self.evaluator is not None:
-            y = self.evaluator(*subsample)
             pmf = np.zeros(len(self.outputs))
-            pmf[self._output_index(y)] = 1.0
+            pmf[self._output_index(self.evaluator(*subsample))] = 1.0
             return pmf
-        if self.dist_evaluator is not None:
-            pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
-            if pmf.shape != (len(self.outputs),):
-                raise ValueError(f"output distribution has shape {pmf.shape}")
-            check_mass_rows(pmf)
-            return np.clip(pmf, 0.0, None)
-        raise ValueError("opaque query has no computable output law")
+        pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
+        if pmf.shape != (len(self.outputs),):
+            raise ValueError(f"output distribution has shape {pmf.shape}")
+        check_mass_rows(pmf)
+        return np.clip(pmf, 0.0, None)
 
-    def sample_output(self, subsample: tuple, gen: np.random.Generator):
+    def output_laws(self, S: Dataset, positions: np.ndarray) -> np.ndarray:
+        """The (m, |Y|) output law of q on each row of an (m, w) position
+        array of S: one-hot rows through ``output_indices`` for a
+        deterministic q, else the ``output_pmf`` row of each subsample."""
+        m = len(positions)
+        if self.evaluator is None:
+            return np.array([self.output_pmf(sub) for sub in S.subsamples(positions)],
+                            dtype=float).reshape(m, len(self.outputs))
+        laws = np.zeros((m, len(self.outputs)))
+        laws[np.arange(m), self.output_indices(S, positions)] = 1.0
+        return laws
+
+    def answer_indices(self, S: Dataset, positions: np.ndarray,
+                       gen: np.random.Generator, which=slice(None)) -> np.ndarray:
+        """One answer index into ``outputs`` per draw, where draw i is on row
+        ``which[i]`` of an (m, w) position array of S (on row i by default).
+        A deterministic q's answers are its ``output_indices`` and draw no
+        random number; a randomized q draws one uniform per draw and inverts
+        it through its row's output CDF."""
         if self.evaluator is not None:
-            return self.evaluator(*subsample)
-        if self.sampler is not None:
-            return self.sampler(subsample, gen)
-        pmf = self.output_pmf(subsample)
-        return self.outputs[gen.choice(len(self.outputs), p=pmf / pmf.sum())]
+            return self.output_indices(S, positions)[which]
+        cdf = np.cumsum(self.output_laws(S, positions), axis=1)[which]
+        u = gen.random(len(cdf))
+        return np.minimum((u[:, None] > cdf).sum(axis=1), len(self.outputs) - 1)
 
     def output_indices(self, S: Dataset, positions: np.ndarray) -> np.ndarray:
         """The index into ``outputs`` of a deterministic query's answer on
@@ -291,7 +284,7 @@ class TestQuery:
     only) maps a dataset's element array to the per-element values. Given
     alone, it is the test, and ``evaluator`` is the batch on one element;
     given beside ``evaluator``, it must agree with it pointwise. ``tag`` is
-    an opaque label by which populations recognize closed-form truths.
+    a label by which populations recognize closed-form truths.
     """
 
     __test__ = False  # pytest: not a test class despite the name

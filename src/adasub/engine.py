@@ -4,16 +4,17 @@
 positions and evaluates the query on it; ``exact_response_pmf`` computes the
 same answer law in closed form by enumerating all C(n, w) subsets, and
 ``population_response_pmf`` the law on w fresh iid draws from a population.
-The sampler and the enumerators agree by construction (subsamples are
+Both read every query's exact law on a subset (``Query.output_laws``), so
+the sampler and the enumerators agree by construction (subsamples are
 canonicalized to dataset-position order), which the test suite checks by
-frequency comparison.
+frequency comparison. ``uniformize``'s floor holds by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class ResponsePMF:
 
     def __post_init__(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        masses = np.asarray(self.masses, dtype=float)
+        masses = np.array(self.masses, dtype=float)  # a copy: the caller keeps its array
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         if masses.shape != (len(self.outputs),):
@@ -133,43 +134,25 @@ def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
 
 def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generator,
                      size: Optional[int] = None):
-    """Draw y ~ q's answer law on S: evaluate q on a uniform
-    without-replacement w-subset of S's positions.
+    """Draw y ~ q's answer law on S: the element of ``q.outputs`` that q
+    gives on a uniform without-replacement w-subset of S's positions.
 
-    With ``size`` given, returns an array of that many independent answers,
-    drawn in one pass (see ``_batch_answers``). The marginal law of each
-    answer equals ``exact_response_pmf(q, S)``.
+    With ``size`` given, returns an array of that many independent answers:
+    all positions in one draw, then q's answers on each distinct subset
+    (``Query.answer_indices``). Without it, the one answer is that draw of
+    one row. The marginal law of each answer equals
+    ``exact_response_pmf(q, S)``.
     """
     n = len(S)
     if q.arity > n:
         raise ValueError(f"query arity {q.arity} exceeds sample size {n}")
     gen = rng.generator if isinstance(rng, RandomSource) else rng
-    if size is None:
-        (sub,) = S.subsamples(draw_positions(gen, n, q.arity))
-        return q.sample_output(sub, gen)
-    return _batch_answers(q, S, gen, size)
-
-
-def _batch_answers(q: Query, S: Dataset, gen: np.random.Generator,
-                   size: int) -> np.ndarray:
-    """``size`` iid answers: all positions in one draw, then q evaluated once
-    per distinct subset, and for a randomized q one uniform per answer
-    inverted through that subset's output CDF. An opaque q is sampled per
-    answer."""
-    pos = draw_positions(gen, len(S), q.arity, size)
-    if q.is_opaque:
-        return np.asarray([q.sampler(sub, gen) for sub in S.subsamples(pos)])
+    pos = draw_positions(gen, n, q.arity, 1 if size is None else size)
     distinct, which = _distinct_rows(pos)
-    outputs = np.asarray(q.outputs)
-    if q.evaluator is not None:
-        return outputs[q.output_indices(S, distinct)[which]]
-    subs = S.subsamples(distinct)
-    if not subs:
-        return outputs[:0]
-    cdf = np.cumsum(np.vstack([q.output_pmf(sub) for sub in subs]), axis=1)
-    u = gen.random(size)
-    idx = (u[:, None] > cdf[which]).sum(axis=1)
-    return outputs[np.minimum(idx, len(q.outputs) - 1)]
+    index = q.answer_indices(S, distinct, gen, which)
+    if size is None:
+        return q.outputs[index[0]]
+    return np.asarray(q.outputs)[index]
 
 
 def _distinct_rows(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +206,7 @@ def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]
         raise ValueError(f"query arity {w} exceeds sample size {n}")
     check_enumeration(math.comb(n, w) * len(q.outputs), f"C({n},{w})*|Y|")
     for pos in position_blocks(n, w):
-        if q.evaluator is not None:
-            laws = np.zeros((len(pos), len(q.outputs)))
-            laws[np.arange(len(pos)), q.output_indices(S, pos)] = 1.0
-        else:
-            laws = np.array([q.output_pmf(sub) for sub in S.subsamples(pos)])
-        yield pos, laws
+        yield pos, q.output_laws(S, pos)
 
 
 def population_response_pmf(q: Query, D: GroundTruth) -> ResponsePMF:
@@ -251,73 +229,8 @@ def uniformize(q: Query, p: float) -> Query:
         raise ValueError(f"need 0 <= p*|Y| <= 1, got p={p}, |Y|={ysize}")
     mix = p * ysize
     name = f"uniformize({q.name or 'query'},{p:g})"
-    if q.is_opaque:
-        base = q.sampler
-
-        def sampler(sub, gen):
-            if gen.random() < mix:
-                return q.outputs[gen.integers(0, ysize)]
-            return base(sub, gen)
-
-        return Query.opaque(q.arity, q.outputs, sampler, uniformity=p, name=name)
 
     def dist_fn(*sub):
         return (1.0 - mix) * q.output_pmf(sub) + p
 
-    return Query.randomized(q.arity, q.outputs, dist_fn, uniformity=p, name=name)
-
-
-@dataclass(frozen=True)
-class SpotCheckEntry:
-    subsample: tuple
-    min_mass: float
-    threshold: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SpotCheckReport:
-    declared: float
-    entries: tuple[SpotCheckEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def failures(self) -> tuple[SpotCheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
-
-
-def spot_check_uniformity(q: Query, inputs: Sequence[tuple], *,
-                          rng: Optional[RandomSource | np.random.Generator] = None,
-                          draws: int = 100_000) -> SpotCheckReport:
-    """Validate a declared uniformity floor on a sample of inputs.
-
-    Output laws are evaluated exactly where possible; opaque queries are
-    checked by ``draws``-sample frequencies with a 5-sigma Monte Carlo
-    allowance below the declared floor.
-    """
-    if q.uniformity <= 0:
-        raise ValueError("spot check requires a declared uniformity floor p > 0")
-    p = q.uniformity
-    entries = []
-    for sub in inputs:
-        sub = tuple(sub)
-        if len(sub) != q.arity:
-            raise ValueError(f"input {sub!r} does not match arity {q.arity}")
-        if q.is_opaque:
-            if rng is None:
-                raise ValueError("opaque spot checks need a randomness source")
-            gen = rng.generator if isinstance(rng, RandomSource) else rng
-            counts = {y: 0 for y in q.outputs}
-            for _ in range(draws):
-                counts[q.sampler(sub, gen)] += 1
-            min_mass = min(counts.values()) / draws
-            slack = 5.0 * math.sqrt(p * (1 - p) / draws)
-            threshold = p - slack
-        else:
-            min_mass = float(q.output_pmf(sub).min())
-            threshold = p - MASS_TOL
-        entries.append(SpotCheckEntry(sub, min_mass, threshold, min_mass >= threshold))
-    return SpotCheckReport(declared=p, entries=tuple(entries))
+    return Query.randomized(q.arity, q.outputs, dist_fn, name=name)

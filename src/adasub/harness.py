@@ -636,8 +636,12 @@ class MedianMechanism(NaiveMechanism):
         self.noise = params.pop("noise", True)
         if not isinstance(self.noise, bool):
             raise ConfigError(f"noise must be true or false, got {self.noise!r}")
+        c_m = config_number(params.pop("c_m", 8.0), "c_m")
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
-                           delta, c_m=config_number(params.pop("c_m", 8.0), "c_m"))
+                           delta, c_m=c_m)
+        if mp.k > n:  # k may be hundreds of digits long, so print it as a float
+            raise ConfigError(f"c_m must be small enough for at most n={n} groups, "
+                              f"got {c_m!r} ({float(mp.k):g} groups)")
         self.k_groups = mp.k
         if n // mp.k <= max(analyst.w_list):
             raise ValueError(

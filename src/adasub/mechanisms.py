@@ -181,10 +181,17 @@ def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     epsilon = min(SQ_C_EPS * math.log(2.0 / delta) / n, 0.49)
-    k = math.ceil(SQ_C_K * math.log(4.0 * T / delta) / tau ** 2)
-    advisory = math.ceil(
-        math.sqrt(T * math.log(T / delta) * math.log(1.0 / delta)) / tau ** 2)
-    return SqParams(epsilon=epsilon, k=k, advisory_min_n=advisory)
+    votes = SQ_C_K * math.log(4.0 * T / delta)
+    gate = math.sqrt(T * math.log(T / delta) * math.log(1.0 / delta))
+    if math.isinf(votes + gate):  # 1/delta overflowed
+        raise ValueError(f"delta must be large enough for a finite vote count "
+                         f"and sample gate, got {delta!r}")
+    scale = tau ** 2
+    if scale == 0.0 or math.isinf(max(votes, gate) / scale):
+        raise ValueError(f"tau must be large enough for a finite vote count "
+                         f"and sample gate, got {tau!r}")
+    return SqParams(epsilon=epsilon, k=math.ceil(votes / scale),
+                    advisory_min_n=math.ceil(gate / scale))
 
 
 def sq_vote_budget(n: int, T: int) -> int:
@@ -293,11 +300,17 @@ def median_params(T: int, w_list, r_sizes, delta: float, *,
     if not 0.0 < c_m < math.inf:
         raise ValueError(f"c_m must be positive and finite, got {c_m!r}")
     log_rounds = search_rounds(max(r_sizes))
+    w_max = max(w_list)
     if log_rounds == 0:
         k = 2  # single-value ranges take zero search rounds
     else:
-        k = max(2, math.ceil(c_m * math.log(2.0 * T * log_rounds / delta)))
-    w_max = max(w_list)
+        log_term = math.log(2.0 * T * log_rounds / delta)
+        if math.isinf(c_m * log_term * math.sqrt(w_max * sum(w_list))):
+            key, size, value = (("delta", "large", delta) if math.isinf(log_term)
+                                else ("c_m", "small", c_m))
+            raise ValueError(f"{key} must be {size} enough for a finite group count, "
+                             f"got {value!r}")
+        k = max(2, math.ceil(c_m * log_term))
     advisory = math.ceil(k * math.sqrt(w_max * sum(w_list)))
     return MedianParams(k=k, advisory_min_n=advisory)
 
@@ -379,17 +392,12 @@ class MedianSession:
     def _vote_round(self, q: Query, r: float) -> int:
         """One probe: the number of groups voting that q's answer is at least
         r. Each group's w-subset comes from one batched draw, then q answers
-        on it (a deterministic q on all groups in one ``output_indices``
-        call), then (with noise) the vote flips with probability w/|group|."""
+        on all groups in one ``Query.answer_indices`` call, then (with noise)
+        the vote flips with probability w/|group|."""
         pos = draw_positions(self._gen, self._sizes, q.arity, self.k)
         pos += self._starts[:, None]
-        if q.evaluator is not None:
-            answers = np.asarray(q.outputs, dtype=float)[
-                q.output_indices(self.dataset, pos)]
-        else:
-            answers = np.fromiter((float(q.sample_output(sub, self._gen))
-                                   for sub in self.dataset.subsamples(pos)),
-                                  dtype=float, count=self.k)
+        answers = np.asarray(q.outputs, dtype=float)[
+            q.answer_indices(self.dataset, pos, self._gen)]
         votes = answers >= r
         if self.noise:
             votes ^= self._gen.random(self.k) < q.arity / self._sizes

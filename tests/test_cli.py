@@ -285,6 +285,27 @@ class TestRunCommand:
                         "k": 0}}, "k"),
         # the w_max-fold support sums of the grid overflow
         (_OVERFLOWING_GRIDS["sums"], "lo and hi"),
+        # tau ** 2 underflows to 0, and 2 / delta overflows to inf
+        ({"n": 50, "population": {"name": "uniform_pm1_cube", "d": 3},
+          "mechanism": {"name": "subsampling-sq", "tau": 1.0e-300, "delta": 0.1},
+          "analyst": {"name": "random-correlation", "T": 3}}, "tau"),
+        ({"n": 50, "population": {"name": "uniform_pm1_cube", "d": 3},
+          "mechanism": {"name": "subsampling-sq", "tau": 0.1, "delta": 5.0e-324},
+          "analyst": {"name": "random-correlation", "T": 3}}, "delta"),
+        # a group count of hundreds of digits, more groups than n, and an
+        # infinite group count
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2, "c_m": 1.0e300},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "c_m"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 0.2, "c_m": 1.0e308},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "c_m"),
+        ({"population": {"name": "discretized_gaussian", "points": 129},
+          "mechanism": {"name": "median", "delta": 5.0e-324},
+          "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
+                      "r_cells": 16}}, "delta"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):

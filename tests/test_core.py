@@ -135,6 +135,12 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth((0, 0), np.array([0.5, 0.5]))
 
+    def test_callers_masses_stay_writable(self):
+        masses = np.array([0.5, 0.5])
+        gt = GroundTruth((0, 1), masses)
+        masses[0] = 0.25  # once raised: the read-only flag was set on this array
+        assert gt.masses.tolist() == [0.5, 0.5] and not gt.masses.flags.writeable
+
     @pytest.mark.parametrize("masses", [[math.nan, math.nan], [math.nan, 1.0],
                                         [math.inf, 0.0]])
     def test_non_finite_masses(self, masses):
@@ -317,7 +323,7 @@ class TestQueryType:
         with pytest.raises(ValueError):
             Query(1, (0, 1))
         with pytest.raises(ValueError):
-            Query(1, (0, 1), evaluator=lambda x: x, sampler=lambda s, g: 0)
+            Query(1, (0, 1), evaluator=lambda x: x, dist_evaluator=lambda x: [0.5, 0.5])
 
     def test_output_outside_range_rejected(self):
         q = Query.deterministic(1, (0, 1), lambda x: 2)
@@ -386,8 +392,68 @@ class TestQueryType:
         with pytest.raises(ValueError):
             Query(1, (0, 1), batch=batch, dist_evaluator=lambda x: [0.5, 0.5])
         with pytest.raises(ValueError):
-            Query(1, (0, 1), batch=batch, sampler=lambda sub, gen: 0)
-        with pytest.raises(ValueError):
             TestQuery(1)
         with pytest.raises(ValueError):
             TestQuery(2, batch=lambda arr: np.zeros(len(arr)))
+
+
+def _value(x):
+    """A scalar element itself, or the sum of a vector element."""
+    return sum(x) if isinstance(x, tuple) else x
+
+
+_LAW_QUERIES = {
+    "deterministic": Query.deterministic(
+        2, (0, 1, 2), lambda a, b: (_value(a) + _value(b)) % 3),
+    "batch-only": Query(
+        2, (0, 1, 2), batch=lambda arr: arr.sum(axis=tuple(range(1, arr.ndim))) % 3),
+    "randomized": Query.randomized(
+        2, (0, 1, 2), lambda a, b: [0.5, 0.5, 0.0] if (_value(a) + _value(b)) % 2
+        else [0.2, 0.3, 0.5]),
+}
+_LAW_SAMPLES = {
+    "scalar": Dataset([0, 1, 2, 1, 3]),
+    "vector": Dataset(np.array([(1, -1), (-1, 1), (1, 1), (-1, -1), (1, 1)],
+                               dtype=np.int8)),
+}
+
+
+class TestOutputLaws:
+    """``Query.output_laws`` and ``Query.answer_indices``: the per-row law
+    and the answer draw that every batch path goes through."""
+
+    @pytest.mark.parametrize("sample", sorted(_LAW_SAMPLES))
+    @pytest.mark.parametrize("kind", sorted(_LAW_QUERIES))
+    def test_laws_are_the_stacked_output_pmf_rows(self, kind, sample):
+        q, S = _LAW_QUERIES[kind], _LAW_SAMPLES[sample]
+        pos = np.array(list(itertools.combinations(range(len(S)), 2)) + [(0, 1)] * 3)
+        laws = q.output_laws(S, pos)
+        assert laws.shape == (len(pos), 3)
+        assert np.array_equal(laws, np.vstack([q.output_pmf(sub)
+                                               for sub in S.subsamples(pos)]))
+        assert q.output_laws(S, pos[:0]).shape == (0, 3)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "batch-only"])
+    def test_deterministic_answers_draw_no_random_number(self, kind):
+        q, S = _LAW_QUERIES[kind], _LAW_SAMPLES["vector"]
+        pos = np.array(list(itertools.combinations(range(len(S)), 2)))
+        which = np.array([3, 0, 0, 9, 3])
+        gen = np.random.default_rng(5)
+        state = gen.bit_generator.state
+        assert np.array_equal(q.answer_indices(S, pos, gen, which),
+                              q.output_indices(S, pos)[which])
+        assert np.array_equal(q.answer_indices(S, pos, gen), q.output_indices(S, pos))
+        assert gen.bit_generator.state == state
+
+    def test_randomized_answers_draw_one_uniform_each(self):
+        # rows 0 and 1 of a point-mass law, row 2 of a law over two outputs
+        q = Query.randomized(1, ("a", "b", "c"), lambda x: [[0, 0, 1], [1, 0, 0],
+                                                            [0, 0.5, 0.5]][x])
+        S, pos = Dataset([0, 1, 2]), np.array([[0], [1], [2]])
+        which = np.array([0, 1, 1, 0, 2] * 40)
+        gen, replay = np.random.default_rng(6), np.random.default_rng(6)
+        got = q.answer_indices(S, pos, gen, which)
+        replay.random(len(which))
+        assert gen.bit_generator.state == replay.bit_generator.state
+        assert np.array_equal(got[which < 2], np.where(which[which < 2] == 0, 2, 0))
+        assert set(got[which == 2].tolist()) == {1, 2}

@@ -1,11 +1,15 @@
 """Layering guard: adasub's modules import each other only downward,
 core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
-statement sits inside a function, where an import cycle could hide."""
+statement sits inside a function, where an import cycle could hide. Also
+guards the names that the benchmark harness in ``perfbench/`` looks up."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adasub"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 # a module may import only modules of a lower layer
 LAYER = {"core": 0, "engine": 1, "divergence": 2, "mechanisms": 2,
@@ -52,3 +56,20 @@ def test_no_import_inside_a_function():
                 nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside functions: {nested}"
+
+
+def test_perfbench_traces_live_callables(monkeypatch):
+    """perfbench's tracer looks adasub's functions up by name when it is
+    imported, so deleting one of them fails here and not only in a
+    benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("tracing", "workloads", "checks")
+    try:
+        tracing, _, _ = (importlib.import_module(name) for name in names)
+        stale = [span for span, fn in tracing.FUNCTIONS.items()
+                 if getattr(importlib.import_module("adasub." + span.split(".")[0]),
+                            span.split(".")[1], None) is not fn]
+        assert not stale, f"traced functions adasub no longer has: {stale}"
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
