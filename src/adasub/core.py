@@ -8,6 +8,9 @@ iid draws from a population D, are the two laws everything else compares.
 
 Subsamples are presented to evaluators in dataset-position order, so queries
 are effectively functions of the drawn multiset.
+Every exact law and expectation, on S and on D, walks ``position_blocks``
+through one per-row primitive; D's w-tuples index ``Dataset(D.support)``,
+so D's points reach an evaluator exactly as S's points do.
 """
 
 from __future__ import annotations
@@ -256,13 +259,6 @@ class Query:
         except ValueError:
             raise ValueError(f"evaluator output {y!r} is outside the declared range") from None
 
-    def mean_output(self, subsample: tuple) -> float:
-        """Expected (real-valued) output on one subsample."""
-        if self.evaluator is not None:
-            return float(self.evaluator(*subsample))
-        pmf = self.output_pmf(subsample)
-        return float(np.dot(pmf, np.asarray(self.outputs, dtype=float)))
-
 
 def _batch_indices(batch: Callable, elements: np.ndarray, ysize: int) -> np.ndarray:
     """``batch`` on an (m, w) element array, checked to give one index in
@@ -341,8 +337,8 @@ class Transcript:
         self._records: list[TranscriptRecord] = []
 
     def append(self, query: str, response, cost: float) -> TranscriptRecord:
-        if cost < 0:
-            raise ValueError("charged cost must be nonnegative")
+        if not cost >= 0:  # NaN too
+            raise ValueError(f"charged cost must be nonnegative, got {cost!r}")
         rec = TranscriptRecord(t=len(self._records) + 1, query=query,
                                response=response, cost=cost)
         self._records.append(rec)
@@ -364,40 +360,44 @@ class Transcript:
         return len(self._records)
 
 
-def _mean_value(q, subsample: tuple) -> float:
-    if isinstance(q, TestQuery):
-        v = float(q.evaluator(*subsample))
-        if v < -MASS_TOL or v > 1 + MASS_TOL:
-            raise ValueError(f"test query {q.name!r} produced {v} outside [0, 1]")
-        return v
-    return q.mean_output(subsample)
-
-
-def position_blocks(n: int, w: int) -> Iterator[np.ndarray]:
+def position_blocks(n: int, w: int, iid: bool = False) -> Iterator[np.ndarray]:
     """All C(n, w) ascending w-subsets of [0, n) in ``itertools.combinations``
-    order, as (m, w) int64 arrays of at most ``SUBSET_BLOCK`` rows each."""
-    combos = itertools.combinations(range(n), w)
+    order or, with ``iid``, all n**w ordered w-tuples of [0, n) in
+    ``itertools.product`` order, as (m, w) int64 arrays of at most
+    ``SUBSET_BLOCK`` rows each."""
+    rows = (itertools.product(range(n), repeat=w) if iid
+            else itertools.combinations(range(n), w))
     while True:
         flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combos, SUBSET_BLOCK)), dtype=np.int64)
+            itertools.islice(rows, SUBSET_BLOCK)), dtype=np.int64)
         if flat.size:
             yield flat.reshape(-1, w)
         if flat.size < SUBSET_BLOCK * w:
             return
 
 
-def position_subsets(S: Dataset, w: int) -> Iterator[tuple]:
-    """All C(n, w) position subsets of S, as element tuples in position order."""
-    for pos in position_blocks(len(S), w):
-        yield from S.subsamples(pos)
+def population_blocks(D: GroundTruth, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(weights, positions) per block of D's ordered w-tuples, positions into
+    ``Dataset(D.support)``: a row weighs the product of its masses, and rows
+    of zero weight are dropped before any evaluator sees them."""
+    for pos in position_blocks(len(D.support), w, iid=True):
+        weights = D.masses[pos].prod(axis=1)
+        keep = weights != 0.0
+        if keep.any():
+            yield weights[keep], pos[keep]
 
 
-def iid_draws(D: GroundTruth, w: int) -> Iterator[tuple[float, tuple]]:
-    """(mass, tuple) for every ordered w-tuple of D's support of nonzero mass."""
-    for idx in itertools.product(range(len(D.support)), repeat=w):
-        mass = float(np.prod([D.masses[i] for i in idx]))
-        if mass != 0.0:
-            yield mass, tuple(D.support[i] for i in idx)
+def _row_means(q, S: Dataset, pos: np.ndarray) -> np.ndarray:
+    """q's mean answer on each row of an (m, w) position array of S: a
+    Query's ``output_laws`` times its outputs, an arity-1 test's
+    ``values_on``, else a test's evaluator on each row, range-checked."""
+    if isinstance(q, Query):
+        return q.output_laws(S, pos) @ np.asarray(q.outputs, dtype=float)
+    if q.arity == 1:
+        return q.values_on(Dataset.adopt(S.array[pos[:, 0]]))
+    vals = np.array([q.evaluator(*sub) for sub in S.subsamples(pos)], dtype=float)
+    _check_unit_range(vals, q.name)
+    return vals
 
 
 def query_expectation_on_sample(q, S: Dataset) -> float:
@@ -415,41 +415,34 @@ def query_expectation_on_sample(q, S: Dataset) -> float:
         return float(q.values_on(S).mean())
     check_enumeration(math.comb(n, w), f"C({n},{w})")
     total = 0.0
-    for sub in position_subsets(S, w):
-        total += _mean_value(q, sub)
+    for pos in position_blocks(n, w):
+        for v in _row_means(q, S, pos).tolist():
+            total += v
     return total / math.comb(n, w)
 
 
 def query_expectation_on_population(q, D: GroundTruth) -> float:
     """phi(D): the mean answer of q on w iid draws from D."""
-    total = 0.0
-    for weight, v in _population_values(q, D):
-        total += weight * v
-    return total
+    return _population_mean_var(q, D)[0]
 
 
 def variance_on_population(psi, D: GroundTruth) -> float:
-    """Var of psi over w iid draws from D (nonnegative, clamped at 0), with
-    both moments summed in one walk over the draws."""
-    e1 = e2 = 0.0
-    for weight, v in _population_values(psi, D):
-        e1 += weight * v
-        e2 += weight * v ** 2
-    return max(0.0, e2 - e1 * e1)
+    """Var of psi over w iid draws from D (nonnegative, clamped at 0)."""
+    return _population_mean_var(psi, D)[1]
 
 
-def _population_values(q, D: GroundTruth) -> Iterator[tuple[float, float]]:
-    """(mass, mean answer of q) for every ordered w-tuple of D's support of
-    nonzero mass. A test with a batch form answers on the whole support in
-    one call."""
+def _population_mean_var(q, D: GroundTruth) -> tuple[float, float]:
+    """The mean and the variance (clamped at 0) of q's mean answer over w
+    iid draws from D, from both moments summed draw by draw in one walk."""
     w = q.arity
     check_enumeration(len(D.support) ** w, f"|support|^{w}")
-    if isinstance(q, TestQuery) and q.batch is not None:
-        vals = q.values_on(Dataset(D.support)).tolist()
-        yield from ((m, v) for m, v in zip(D.masses.tolist(), vals) if m != 0.0)
-        return
-    for weight, draw in iid_draws(D, w):
-        yield weight, _mean_value(q, draw)
+    points = Dataset(D.support)
+    e1 = e2 = 0.0
+    for weights, pos in population_blocks(D, w):
+        for weight, v in zip(weights.tolist(), _row_means(q, points, pos).tolist()):
+            e1 += weight * v
+            e2 += weight * (v * v)
+    return e1, max(0.0, e2 - e1 * e1)
 
 
 def error_value(delta: float, var: float, w: int) -> float:
@@ -470,6 +463,6 @@ def error_metric(psi: TestQuery, S: Dataset, D: GroundTruth) -> float:
     Var -> 0 limit for Delta > 0, and 0 when Delta = 0). The result always
     lies in [0, 1/w].
     """
-    delta = abs(query_expectation_on_sample(psi, S)
-                - query_expectation_on_population(psi, D))
-    return error_value(delta, variance_on_population(psi, D), psi.arity)
+    on_sample = query_expectation_on_sample(psi, S)
+    mean, var = _population_mean_var(psi, D)
+    return error_value(on_sample - mean, var, psi.arity)

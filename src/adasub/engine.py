@@ -4,7 +4,8 @@
 positions and evaluates the query on it; ``exact_response_pmf`` computes the
 same answer law in closed form by enumerating all C(n, w) subsets, and
 ``population_response_pmf`` the law on w fresh iid draws from a population.
-Both read every query's exact law on a subset (``Query.output_laws``), so
+Both walk ``core.position_blocks`` and read q's exact law on each block of
+rows (``Query.output_laws``), as the sampler's answer draw does, so
 the sampler and the enumerators agree by construction (subsamples are
 canonicalized to dataset-position order), which the test suite checks by
 frequency comparison. ``uniformize``'s floor holds by construction.
@@ -25,7 +26,7 @@ from .core import (
     Query,
     check_enumeration,
     check_mass_rows,
-    iid_draws,
+    population_blocks,
     position_blocks,
 )
 
@@ -210,13 +211,13 @@ def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]
 
 
 def population_response_pmf(q: Query, D: GroundTruth) -> ResponsePMF:
-    """The answer law of q on w iid draws from D (ordered tuples enumerated
-    over support^w)."""
+    """The answer law of q on w iid draws from D: q's output law on each
+    ordered w-tuple of D's support of nonzero mass, weighted by its mass."""
     w = q.arity
     check_enumeration(len(D.support) ** w * len(q.outputs), f"|support|^{w}*|Y|")
-    masses = np.zeros(len(q.outputs))
-    for weight, draw in iid_draws(D, w):
-        masses += weight * q.output_pmf(draw)
+    points = Dataset(D.support)
+    masses = sum(weights @ q.output_laws(points, pos)
+                 for weights, pos in population_blocks(D, w))
     return ResponsePMF(q.outputs, masses)
 
 

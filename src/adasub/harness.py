@@ -38,6 +38,7 @@ from .mechanisms import (
     BudgetExhausted,
     BudgetLedger,
     MedianSession,
+    SQ_MAX_VOTES,
     SqSession,
     approximate_median_check,
     median_params,
@@ -71,11 +72,16 @@ def config_integer(value, key: str) -> int:
 
 def config_number(value, key: str) -> float:
     """A real config value: an int or a float (infinity included) becomes a
-    float; a bool, a string or NaN is a ConfigError naming the key."""
+    float; a bool, a string, NaN or an int past the float range is a
+    ConfigError naming the key."""
     if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)) or math.isnan(value):
+            value, (int, float, np.integer, np.floating)) or value != value:  # NaN
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a YAML int of hundreds of digits
+        raise ConfigError(f"{key} must be a number within the float range, "
+                          f"got an int of {value.bit_length()} bits") from None
 
 
 def _config_tau(value):
@@ -616,7 +622,7 @@ class SqMechanism(NaiveMechanism):
             raise ConfigError(f"epsilon must be in [0, 1/2), got {self.epsilon!r}")
         if self.k < 1:
             raise ConfigError(f"k must be a vote count k >= 1, got {self.k!r}")
-        if self.k > np.iinfo(np.int64).max:  # the most votes gen.binomial takes
+        if self.k > SQ_MAX_VOTES:
             raise ConfigError(f"k must be at most 2**63 - 1, got {self.k!r}")
         self.summary_extras = {"epsilon": self.epsilon, "k": self.k,
                                "delta": self.delta}

@@ -59,12 +59,14 @@ class BudgetLedger:
             raise ValueError(f"mode must be one of {self.MODES}")
         self.mode = mode
         self.limit = float(limit)
+        if not self.limit >= 0:  # NaN too: no charge would ever be refused
+            raise ValueError(f"limit must be nonnegative, got {limit!r}")
         self._charges: list[tuple[str, float]] = []
         self._total = 0.0
 
     def charge(self, amount: float, label: str = "") -> None:
-        if amount < 0:
-            raise ValueError("charges must be nonnegative")
+        if not amount >= 0:  # NaN too: it would disable every later refusal
+            raise ValueError(f"charges must be nonnegative, got {amount!r}")
         if self.mode == "almost_sure" and self._total + amount > self.limit + 1e-12:
             raise BudgetExhausted(
                 f"charge {amount} would exceed limit {self.limit} "
@@ -163,6 +165,7 @@ class SqParams:
 
 SQ_C_EPS = 1.0  # the constant of the squash level in sq_params
 SQ_C_K = 8.0  # the constant of the vote count in sq_params
+SQ_MAX_VOTES = int(np.iinfo(np.int64).max)  # the most votes gen.binomial takes
 
 
 def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
@@ -190,8 +193,11 @@ def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
     if scale == 0.0 or math.isinf(max(votes, gate) / scale):
         raise ValueError(f"tau must be large enough for a finite vote count "
                          f"and sample gate, got {tau!r}")
-    return SqParams(epsilon=epsilon, k=math.ceil(votes / scale),
-                    advisory_min_n=math.ceil(gate / scale))
+    k = math.ceil(votes / scale)
+    if k > SQ_MAX_VOTES:
+        raise ValueError(f"tau must be large enough for at most 2**63 - 1 votes, "
+                         f"got {tau!r} ({k:g} votes)")
+    return SqParams(epsilon=epsilon, k=k, advisory_min_n=math.ceil(gate / scale))
 
 
 def sq_vote_budget(n: int, T: int) -> int:

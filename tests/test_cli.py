@@ -306,6 +306,14 @@ class TestRunCommand:
           "mechanism": {"name": "median", "delta": 5.0e-324},
           "analyst": {"name": "shifting-means", "T": 3, "w_max": 2,
                       "r_cells": 16}}, "delta"),
+        # a finite vote count of 302 digits, more than gen.binomial takes
+        ({"n": 50, "population": {"name": "uniform_pm1_cube", "d": 3},
+          "mechanism": {"name": "subsampling-sq", "tau": 1.0e-150, "delta": 0.1},
+          "analyst": {"name": "random-correlation", "T": 3}}, "tau"),
+        # real values given as ints past the float range
+        ({"population": {"name": "bernoulli", "p": 10 ** 400}}, "p"),
+        ({"mechanism": {"name": "subsampling-sq", "delta": 0.2,
+                        "epsilon": 10 ** 400, "k": 5}}, "epsilon"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):
@@ -527,6 +535,14 @@ class TestParamsCommand:
     def test_tau_one_exit_2(self, capsys):
         assert main(["params", "--n", "100", "--T", "10",
                      "--tau", "1.0", "--delta", "0.1"]) == 2
+
+    def test_vote_count_past_int64_names_tau(self, capsys):
+        assert main(["params", "--n", "50", "--T", "3",
+                     "--tau", "1e-150", "--delta", "0.05"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: tau must be large enough ")
+        assert "votes)" in captured.err and len(captured.err) < 150
 
     def test_median_table(self, capsys):
         assert main(["params", "--median", "--T", "100", "--rmax", "1024",

@@ -16,8 +16,8 @@ from adasub.core import (
     Transcript,
     error_metric,
     error_value,
-    iid_draws,
-    position_subsets,
+    population_blocks,
+    position_blocks,
     query_expectation_on_population,
     query_expectation_on_sample,
     variance_on_population,
@@ -31,6 +31,17 @@ PAIR_SUM = TestQuery(2, lambda a, b: float(a + b) / 2, name="halfpairsum")
 
 def bernoulli(p):
     return GroundTruth((0, 1), np.array([1.0 - p, p]))
+
+
+def walk(S, w, iid=False):
+    """The element tuples of every row that ``position_blocks`` yields."""
+    return [sub for pos in position_blocks(len(S), w, iid) for sub in S.subsamples(pos)]
+
+
+def iid_rows(D, w):
+    """(weight, support indices) of every row that ``population_blocks`` yields."""
+    return [(m, tuple(row)) for weights, pos in population_blocks(D, w)
+            for m, row in zip(weights.tolist(), pos.tolist())]
 
 
 class TestDataset:
@@ -80,12 +91,12 @@ class TestDataset:
 class TestEnumerators:
     def test_position_subsets_are_ascending_position_tuples(self):
         S = Dataset([5, 6, 7, 8])
-        assert list(position_subsets(S, 2)) == [
+        assert walk(S, 2) == [
             (5, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
         for n in range(1, 7):
             S = Dataset(list(range(10, 10 + n)))
             for w in range(1, n + 1):
-                subs = list(position_subsets(S, w))
+                subs = walk(S, w)
                 assert len(subs) == math.comb(n, w)
                 assert all(list(sub) == sorted(sub) for sub in subs)
                 assert len(set(subs)) == len(subs)
@@ -103,21 +114,35 @@ class TestEnumerators:
         for w in range(1, len(S) + 1):
             want = [tuple(S[p] for p in combo)
                     for combo in itertools.combinations(range(len(S)), w)]
-            got = list(position_subsets(S, w))
+            got = walk(S, w)
             assert got == want
             assert [type(x) for sub in got for x in sub] \
                 == [type(x) for sub in want for x in sub]
-            blocks = list(core.position_blocks(len(S), w))
+            blocks = list(position_blocks(len(S), w))
             assert all(0 < len(b) <= block for b in blocks)
             assert sum(len(b) for b in blocks) == math.comb(len(S), w)
+        for w in range(1, 4):  # the ordered w-tuples, as iid draws walk them
+            assert walk(S, w, iid=True) == [
+                tuple(S[p] for p in idx)
+                for idx in itertools.product(range(len(S)), repeat=w)]
+            blocks = list(position_blocks(len(S), w, iid=True))
+            assert all(0 < len(b) <= block for b in blocks)
+            assert sum(len(b) for b in blocks) == len(S) ** w
 
     def test_iid_draws_masses_sum_to_one_without_zero_mass(self):
         D = GroundTruth((0, 1, 2), np.array([0.25, 0.75, 0.0]))
-        draws = list(iid_draws(D, 2))
+        draws = iid_rows(D, 2)
         assert [d for _, d in draws] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert [m for m, _ in draws] == [0.0625, 0.1875, 0.1875, 0.5625]
-        assert sum(m for m, _ in iid_draws(D, 3)) == pytest.approx(1.0, abs=1e-15)
-        assert all(2 not in d for _, d in iid_draws(D, 3))
+        assert sum(m for m, _ in iid_rows(D, 3)) == pytest.approx(1.0, abs=1e-15)
+        assert all(2 not in d for _, d in iid_rows(D, 3))
+        # each weight is the product of the row's masses, left to right
+        D = GroundTruth(tuple(range(6)), np.append(
+            np.random.default_rng(3).dirichlet(np.ones(5)), 0.0))
+        for w in range(1, 5):
+            want = [(math.prod(D.masses[i] for i in idx), idx)
+                    for idx in itertools.product(range(6), repeat=w)]
+            assert iid_rows(D, w) == [(m, idx) for m, idx in want if m != 0.0]
 
 
 class TestGroundTruth:
@@ -210,6 +235,23 @@ class TestPopulationExpectation:
         q = TestQuery(1, lambda x: 0.0, name="z")
         assert query_expectation_on_population(q, bernoulli(0.2)) == 0.0
 
+    def test_zero_mass_points_reach_no_evaluator(self):
+        D = GroundTruth((0.0, 0.5, 1.0), np.array([0.25, 0.0, 0.75]))
+        seen = []
+
+        def batch(arr):
+            seen.extend(arr.tolist())
+            return arr.astype(float)
+
+        def pair_mean(a, b):
+            seen.extend((a, b))
+            return (a + b) / 2
+
+        for psi in (TestQuery(1, batch=batch), TestQuery(2, pair_mean)):
+            seen.clear()
+            assert query_expectation_on_population(psi, D) == 0.75
+            assert seen and 0.5 not in seen
+
 
 class TestErrorMetric:
     def test_zero_when_sample_matches_population(self):
@@ -263,12 +305,15 @@ class TestErrorMetric:
         var = variance_on_population(psi, gt)
         assert len(calls) == 3 ** 2
         # the two-pass value: E[psi] over the draws, then E[psi^2] over them again
+        draws = [(math.prod(gt.masses[i] for i in idx), tuple(gt.support[i] for i in idx))
+                 for idx in itertools.product(range(3), repeat=2)]
         e1 = 0.0
-        for m, d in iid_draws(gt, 2):
+        for m, d in draws:
             e1 += m * ev(*d)
         e2 = 0.0
-        for m, d in iid_draws(gt, 2):
-            e2 += m * ev(*d) ** 2
+        for m, d in draws:
+            v = ev(*d)
+            e2 += m * (v * v)
         assert var == max(0.0, e2 - e1 * e1) and var > 0
 
 
@@ -316,6 +361,9 @@ class TestTranscript:
         tr = Transcript()
         with pytest.raises(ValueError):
             tr.append("a", 0.5, -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            tr.append("a", 0.5, math.nan)
+        assert len(tr) == 0
 
 
 class TestQueryType:
@@ -345,7 +393,10 @@ class TestQueryType:
 
     def test_mean_output(self):
         q = Query.randomized(1, (0, 1, 2), lambda x: [0.2, 0.3, 0.5])
-        assert q.mean_output((None,)) == pytest.approx(1.3, abs=1e-15)
+        assert query_expectation_on_sample(q, Dataset([None])) \
+            == pytest.approx(1.3, abs=1e-15)
+        assert query_expectation_on_population(q, GroundTruth((None,), [1.0])) \
+            == pytest.approx(1.3, abs=1e-15)
 
     def test_batch_only_query_derives_its_evaluator(self):
         # the index of (a + b) mod 3 into three labels

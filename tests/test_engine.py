@@ -244,6 +244,31 @@ class TestPopulationResponsePMF:
         q = Query.deterministic(1, (0, 1), lambda x: 0, name="zero")
         assert population_response_pmf(q, D).mass_of(0) == 1.0
 
+    def test_batch_and_evaluator_twins_agree_and_skip_zero_mass(self):
+        # point 2 has zero mass, so no draw holding it reaches either form
+        D = GroundTruth((0, 1, 2, 3), np.array([0.2, 0.5, 0.0, 0.3]))
+        labels = ("r0", "r1", "r2")
+        seen = []
+
+        def batch(arr):
+            seen.extend(arr.ravel().tolist())
+            return arr.sum(axis=1) % 3
+
+        def ev(a, b):
+            seen.extend((a, b))
+            return labels[(a + b) % 3]
+
+        laws = []
+        for q in (Query(2, labels, batch=batch), Query.deterministic(2, labels, ev)):
+            seen.clear()
+            laws.append(population_response_pmf(q, D).masses)
+            assert sorted(set(seen)) == [0, 1, 3]
+        assert np.array_equal(laws[0], laws[1])
+        want = np.zeros(3)
+        for a, b in itertools.product(range(4), repeat=2):
+            want[(a + b) % 3] += D.masses[a] * D.masses[b]
+        assert np.allclose(laws[0], want, rtol=0, atol=1e-15)
+
 
 class ReplayGenerator:
     """Stands in for a numpy Generator: ``integers`` checks the bounds it is

@@ -1,7 +1,8 @@
 """Layering guard: adasub's modules import each other only downward,
 core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
 statement sits inside a function, where an import cycle could hide. Also
-guards the names that the benchmark harness in ``perfbench/`` looks up."""
+guards the names that the benchmark harness in ``perfbench/`` looks up, and
+that ``core.position_blocks`` is the one enumerator."""
 
 import ast
 import importlib
@@ -73,3 +74,27 @@ def test_perfbench_traces_live_callables(monkeypatch):
     finally:
         for name in names:
             sys.modules.pop(name, None)
+
+
+def test_position_blocks_is_the_one_enumerator():
+    """In core and engine, every exact walk goes through
+    ``core.position_blocks``: nothing else names ``itertools.combinations``
+    or ``itertools.product``."""
+    walkers = {"combinations", "product"}
+    found, stray = 0, []
+    for name in ("core", "engine"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "position_blocks"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            named = (isinstance(node, ast.Attribute) and node.attr in walkers
+                     and isinstance(node.value, ast.Name) and node.value.id == "itertools"
+                     or isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                     and any(alias.name in walkers for alias in node.names))
+            if named and name == "core" and id(node) in inside:
+                found += 1
+            elif named:
+                stray.append(f"{name}.py:{node.lineno}")
+    assert not stray, f"enumerations outside core.position_blocks: {stray}"
+    assert found == 2

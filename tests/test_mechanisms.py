@@ -125,6 +125,22 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             BudgetLedger("sometimes")
 
+    @pytest.mark.parametrize("amount", [math.nan, -0.5])
+    def test_bad_charge_refused_and_refusals_still_work(self, amount):
+        # a NaN total once made every later almost-sure check false
+        ledger = BudgetLedger("almost_sure", 1.0)
+        with pytest.raises(ValueError, match="charges must be nonnegative"):
+            ledger.charge(amount)
+        assert ledger.total == 0.0 and ledger.charges == ()
+        with pytest.raises(BudgetExhausted):
+            ledger.charge(100.0)
+
+    @pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_limit_rejected(self, limit):
+        for mode in BudgetLedger.MODES:
+            with pytest.raises(ValueError, match="limit must be nonnegative"):
+                BudgetLedger(mode, limit)
+
 
 class TestSquash:
     def test_clamp_cases(self):
