@@ -54,7 +54,6 @@ EXIT_CONFIG = 2
 EXIT_FAILURE = 3
 
 OUT_DIR_ENV = "ADASUB_OUT_DIR"
-KL_BLOCK = 1 << 12  # instances a KL suite draws and checks at once
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +65,37 @@ _TOP_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst",
 _REQUIRED_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst"}
 
 
+class _UnreadInt:
+    """A YAML int that Python does not convert, such as one of more digits
+    than sys.get_int_max_str_digits(). The config loader yields it where
+    yaml.safe_load would raise, so the typed check that reads the value
+    rejects it by key, as it rejects any value of a wrong type."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return (f"an int that Python does not read ({len(self.text)} characters;"
+                f" it reads at most {sys.get_int_max_str_digits()} digits)")
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:
+            return _UnreadInt(node.value)
+
+
+_ConfigLoader.add_constructor("tag:yaml.org,2002:int",
+                              _ConfigLoader.construct_yaml_int)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and schema-validate a YAML experiment config; unknown keys are
     rejected by name."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -218,13 +243,13 @@ def _suite_var_contraction(trials: int, seed: int, linear: bool) -> SuiteResult:
 
 
 def _suite_kl(name: str, trials: int, seed: int, check) -> SuiteResult:
-    """A KL suite over blocks of at most KL_BLOCK instances: ``check(first,
+    """A KL suite over the blocks of dv.random_pmf_rows, the last one cut to
+    --trials, so instance i's index replays it at any --trials. ``check(first,
     sizes, D, E)`` gives each row's tau and the block's row-wise
-    InequalityCheck, and only a failing row is written out. Instance i still
-    draws from RandomSource(seed).child(i), so its index replays it."""
+    InequalityCheck; only a failing row is written out."""
     res = SuiteResult(name, trials)
-    for lo in range(0, trials, KL_BLOCK):
-        sizes, d, e = dv.random_pmf_rows(seed, lo, min(lo + KL_BLOCK, trials))
+    for block, lo in enumerate(range(0, trials, dv.PMF_BLOCK)):
+        sizes, d, e = (a[:trials - lo] for a in dv.random_pmf_rows(seed, block))
         tau, c = check(lo, sizes, d, e)
         for j in np.flatnonzero(~c.passed):
             k = sizes[j]
@@ -321,15 +346,15 @@ def cmd_params(args) -> int:
             if args.T is None or args.rmax is None or args.delta is None:
                 raise ConfigError("median params need --T, --rmax and --delta")
             wmax = 1 if args.wmax is None else args.wmax
-            for flag, value in (("rmax", args.rmax), ("wmax", wmax)):
-                if value < 1:
+            for flag, value in (("rmax", args.rmax), ("wmax", wmax), ("n", args.n)):
+                if value is not None and value < 1:
                     raise ConfigError(f"--{flag} must be at least 1, got {value}")
             mp = median_params(args.T, [wmax] * args.T, [args.rmax] * args.T,
                                args.delta)
             print(f"groups k            : {mp.k}")
             print(f"advisory minimal n  : {mp.advisory_min_n}")
             print(f"search rounds/query : {search_rounds(args.rmax)}")
-            if args.n:
+            if args.n is not None:
                 print(f"requested n         : {args.n} "
                       f"({'above' if args.n >= mp.advisory_min_n else 'BELOW'} advisory)")
             return EXIT_OK

@@ -268,25 +268,25 @@ def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
 # seed.
 
 PMF_SIZE_RANGE = (2, 6)  # range sizes of a pair-of-laws instance, inclusive
+PMF_BLOCK = 1 << 12  # pair-of-laws instances drawn from one stream
 QUERY_Y_RANGE = (2, 4)  # range sizes of a random query instance, inclusive
 QUERY_ALPHABET_RANGE = (2, 5)  # its alphabet sizes, inclusive
 
 
-def random_pmf_rows(seed: int, start: int,
-                    stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instances start..stop-1 of a pair-of-laws suite: instance i draws a
-    size from ``PMF_SIZE_RANGE``, then D and E from Dirichlet(1, ..., 1) of
-    that size, all from RandomSource(seed).child(i). Returns the sizes and
-    the D and E rows, zero-padded to width PMF_SIZE_RANGE[1]."""
-    m, width = stop - start, PMF_SIZE_RANGE[1]
-    ones, sizes = np.ones(width), np.empty(m, dtype=np.int64)
-    d, e = np.zeros((m, width)), np.zeros((m, width))
-    for j in range(m):
-        gen = RandomSource(seed).child(start + j).generator
-        size = sizes[j] = gen.integers(PMF_SIZE_RANGE[0], width + 1)
-        d[j, :size] = gen.dirichlet(ones[:size])
-        e[j, :size] = gen.dirichlet(ones[:size])
-    return sizes, d, e
+def random_pmf_rows(seed: int,
+                    block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instances b*PMF_BLOCK onward of a pair-of-laws suite (b = ``block``),
+    from RandomSource(seed).child(b): one draw of sizes from PMF_SIZE_RANGE,
+    one of Exp(1) entries for the D and E rows. A row zeroed past its size
+    and divided by its sum is Dirichlet(1, ..., 1) of that size, as
+    Generator.dirichlet draws it. Returns the sizes and the rows, zero-padded
+    to width PMF_SIZE_RANGE[1]."""
+    gen, (lo, width) = RandomSource(seed).child(block).generator, PMF_SIZE_RANGE
+    sizes = gen.integers(lo, width + 1, size=PMF_BLOCK)
+    rows = gen.standard_exponential((2, PMF_BLOCK, width))
+    rows *= np.arange(width) < sizes[:, None]
+    rows *= 1.0 / rows.sum(axis=-1, keepdims=True)
+    return sizes, rows[0], rows[1]
 
 
 def random_query_instance(gen: np.random.Generator, *,

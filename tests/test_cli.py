@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -53,7 +54,12 @@ def write_config(tmp_path, overrides=None, name="cfg.yaml"):
     if overrides:
         cfg.update(overrides)
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so that a case can write a longer int
+    try:
+        path.write_text(yaml.safe_dump(cfg))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return path
 
 
@@ -314,6 +320,10 @@ class TestRunCommand:
         ({"population": {"name": "bernoulli", "p": 10 ** 400}}, "p"),
         ({"mechanism": {"name": "subsampling-sq", "delta": 0.2,
                         "epsilon": 10 ** 400, "k": 5}}, "epsilon"),
+        # ints past Python's int-to-str digit limit, which yaml.safe_load
+        # would raise on while parsing
+        ({"population": {"name": "bernoulli", "p": 10 ** 5000}}, "p"),
+        ({"seed": 10 ** 5000}, "seed"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):
@@ -410,6 +420,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "pass" in out
 
+    def test_verify_all_stdout_is_pinned(self, capsys):
+        # `adasub verify all` at its defaults, every suite at its default
+        # instance count and seed 1
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == (FIXTURES / "verify_all.txt").read_text()
+
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "nonsense"]) == 2
         assert "nonsense" in capsys.readouterr().err
@@ -446,6 +462,10 @@ class TestVerifyCommand:
         (["verify", "chi2-stability", "--seed", "-1"], "--seed"),
         (["params", "--median", "--T", "10", "--rmax", "16", "--delta", "0.1",
           "--wmax", "0"], "--wmax"),
+        (["params", "--median", "--T", "10", "--rmax", "16", "--delta", "0.1",
+          "--n", "-5"], "--n"),
+        (["params", "--median", "--T", "10", "--rmax", "16", "--delta", "0.1",
+          "--n", "0"], "--n"),
     ])
     def test_bad_count_or_seed_exit_2(self, capsys, argv, flag):
         assert main(argv) == 2
@@ -458,32 +478,32 @@ class TestVerifyCommand:
         assert res.passed and res.instances == 25
 
 
-# The first three counterexamples at seed 20260803 as the per-instance
-# suites printed them, up to the kl and bound values.
+# The first three counterexamples at seed 20260803 as the block-drawn suites
+# print them, up to the kl and bound values.
 KL_COUNTEREXAMPLES = {
     "kl-chi2": [
-        ("instance 0: D=[0.004732172633383242, 0.11440923554961388, "
-         "0.8808585918170029] E=[0.4841908130832841, 0.14551925916961947, "
-         "0.3702899277470964] tau=0.420373861578935",
-         0.713942172431137, 91.24484966277005),
-        ("instance 1: D=[0.16370793964156732, 0.8362920603584325] "
-         "E=[0.5806038640063619, 0.4193961359936381] tau=0.5014948196613107",
-         0.3699252515459473, 2.1456353516311606),
-        ("instance 2: D=[0.4586904660588795, 0.5413095339411206] "
-         "E=[0.7823203901503516, 0.21767960984964846] tau=0.4021351855098232",
-         0.248225425268248, 0.8060929677534077),
+        ("instance 0: D=[0.5162427313167847, 0.2104348363122306, "
+         "0.27332243237098464] E=[0.03398893104104887, 0.5514288155116828, "
+         "0.41458225344726835] tau=0.06583905008086607",
+         1.0878691258463116, 4.003543694210172),
+        ("instance 1: D=[0.16650163711529936, 0.8334983628847006] "
+         "E=[0.8085686139032967, 0.19143138609670327] tau=0.22967218007983578",
+         0.9630454074586101, 7.34054205712894),
+        ("instance 2: D=[0.03313988117214049, 0.9668601188278596] "
+         "E=[0.0033132111123640243, 0.996686788887636] tau=0.09997655378285791",
+         0.04693931079579554, 0.09170220900906925),
     ],
     "kl-mixture": [
-        ("instance 0: D=[0.004732172633383242, 0.11440923554961388, "
-         "0.8808585918170029] E=[0.4841908130832841, 0.14551925916961947, "
-         "0.3702899277470964] tau=0.5",
-         0.7028664328830779, 138.36443051111004),
-        ("instance 1: D=[0.16370793964156732, 0.8362920603584325] "
-         "E=[0.5806038640063619, 0.4193961359936381] tau=0.1",
-         0.3562936726283574, 5.572095515210689),
-        ("instance 2: D=[0.4586904660588795, 0.5413095339411206] "
-         "E=[0.7823203901503516, 0.21767960984964846] tau=0.01",
-         0.2429083238275555, 2.7297686817815747),
+        ("instance 0: D=[0.5162427313167847, 0.2104348363122306, "
+         "0.27332243237098464] E=[0.03398893104104887, 0.5514288155116828, "
+         "0.41458225344726835] tau=0.5",
+         0.29149272901982637, 4.899993266174078),
+        ("instance 1: D=[0.16650163711529936, 0.8334983628847006] "
+         "E=[0.8085686139032967, 0.19143138609670327] tau=0.1",
+         0.8449613334937301, 12.36911052356015),
+        ("instance 2: D=[0.03313988117214049, 0.9668601188278596] "
+         "E=[0.0033132111123640243, 0.996686788887636] tau=0.01",
+         0.021415620667720542, 0.247854855602214),
     ],
 }
 
@@ -504,13 +524,17 @@ class TestKlSuites:
     def test_block_boundary_matches_per_instance_checks(self, monkeypatch):
         # a tolerance of -5 fails 30-70% of the rows, so both verdicts occur
         monkeypatch.setattr(dv, "INEQ_TOL", -5.0)
-        trials = cli.KL_BLOCK + 1
+        trials = dv.PMF_BLOCK + 1
         want = {"kl-chi2": [], "kl-mixture": []}
         for i in range(trials):
-            gen = RandomSource(7).child(i).generator
-            size = int(gen.integers(2, 7))
-            dp, ep = (ResponsePMF(tuple(range(size)), gen.dirichlet(np.ones(size)))
-                      for _ in range(2))
+            block, j = divmod(i, dv.PMF_BLOCK)
+            if j == 0:  # instance i is row j of block i // PMF_BLOCK's draws
+                gen = RandomSource(7).child(block).generator
+                sizes = gen.integers(2, 7, size=dv.PMF_BLOCK)
+                exps = gen.standard_exponential((2, dv.PMF_BLOCK, 6))
+            size = int(sizes[j])
+            dp, ep = (ResponsePMF(tuple(range(size)), row * (1.0 / row.sum()))
+                      for row in exps[:, j, :size])
             tau = min(1.0, float(np.min(ep.masses / dp.masses)))
             if not dv.verify_kl_chi2_inequality(dp, ep, tau).passed:
                 want["kl-chi2"].append(i)

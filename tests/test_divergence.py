@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adasub.divergence as dv
+from adasub.cli import run_suite
 from adasub.core import Dataset, Query
 from adasub.divergence import (
+    PMF_BLOCK,
     alkl_bound_general,
     alkl_bound_uniform,
     chi2_divergence,
@@ -36,9 +39,10 @@ def pmf(*masses):
 
 
 def pmf_pairs(seed, count):
-    """The (D, E) laws of random_pmf_rows' instances 0..count-1."""
-    sizes, d, e = random_pmf_rows(seed, 0, count)
-    for k, dr, er in zip(sizes, d, e):
+    """The (D, E) laws of random_pmf_rows' instances 0..count-1, count at
+    most PMF_BLOCK."""
+    sizes, d, e = random_pmf_rows(seed, 0)
+    for k, dr, er in zip(sizes[:count], d, e):
         yield pmf(*dr[:k]), pmf(*er[:k])
 
 
@@ -149,8 +153,8 @@ class TestRowWiseDivergences:
             math.inf, _chi2_loop(d[1], e[1]), math.inf]
 
     def test_broadcasts_over_leading_axes(self):
-        sizes, d, e = random_pmf_rows(3, 0, 12)
-        d, e = d.reshape(3, 4, -1), e.reshape(3, 4, -1)
+        sizes, d, e = random_pmf_rows(3, 0)
+        d, e = d[:12].reshape(3, 4, -1), e[:12].reshape(3, 4, -1)
         for rows in (kl_divergence_rows, chi2_divergence_rows):
             assert rows(d, e).shape == (3, 4)
             assert np.array_equal(rows(d, e)[1], rows(d[1], e[1]))
@@ -158,15 +162,61 @@ class TestRowWiseDivergences:
             assert rows(d[0, 0], e[0, 0]).shape == ()
 
     def test_draws_replay_from_each_instance_stream(self):
-        sizes, d, e = random_pmf_rows(9, 5, 9)
-        assert d.shape == e.shape == (4, 6)
-        for j, i in enumerate(range(5, 9)):
-            gen = RandomSource(9).child(i).generator
-            k = int(gen.integers(2, 7))
+        # instance i is row i % PMF_BLOCK of block i // PMF_BLOCK
+        for i in (0, 1, PMF_BLOCK - 1, PMF_BLOCK, PMF_BLOCK + 7, 3 * PMF_BLOCK + 2):
+            block, j = divmod(i, PMF_BLOCK)
+            sizes, d, e = random_pmf_rows(9, block)
+            assert sizes.shape == (PMF_BLOCK,)
+            assert d.shape == e.shape == (PMF_BLOCK, 6)
+            gen = RandomSource(9).child(block).generator
+            k = int(gen.integers(2, 7, size=PMF_BLOCK)[j])
             assert sizes[j] == k
-            assert np.array_equal(d[j, :k], gen.dirichlet(np.ones(k)))
-            assert np.array_equal(e[j, :k], gen.dirichlet(np.ones(k)))
-            assert not d[j, k:].any() and not e[j, k:].any()
+            for rows, x in zip((d, e), gen.standard_exponential((2, PMF_BLOCK, 6))):
+                masses = x[j, :k].tolist()
+                assert rows[j, :k].tolist() == [v * (1.0 / sum(masses)) for v in masses]
+                assert not rows[j, k:].any()
+
+
+class TestPmfRows:
+    """The pair-of-laws stream: instance i is row i % PMF_BLOCK of block
+    i // PMF_BLOCK, drawn from RandomSource(seed).child(i // PMF_BLOCK)."""
+
+    @pytest.mark.parametrize("suite", ["kl-chi2", "kl-mixture"])
+    def test_instances_do_not_depend_on_the_trial_count(self, monkeypatch, suite):
+        # a tolerance of -5 fails 30-70% of the rows, so both verdicts occur
+        monkeypatch.setattr(dv, "INEQ_TOL", -5.0)
+        full = run_suite(suite, trials=PMF_BLOCK + 1, seed=11).failures
+        for t in (1, 5, PMF_BLOCK):
+            want = [f for f in full if int(f.split(":")[0].split()[1]) < t]
+            assert run_suite(suite, trials=t, seed=11).failures == want
+        assert 0.3 * PMF_BLOCK < len(full) < 0.7 * PMF_BLOCK
+
+    def test_sizes_and_masses_follow_their_laws(self):
+        blocks = [random_pmf_rows(2026, b) for b in range(16)]
+        sizes = np.concatenate([b[0] for b in blocks])
+        d1, e1 = (np.concatenate([b[r][:, 0] for b in blocks]) for r in (1, 2))
+        m = sizes.size
+
+        def within_4se(hits, count, p):
+            assert abs(hits / count - p) <= 4 * math.sqrt(p * (1 - p) / count)
+
+        # uniform sizes on 2..6
+        for k in range(2, 7):
+            within_4se(np.count_nonzero(sizes == k), m, 1 / 5)
+        # given size k, a first mass is Beta(1, k-1): Pr[X <= x] = 1 - (1-x)^(k-1)
+        for k in range(2, 7):
+            of_k = sizes == k
+            for first in (d1[of_k], e1[of_k]):
+                for x in (0.05, 0.2, 0.4, 0.6, 0.9):
+                    within_4se(np.count_nonzero(first <= x), first.size,
+                               1 - (1 - x) ** (k - 1))
+        # D and E independent given the size: their first masses, mapped
+        # through that CDF, fall in each cell of a 4 x 4 grid w.p. 1/16
+        u_d, u_e = (1 - (1 - x) ** (sizes - 1) for x in (d1, e1))
+        quarter_d, quarter_e = (np.minimum((4 * u).astype(int), 3) for u in (u_d, u_e))
+        cells = 4 * quarter_d + quarter_e
+        for cell in range(16):
+            within_4se(np.count_nonzero(cells == cell), m, 1 / 16)
 
 
 class TestStabilityBound:
