@@ -99,7 +99,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config does not parse as YAML: {exc}") from None
+        mark = getattr(exc, "problem_mark", None)  # counts from 0
+        if mark is None or exc.problem is None:
+            raise ConfigError(f"config does not parse as YAML: {exc}") from None
+        raise ConfigError(
+            f"{path}:{mark.line + 1}:{mark.column + 1}: {exc.problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(raw) - _TOP_KEYS

@@ -53,7 +53,8 @@ WITHIN_TOL = 1e-12
 
 MEDIAN_CHECK_THRESHOLD = 0.4
 
-SIGN_SUM_BLOCK = 1 << 16  # elements cast to int64 at once by a sign-sum test
+CUBE_ROW_BLOCK = 256  # rows of a cube sample drawn at once; a multiple of 4
+CUBE_MAX_ENTRIES = 1 << 31  # n x d ceiling on a cube sample, one byte an entry
 
 
 class ConfigError(ValueError):
@@ -125,13 +126,12 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
     s_arr = np.asarray(signs, dtype=np.int64)
 
     def batch(arr, _s=s_arr):
-        # exact int64 sums, a block of rows at a time: casting a whole
-        # n x d sample at once would hold 8nd bytes
-        out = np.empty(arr.shape[0])
-        rows = max(1, SIGN_SUM_BLOCK // arr.shape[1])
-        for i in range(0, arr.shape[0], rows):
-            out[i:i + rows] = arr[i:i + rows].astype(np.int64) @ _s > 0
-        return out
+        # exact int64 sums, one column at a time: a cube sample is stored
+        # column-major, and casting it whole would hold 8nd bytes
+        acc = np.zeros(arr.shape[0], dtype=np.int64)
+        for j, s in enumerate(_s):
+            (np.add if s > 0 else np.subtract)(acc, arr[:, j], out=acc)
+        return (acc > 0).astype(float)
 
     return TestQuery(1, name="test:sign-sum", batch=batch, tag=("sign_sum", signs))
 
@@ -261,6 +261,11 @@ class CubePopulation(Population):
     The explicit support has 2^d points, so only queries with closed-form
     truths are admitted: coordinate indicators, sign-of-sum tests, and
     constants.
+
+    A drawn sample is stored column-major (an F-contiguous (n, d) int8
+    array), since the queries against it scan one coordinate at a time. Its
+    values are still those of ``integers(0, 2, size=(n, d), dtype=int8)``
+    mapped to ±1, from the same stream.
     """
 
     def __init__(self, d: int):
@@ -270,10 +275,23 @@ class CubePopulation(Population):
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
-        pm1 = rng.generator.integers(0, 2, size=(n, self.d), dtype=np.int8)
-        pm1 *= 2
-        pm1 -= 1
-        return Dataset.adopt(pm1)
+        # integers(0, 2, int8) takes each entry as the top bit of one byte
+        # of successive 32-bit words, low byte first. Drawing the words
+        # CUBE_ROW_BLOCK rows at a time reads the same stream, because each
+        # block ends on a word boundary, and holds a block or two of words,
+        # not n x d of them.
+        d = self.d
+        cols = np.empty((d, n), dtype=np.int8)
+        for i in range(0, n, CUBE_ROW_BLOCK):
+            rows = min(CUBE_ROW_BLOCK, n - i)
+            words = rng.generator.integers(0, 2 ** 32, size=-(-rows * d // 4),
+                                           dtype=np.uint32)
+            block = words.astype("<u4", copy=False).view(np.int8)[:rows * d]
+            block >>= 7  # the top bit: 1 reads -1, 0 reads 0
+            np.invert(block, out=block)
+            block |= 1  # 1 becomes +1, 0 becomes -1
+            cols[:, i:i + rows] = block.reshape(rows, d).T
+        return Dataset.adopt(cols.T)
 
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None
@@ -679,6 +697,11 @@ def check_config(
     try:
         population = population_generators(cfg.population["name"],
                                            _params_of(cfg.population))
+        if (isinstance(population, CubePopulation)
+                and cfg.n * population.d > CUBE_MAX_ENTRIES):
+            raise ValueError(
+                f"n x d must be at most {CUBE_MAX_ENTRIES} cube sample entries, "
+                f"got n={cfg.n}, d={population.d}")
         mech_cls = MECHANISMS.get(cfg.mechanism["name"])
         if mech_cls is None:
             raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")

@@ -189,6 +189,11 @@ class TestRunCommand:
           "mechanism": {"name": "median", "delta": 0.5, "c_m": 0.5},
           "analyst": {"name": "shifting-means", "T": 4, "w_max": 4,
                       "r_cells": 8}}, "groups of as few as 4 elements"),
+        # a 2^32-entry cube sample, refused before it is drawn
+        ({"n": 2 ** 16, "population": {"name": "uniform_pm1_cube", "d": 2 ** 16},
+          "analyst": {"name": "random-correlation", "T": 2 ** 16}},
+         "n x d must be at most 2147483648 cube sample entries, "
+         "got n=65536, d=65536"),
     ])
     def test_misfit_config_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, over, needle):
@@ -199,6 +204,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and needle in err
         assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_yaml_syntax_error_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.yaml"
+        cfg.write_text("seed: [1, 2\ntrials: 1\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:2:7: expected ',' or ']', but got ':'\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_out_exit_2(self, tmp_path, capsys):

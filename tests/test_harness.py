@@ -60,10 +60,46 @@ class TestPopulations:
         assert S.array.dtype == np.int8
         assert np.array_equal(S.array, bits * 2 - 1)
 
-    @pytest.mark.parametrize("d", [300, 1000])
-    def test_sign_sum_batch_exact_past_int8_and_int16(self, d, monkeypatch):
+    @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2)])
+    def test_blocked_cube_draw_reads_the_int8_stream(self, n, d, monkeypatch):
+        # blocks of 4 rows: n below one block, n not a multiple of it, n x d
+        # not a multiple of 4 (a last word cut short), and d = 1
         import adasub.harness as hz
-        monkeypatch.setattr(hz, "SIGN_SUM_BLOCK", 3 * d + 1)  # 3-row blocks
+        monkeypatch.setattr(hz, "CUBE_ROW_BLOCK", 4)
+        S = CubePopulation(d).draw(n, RandomSource(5).child(0))
+        bits = RandomSource(5).child(0).generator.integers(
+            0, 2, size=(n, d), dtype=np.int8)
+        assert np.array_equal(S.array, bits * 2 - 1)
+
+    def test_cube_sample_is_column_major_and_read_only(self):
+        arr = CubePopulation(6).draw(9, RandomSource(2)).array
+        assert arr.shape == (9, 6) and arr.dtype == np.int8
+        assert arr.flags.f_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
+    def test_cube_draw_holds_the_sample_and_two_blocks(self):
+        import tracemalloc
+        from adasub.harness import CUBE_ROW_BLOCK
+        n, d = 4000, 1000
+        CubePopulation(3).draw(5, RandomSource(0))  # one-time set-up, untraced
+        tracemalloc.start()
+        try:
+            CubePopulation(d).draw(n, RandomSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * d + 2 * CUBE_ROW_BLOCK * d + 8192  # and a few objects
+
+    def test_sign_sum_batch_ignores_memory_order(self):
+        gen = RandomSource(4).generator
+        arr = gen.choice(np.array([-1, 1], dtype=np.int8), size=(50, 9))
+        psi = sign_sum_test(gen.choice([-1, 1], size=9))
+        assert np.array_equal(psi.batch(np.ascontiguousarray(arr)),
+                              psi.batch(np.asfortranarray(arr)))
+
+    @pytest.mark.parametrize("d", [300, 1000])
+    def test_sign_sum_batch_exact_past_int8_and_int16(self, d):
         gen = RandomSource(d).generator
         rows = [np.ones(d), -np.ones(d), np.r_[np.ones(d // 2 + 1),
                                                 -np.ones(d - d // 2 - 1)]]
