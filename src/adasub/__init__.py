@@ -14,7 +14,6 @@ from .core import (
     GroundTruth,
     Query,
     TestQuery,
-    Transcript,
     error_metric,
     error_value,
     query_expectation_on_population,

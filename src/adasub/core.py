@@ -322,44 +322,6 @@ def _check_unit_range(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"test query {name!r} produced values outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class TranscriptRecord:
-    t: int
-    query: str
-    response: object
-    cost: float
-
-
-class Transcript:
-    """Ordered record of (query, response, charged cost) for one session."""
-
-    def __init__(self):
-        self._records: list[TranscriptRecord] = []
-
-    def append(self, query: str, response, cost: float) -> TranscriptRecord:
-        if not cost >= 0:  # NaN too
-            raise ValueError(f"charged cost must be nonnegative, got {cost!r}")
-        rec = TranscriptRecord(t=len(self._records) + 1, query=query,
-                               response=response, cost=cost)
-        self._records.append(rec)
-        return rec
-
-    @property
-    def records(self) -> tuple[TranscriptRecord, ...]:
-        return tuple(self._records)
-
-    def __getitem__(self, i: int) -> TranscriptRecord:
-        """One record by index, without copying the others."""
-        return self._records[i]
-
-    @property
-    def total_cost(self) -> float:
-        return float(sum(r.cost for r in self._records))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
 def position_blocks(n: int, w: int, iid: bool = False) -> Iterator[np.ndarray]:
     """All C(n, w) ascending w-subsets of [0, n) in ``itertools.combinations``
     order or, with ``iid``, all n**w ordered w-tuples of [0, n) in

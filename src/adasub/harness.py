@@ -28,7 +28,6 @@ from .core import (
     GroundTruth,
     Query,
     TestQuery,
-    Transcript,
     error_value,
     query_expectation_on_population,
     query_expectation_on_sample,
@@ -55,6 +54,7 @@ MEDIAN_CHECK_THRESHOLD = 0.4
 
 CUBE_ROW_BLOCK = 256  # rows of a cube sample drawn at once; a multiple of 4
 CUBE_MAX_ENTRIES = 1 << 31  # n x d ceiling on a cube sample, one byte an entry
+RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 
 
 class ConfigError(ValueError):
@@ -562,8 +562,9 @@ class NaiveMechanism:
     """The no-mechanism baseline (exact sample means at no cost), and the
     shape of every mechanism: built from its config params, n and the
     analyst; ``open`` starts a trial's session, whose ``answer(q)`` returns
-    y, records its cost in ``session.transcript`` and, when it computed the
-    sample mean phi(S) on the way, leaves it in ``session.sample_value``;
+    y, charges its cost to the session's ledger (the baseline charges
+    nothing) and, when it computed the sample mean phi(S) on the way, leaves
+    it in ``session.sample_value``;
     ``row`` scores an answer, a NaN one being a refusal. A comparator is
     one more subclass."""
 
@@ -608,12 +609,11 @@ class NaiveMechanism:
 
 class _NaiveSession:
     def __init__(self, S: Dataset):
-        self.dataset, self.transcript = S, Transcript()
+        self.dataset = S
 
     def answer(self, phi: TestQuery) -> float:
-        y = self.sample_value = naive_answer(self.dataset, phi)
-        self.transcript.append(phi.name, y, 0.0)
-        return y
+        self.sample_value = naive_answer(self.dataset, phi)
+        return self.sample_value
 
 
 class SqMechanism(NaiveMechanism):
@@ -706,6 +706,11 @@ def check_config(
         if mech_cls is None:
             raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
         analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
+        if cfg.trials * analyst.rounds > RUN_MAX_ROUNDS:
+            raise ValueError(
+                f"trials x analyst rounds must be at most {RUN_MAX_ROUNDS} (rounds "
+                f"per trial: {analyst.rounds}), so trials at most "
+                f"{RUN_MAX_ROUNDS // analyst.rounds}")
         _check_compatibility(population, analyst, mech_cls)
         return (population, analyst,
                 mech_cls(_params_of(cfg.mechanism), cfg.n, analyst))
@@ -796,7 +801,7 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
         responses.append(answer)
         scored = mechanism.row(population, S, q, answer,
                                getattr(session, "sample_value", None))
-        record(t, q.name, scored, session.transcript[-1].cost)
+        record(t, q.name, scored, ledger.last)  # this answer's charge; the baseline's is 0.0
     else:
         tests = analyst.final_tests(tuple(responses), rng.child(3))
         for j, psi in enumerate(tests):

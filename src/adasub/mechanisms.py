@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, Query, TestQuery, Transcript
+from .core import Dataset, Query, TestQuery
 from .engine import RandomSource, draw_positions
 
 
@@ -45,7 +45,8 @@ class BudgetExhausted(RuntimeError):
 
 
 class BudgetLedger:
-    """Running account of per-query charges.
+    """Running account of per-query charges: the one record of what a
+    session charged. ``last`` is the most recent charge (0.0 before any).
 
     In ``almost_sure`` mode a charge that would push the total past the
     limit raises BudgetExhausted and leaves the ledger unchanged; in
@@ -63,6 +64,7 @@ class BudgetLedger:
             raise ValueError(f"limit must be nonnegative, got {limit!r}")
         self._charges: list[tuple[str, float]] = []
         self._total = 0.0
+        self.last = 0.0
 
     def charge(self, amount: float, label: str = "") -> None:
         if not amount >= 0:  # NaN too: it would disable every later refusal
@@ -73,6 +75,7 @@ class BudgetLedger:
                 f"(total {self._total})")
         self._charges.append((label, amount))
         self._total += amount
+        self.last = amount
 
     @property
     def total(self) -> float:
@@ -230,9 +233,7 @@ class SqSession:
         self.epsilon = float(epsilon)
         self.k = int(k)
         self.delta = float(delta)
-        self.rng = rng
         self.ledger = ledger if ledger is not None else BudgetLedger()
-        self.transcript = Transcript()
         self.sample_value = math.nan
         self._gen = rng.generator
 
@@ -251,14 +252,11 @@ class SqSession:
         phi(S) of the same values."""
         if phi.arity != 1:
             raise ValueError("the SQ mechanism answers arity-1 queries")
-        charge = self.k * self.vote_cost
-        self.ledger.charge(charge, label=phi.name or "sq")
+        self.ledger.charge(self.k * self.vote_cost, label=phi.name or "sq")
         values = phi.values_on(self.dataset)
         self.sample_value = float(values.mean())
         p = float(np.clip(values, self.epsilon, 1.0 - self.epsilon).mean())
-        y = float(self._gen.binomial(self.k, p)) / self.k
-        self.transcript.append(phi.name or "sq", y, charge)
-        return y
+        return float(self._gen.binomial(self.k, p)) / self.k
 
 
 def approximate_median_check(dist, y: float, threshold: float = 0.4) -> bool:
@@ -341,10 +339,8 @@ class MedianSession:
         if not 1 <= num_groups <= n:
             raise ValueError(f"need 1 <= groups <= n, got {num_groups}, n={n}")
         self.dataset = dataset
-        self.rng = rng
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.noise = noise
-        self.transcript = Transcript()
         self._gen = rng.generator
         base, extra = divmod(n, num_groups)
         self._sizes = np.full(num_groups, base, dtype=np.int64)
@@ -369,8 +365,8 @@ class MedianSession:
         if q.arity >= min_group:
             raise ValueError(
                 f"query arity {q.arity} is not below the smallest group size {min_group}")
-        charge = search_rounds(len(outputs)) * self._probe_charge(q.arity)
-        self.ledger.charge(charge, label=q.name or "median")
+        self.ledger.charge(search_rounds(len(outputs)) * self._probe_charge(q.arity),
+                           label=q.name or "median")
         lo, hi = 0, len(outputs) - 1
         while lo < hi:
             probe = (lo + hi + 1) // 2
@@ -378,9 +374,7 @@ class MedianSession:
                 lo = probe
             else:
                 hi = probe - 1
-        y = outputs[lo]
-        self.transcript.append(q.name or "median", y, charge)
-        return y
+        return outputs[lo]
 
     def _probe_charge(self, w: int) -> float:
         """The cost of one probe at arity w: one vote per group, summed over

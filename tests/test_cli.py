@@ -194,6 +194,14 @@ class TestRunCommand:
           "analyst": {"name": "random-correlation", "T": 2 ** 16}},
          "n x d must be at most 2147483648 cube sample entries, "
          "got n=65536, d=65536"),
+        # 10^400 rows, refused before a trial keeps one; the count is not
+        # formatted, as a float would overflow
+        ({"trials": 10 ** 400}, "trials x analyst rounds must be at most 1048576 "
+         "(rounds per trial: 1), so trials at most 1048576"),
+        ({"trials": 2 ** 18 + 1, "population": {"name": "uniform_pm1_cube", "d": 4},
+          "analyst": {"name": "random-correlation", "T": 4}},
+         "trials x analyst rounds must be at most 1048576 (rounds per trial: 4), "
+         "so trials at most 262144"),
     ])
     def test_misfit_config_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, over, needle):

@@ -13,7 +13,6 @@ from adasub.core import (
     GroundTruth,
     Query,
     TestQuery,
-    Transcript,
     error_metric,
     error_value,
     population_blocks,
@@ -344,26 +343,6 @@ class TestEnumerationCap:
         monkeypatch.setattr(core, "ENUM_CAP", count - 1)
         with pytest.raises(EnumerationCapExceeded, match=f"= {count} rows"):
             walk()
-
-
-class TestTranscript:
-    def test_cost_additivity_and_indexing(self):
-        tr = Transcript()
-        tr.append("a", 0.5, 0.125)
-        tr.append("b", 0.25, 0.25)
-        tr.append("c", 1.0, 0.0)
-        assert [r.t for r in tr.records] == [1, 2, 3]
-        assert tr.total_cost == pytest.approx(0.375, abs=1e-15)
-        assert tr.total_cost == pytest.approx(sum(r.cost for r in tr.records))
-        assert tr[-1] is tr.records[-1] and tr[0].query == "a"
-
-    def test_negative_cost_rejected(self):
-        tr = Transcript()
-        with pytest.raises(ValueError):
-            tr.append("a", 0.5, -1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            tr.append("a", 0.5, math.nan)
-        assert len(tr) == 0
 
 
 class TestQueryType:

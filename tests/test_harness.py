@@ -380,21 +380,31 @@ class TestRunExperiment:
         import adasub.harness as hz
         T, n = 4000, 8
         analyst = RandomCorrelationAnalyst(T)
-        mech = hz.SqMechanism({"delta": 0.1, "epsilon": 0.1, "k": 3}, n, analyst)
         ledgers = []
-        open_session = mech.open
 
-        def spy(S, rng, ledger):
-            ledgers.append(ledger)
-            return open_session(S, rng, ledger)
+        def trial(mech):
+            open_session = mech.open
 
-        monkeypatch.setattr(mech, "open", spy)
-        rows = hz._run_trial(0, n, CubePopulation(T), analyst, mech,
-                             RandomSource(4))
-        assert len(rows) == T + 1
+            def spy(S, rng, ledger):
+                ledgers.append(ledger)
+                return open_session(S, rng, ledger)
+
+            monkeypatch.setattr(mech, "open", spy)
+            rows = hz._run_trial(0, n, CubePopulation(T), analyst, mech,
+                                 RandomSource(4))
+            assert len(rows) == T + 1
+            return rows
+
+        rows = trial(hz.SqMechanism({"delta": 0.1, "epsilon": 0.1, "k": 3}, n, analyst))
         assert len(ledgers[0].charges) == T
         assert math.fsum(r["cost"] for r in rows) \
             == pytest.approx(ledgers[0].total, rel=1e-9)
+        # each answered row costs exactly what its session charged, in order
+        assert [r["cost"] for r in rows[:T]] == [a for _, a in ledgers[0].charges]
+        # the baseline charges nothing, so every row reads 0.0
+        rows = trial(hz.NaiveMechanism({}, n, analyst))
+        assert all(r["cost"] == 0.0 for r in rows)
+        assert ledgers[1].charges == () and ledgers[1].total == 0.0
 
     def test_different_seed_changes_answers(self):
         r1 = run_experiment(sq_config(seed=1))

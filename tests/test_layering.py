@@ -1,13 +1,22 @@
 """Layering guard: adasub's modules import each other only downward,
 core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
 statement sits inside a function, where an import cycle could hide. Also
-guards the names that the benchmark harness in ``perfbench/`` looks up, and
-that ``core.position_blocks`` is the one enumerator."""
+guards the names that the benchmark harness in ``perfbench/`` looks up and
+the session attributes it reads, and that ``core.position_blocks`` is the
+one enumerator."""
 
 import ast
+import contextlib
 import importlib
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import adasub
+from adasub.core import Dataset, Query, TestQuery
+from adasub.engine import RandomSource
+from adasub.mechanisms import MedianSession, SqSession
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adasub"
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -59,21 +68,47 @@ def test_no_import_inside_a_function():
     assert not nested, f"imports inside functions: {nested}"
 
 
+@contextlib.contextmanager
+def _perfbench(monkeypatch):
+    """perfbench's tracing and workloads modules, imported for one test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("tracing", "workloads", "checks")
+    try:
+        tracing, workloads, _ = (importlib.import_module(name) for name in names)
+        yield tracing, workloads
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+
+
 def test_perfbench_traces_live_callables(monkeypatch):
     """perfbench's tracer looks adasub's functions up by name when it is
     imported, so deleting one of them fails here and not only in a
     benchmark run."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    names = ("tracing", "workloads", "checks")
-    try:
-        tracing, _, _ = (importlib.import_module(name) for name in names)
+    with _perfbench(monkeypatch) as (tracing, _):
         stale = [span for span, fn in tracing.FUNCTIONS.items()
                  if getattr(importlib.import_module("adasub." + span.split(".")[0]),
                             span.split(".")[1], None) is not fn]
         assert not stale, f"traced functions adasub no longer has: {stale}"
-    finally:
-        for name in names:
-            sys.modules.pop(name, None)
+
+
+def test_perfbench_reads_live_session_attributes(monkeypatch):
+    """perfbench's answer clock and probe-cost count read a live session's
+    ``k``, ``groups`` and ``_vote_cost``, so deleting one of them fails here
+    and not only in a benchmark run."""
+    with _perfbench(monkeypatch) as (tracing, workloads):
+        clock = workloads.AnswerClock(adasub)
+        sq = SqSession(Dataset([0, 1, 1, 0]), 0.1, 5, RandomSource(1), 0.2)
+        median = MedianSession(Dataset(np.arange(12.0)), 3, RandomSource(2))
+        q = Query.deterministic(1, (0.0, 1.0, 2.0, 3.0, 4.0), lambda x: min(x, 4.0),
+                                name="clip")
+        with clock.installed():
+            sq.answer(TestQuery(1, float, name="id"))
+            assert clock.votes == sq.k == 5
+            median.answer(q)
+            assert clock.votes == 5 + len(median.groups) * 3  # 3 probes over 5 values
+        # one probe's cost, as charged: 3 probes for a range of 5 values
+        assert 3 * tracing._probe_cost((median, q), {}) == median.ledger.last
 
 
 def test_position_blocks_is_the_one_enumerator():

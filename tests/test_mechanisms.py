@@ -241,7 +241,7 @@ class TestSqSession:
         s.answer(IDENT)
         want = 2 * 9 * cost_hp(4, 2, 0.02, 0.2)
         assert s.ledger.total == pytest.approx(want, rel=1e-12)
-        assert s.transcript.total_cost == pytest.approx(want, rel=1e-12)
+        assert [a for _, a in s.ledger.charges] == [9 * cost_hp(4, 2, 0.02, 0.2)] * 2
 
     def test_refusal_consumes_no_randomness(self):
         S = Dataset([0, 1, 1, 0])
@@ -251,7 +251,7 @@ class TestSqSession:
         first = a.answer(IDENT)
         with pytest.raises(BudgetExhausted):
             a.answer(IDENT)
-        assert len(a.transcript) == 1
+        assert len(a.ledger.charges) == 1
         # a fresh session on the same stream reproduces both answers,
         # so the refused call consumed nothing
         b = SqSession(S, 0.0, 9, RandomSource(7), 0.1)
@@ -477,9 +477,9 @@ class TestMedianSession:
                 if not batched:
                     q = scalar_grid_mean(q)  # fsum and the scalar cell rule
                 responses.append(s.answer(q))
-            runs.append((s.transcript.records, s._gen.bit_generator.state))
-        (records, state), (scalar_records, scalar_state) = runs
-        assert records == scalar_records
+            runs.append((responses, s.ledger.charges, s._gen.bit_generator.state))
+        (*batched, state), (*scalar, scalar_state) = runs
+        assert batched == scalar  # the same responses and ledger charges
         np.testing.assert_equal(state, scalar_state)  # no draw added or removed
 
     def test_costs_charged_per_round_and_group(self):
@@ -502,7 +502,7 @@ class TestMedianSession:
         s = MedianSession(Dataset(np.zeros(10)), 3, RandomSource(6))
         with pytest.raises(ValueError, match="smallest group size 3"):
             s.answer(q)
-        assert s.ledger.total == 0.0 and len(s.transcript) == 0
+        assert s.ledger.total == 0.0 and s.ledger.charges == ()
 
     def test_probe_charge_computed_once_per_arity(self, monkeypatch):
         import adasub.mechanisms as mech
@@ -518,10 +518,11 @@ class TestMedianSession:
         for w in (1, 2, 1, 2, 2):
             s.answer(Query.deterministic(w, grid, lambda *xs: 3.0, name=f"w{w}"))
         assert len(calls) == 2 * s.k  # one pass over the groups per arity
-        for w, rec in zip((1, 2, 1, 2, 2), s.transcript.records):
+        assert len(s.ledger.charges) == 5
+        for w, (_, amount) in zip((1, 2, 1, 2, 2), s.ledger.charges):
             # bit-identical to summing the groups' vote costs afresh
-            assert rec.cost == 3 * sum(cost_uniform(len(g), w, 2, w / len(g))
-                                       for g in s.groups)
+            assert amount == 3 * sum(cost_uniform(len(g), w, 2, w / len(g))
+                                     for g in s.groups)
 
     def test_refusal_before_any_round(self):
         grid = tuple(float(v) for v in range(8))
@@ -530,7 +531,7 @@ class TestMedianSession:
                           ledger=BudgetLedger("almost_sure", 1e-9))
         with pytest.raises(BudgetExhausted):
             s.answer(q)
-        assert len(s.transcript) == 0
+        assert s.ledger.charges == ()
         # stream untouched: same answers as a fresh session
         fresh = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(7))
         s.ledger.limit = math.inf
