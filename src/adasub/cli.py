@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,11 +41,12 @@ from . import divergence as dv
 from .core import Dataset
 from .engine import RandomSource
 from .harness import (
+    CONFIG_KEYS,
     ROW_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    config_integer,
+    read_keys,
     run_experiment,
 )
 from .mechanisms import cost_hp, median_params, search_rounds, sq_params
@@ -58,12 +60,6 @@ OUT_DIR_ENV = "ADASUB_OUT_DIR"
 
 # ---------------------------------------------------------------------------
 # Config ingestion.
-
-# ``threads`` is a legacy key: accepted and ignored, since trials run serially
-_TOP_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst",
-             "out", "threads"}
-_REQUIRED_KEYS = {"seed", "trials", "n", "population", "mechanism", "analyst"}
-
 
 class _UnreadInt:
     """A YAML int that Python does not convert, such as one of more digits
@@ -89,11 +85,17 @@ class _ConfigLoader(yaml.SafeLoader):
 
 _ConfigLoader.add_constructor("tag:yaml.org,2002:int",
                               _ConfigLoader.construct_yaml_int)
+# YAML 1.1 reads a float whose exponent has no sign or whose mantissa has no
+# dot, such as 1e-1 or 1.0e5, as a string; YAML 1.2 and Python read a float
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and schema-validate a YAML experiment config; unknown keys are
-    rejected by name."""
+    """Parse a YAML experiment config and read it against the config schema
+    (``harness.CONFIG_KEYS``); a bad key or value is a ConfigError naming it."""
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_ConfigLoader)
     except FileNotFoundError:
@@ -106,19 +108,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"{path}:{mark.line + 1}:{mark.column + 1}: {exc.problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    missing = _REQUIRED_KEYS - set(raw)
-    if missing:
-        raise ConfigError(f"missing config key {sorted(missing)[0]!r}")
-    try:
-        return ExperimentConfig(
-            **{k: config_integer(raw[k], k) for k in ("seed", "trials", "n")},
-            population=raw["population"], mechanism=raw["mechanism"],
-            analyst=raw["analyst"], out=raw.get("out"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    fields = read_keys(CONFIG_KEYS, raw, "config")
+    del fields["threads"]  # legacy: read and then ignored
+    return ExperimentConfig(**fields)
 
 
 def format_number(v) -> str:

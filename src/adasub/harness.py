@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,42 +55,128 @@ MEDIAN_CHECK_THRESHOLD = 0.4
 CUBE_ROW_BLOCK = 256  # rows of a cube sample drawn at once; a multiple of 4
 CUBE_MAX_ENTRIES = 1 << 31  # n x d ceiling on a cube sample, one byte an entry
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
+SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
+GRID_MAX_POINTS = 1 << 16  # discretized_gaussian points ceiling
+GRID_MAX_CELLS = 1 << 20  # shifting-means r_cells ceiling: output grid values
+GRID_MAX_SUMS = 1 << 22  # ceiling on the grid sums a median query's law convolves
 
 
 class ConfigError(ValueError):
     """A config that cannot run: a bad key or value, or parts that do not fit."""
 
 
-def config_integer(value, key: str) -> int:
-    """A config count: a whole float such as 3.0 becomes an int; a fraction,
-    a bool or a string is a ConfigError naming the key."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+# ---------------------------------------------------------------------------
+# The config schema: a table of Key rows per spec family, read by read_keys.
+
+REQUIRED = "required"  # the default of a key that must be given
+
+
+class Key(NamedTuple):
+    """A table row: ``read`` takes a value to its type or raises a TypeError
+    naming the type, ``within`` tests the range ``text`` states, ``default``
+    stands in for a key not given (null leaves a key whose default is None
+    unset), and a key that sizes memory has a ``ceiling``."""
+    read: Callable
+    within: Callable = lambda value: True
+    text: str = ""
+    default: object = REQUIRED
+    ceiling: Optional[int] = None
+
+
+class Kind(NamedTuple):
+    """A named spec: what it builds, and the table of its keys."""
+    build: Callable
+    keys: dict
+
+
+def integer(value) -> int:
+    """An int, or a whole float such as 3.0."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, float) and value.is_integer())):
+        raise TypeError("an integer")
     return int(value)
 
 
-def config_number(value, key: str) -> float:
-    """A real config value: an int or a float (infinity included) becomes a
-    float; a bool, a string, NaN or an int past the float range is a
-    ConfigError naming the key."""
+def number(value) -> float:
+    """An int or a float, infinity included, NaN not."""
     if isinstance(value, bool) or not isinstance(
-            value, (int, float, np.integer, np.floating)) or value != value:  # NaN
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+            value, (int, float, np.integer, np.floating)) or value != value:
+        raise TypeError("a number")
     try:
         return float(value)
     except OverflowError:  # a YAML int of hundreds of digits
-        raise ConfigError(f"{key} must be a number within the float range, "
-                          f"got an int of {value.bit_length()} bits") from None
+        raise TypeError("a number within the float range") from None
 
 
-def _config_tau(value):
-    """An optional accuracy level tau: a number in (0, 1), as sq_params
-    requires."""
-    if value is not None and not 0.0 < config_number(value, "tau") < 1.0:
-        raise ConfigError(f"tau must be a number in (0, 1), got {value!r}")
-    return value
+def typed(test: Callable, text: str) -> Callable:
+    """The reader of the values that pass ``test``, of the type ``text`` names."""
+    def read(value):
+        if not test(value):
+            raise TypeError(text)
+        return value
+    return read
+
+
+def one_of(*choices: str) -> Callable:
+    return typed(lambda v: isinstance(v, str) and v in choices,
+                 "one of " + ", ".join(map(repr, choices)))
+
+
+def count(least: int, default=REQUIRED, ceiling: Optional[int] = None) -> Key:
+    return Key(integer, lambda v: v >= least,
+               "non-negative" if least == 0 else f"at least {least}", default, ceiling)
+
+
+def read_keys(table: dict, spec: dict, where: str) -> dict:
+    """Every key of ``table`` read from ``spec``, a key not given taking its
+    default. A key outside the table, a required key not given, and a value
+    of another type, out of range or past the ceiling are each a ConfigError
+    that names the key."""
+    for key in spec:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in the {where}")
+    return {key: _read(key, row, spec, where) for key, row in table.items()}
+
+
+def _read(key: str, row: Key, spec: dict, where: str):
+    if key not in spec:
+        if row.default == REQUIRED:
+            raise ConfigError(f"{key} must be given in the {where}")
+        return row.default
+    value = spec[key]
+    if value is None and row.default is None:
+        return None
+    try:
+        got = row.read(value)
+    except TypeError as exc:
+        raise ConfigError(f"{key} must be {exc}, got {_shown(value)}") from None
+    if not row.within(got):
+        raise ConfigError(f"{key} must be {row.text}, got {_shown(value)}")
+    if row.ceiling is not None and got > row.ceiling:
+        raise ConfigError(f"{key} must be at most {row.ceiling}, got {_shown(value)}")
+    return got
+
+
+def _shown(value) -> str:
+    # an int of thousands of digits has no repr
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def read_spec(family: dict, spec, where: str, label: str = "name") -> dict:
+    """A spec read as a whole: its ``label`` key must name one of
+    ``family``'s kinds, and its other keys are read against that kind's."""
+    if not isinstance(spec, dict):
+        raise TypeError("a mapping")
+    name = _read(label, Key(one_of(*family)), spec, f"{where} spec")
+    rest = {key: value for key, value in spec.items() if key != label}
+    return {label: name, **read_keys(family[name].keys, rest, f"{name} spec")}
+
+
+def _build(family: dict, spec: dict, where: str, label: str = "name"):
+    params = read_spec(family, spec, where, label)
+    return family[params.pop(label)].build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +188,8 @@ def identity_test() -> TestQuery:
                      tag=("identity",))
 
 
-def constant_test(c: float) -> TestQuery:
-    c = float(c)
+def constant_test(value: float) -> TestQuery:
+    c = float(value)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"constant value must lie in [0, 1], got {c!r}")
     return TestQuery(1, name=f"const:{c:g}",
@@ -297,7 +383,7 @@ class CubePopulation(Population):
         kind = q.tag[0] if q.tag else None
         if kind == "coord":
             if not 0 <= q.tag[1] < self.d:
-                raise ValueError(f"coordinate {q.tag[1]} is outside the cube's "
+                raise ValueError(f"coordinate j={q.tag[1]} is outside the cube's "
                                  f"{self.d} dimensions")
             return 0.5
         if kind == "sign_sum":
@@ -310,49 +396,48 @@ class CubePopulation(Population):
             f"no closed-form truth for {q.name!r} on a product-form cube population")
 
 
+def _bernoulli(p: float) -> FinitePopulation:
+    gt = GroundTruth((0, 1), np.array([1.0 - p, p]))
+    return FinitePopulation(gt, name=f"bernoulli({p:g})")
+
+
+def _discretized_gaussian(lo: float, hi: float, points: int, mu: float,
+                          sigma: float) -> FinitePopulation:
+    if not lo < hi:
+        raise ConfigError(f"hi must be greater than lo, got lo={lo!r}, hi={hi!r}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"hi - lo must be finite, got {hi - lo!r}")
+    xs = np.linspace(lo, hi, points)
+    with np.errstate(over="ignore"):  # a mass that far out underflows to 0
+        masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
+    if not masses.sum() > 0.0:
+        raise ConfigError(
+            f"mu must be within reach of the grid [{lo!r}, {hi!r}] at "
+            f"sigma={sigma!r}, got {mu!r}: every mass underflows to 0")
+    masses /= masses.sum()
+    gt = GroundTruth(tuple(float(x) for x in xs), masses)
+    return FinitePopulation(gt, name=f"discretized_gaussian({points}pt)")
+
+
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+POPULATIONS = {
+    "bernoulli": Kind(_bernoulli, {"p": Key(number, *_UNIT)}),
+    "uniform_pm1_cube": Kind(CubePopulation,
+                             {"d": count(1, ceiling=RUN_MAX_ROUNDS)}),
+    "discretized_gaussian": Kind(_discretized_gaussian, {
+        "lo": Key(number, *_FINITE, -4.0), "hi": Key(number, *_FINITE, 4.0),
+        "points": count(2, 257, GRID_MAX_POINTS),
+        "mu": Key(number, *_FINITE, 0.0), "sigma": Key(number, *_POSITIVE, 1.0)}),
+}
+
+
 def population_generators(name: str, params: dict) -> Population:
-    """Named finite populations resolvable from experiment configs."""
-    params = dict(params)
-    if name == "bernoulli":
-        p = config_number(params.pop("p"), "p")
-        _reject_extras(name, params)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        gt = GroundTruth((0, 1), np.array([1.0 - p, p]))
-        return FinitePopulation(gt, name=f"bernoulli({p:g})")
-    if name == "uniform_pm1_cube":
-        d = config_integer(params.pop("d"), "d")
-        _reject_extras(name, params)
-        return CubePopulation(d)
-    if name == "discretized_gaussian":
-        lo, hi, mu, sigma = (
-            config_number(params.pop(key, default), key) for key, default
-            in (("lo", -4.0), ("hi", 4.0), ("mu", 0.0), ("sigma", 1.0)))
-        points = config_integer(params.pop("points", 257), "points")
-        _reject_extras(name, params)
-        for key, value in (("lo", lo), ("hi", hi), ("mu", mu), ("sigma", sigma),
-                           ("hi - lo", hi - lo)):
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-        if not (lo < hi and points >= 2 and sigma > 0):
-            raise ValueError("discretized_gaussian needs lo < hi, points >= 2, sigma > 0")
-        xs = np.linspace(lo, hi, points)
-        with np.errstate(over="ignore"):  # a mass that far out underflows to 0
-            masses = np.exp(-0.5 * ((xs - mu) / sigma) ** 2)
-        if not masses.sum() > 0.0:
-            raise ConfigError(
-                f"mu must be within reach of the grid [{lo!r}, {hi!r}] at "
-                f"sigma={sigma!r}, got {mu!r}: every mass underflows to 0")
-        masses /= masses.sum()
-        gt = GroundTruth(tuple(float(x) for x in xs), masses)
-        return FinitePopulation(gt, name=f"discretized_gaussian({points}pt)")
-    raise ValueError(f"unknown population {name!r}")
-
-
-def _reject_extras(name: str, leftovers: dict) -> None:
-    if leftovers:
-        key = sorted(leftovers)[0]
-        raise ValueError(f"unknown {name} parameter {key!r}")
+    """Named populations resolvable from experiment configs."""
+    return _build(POPULATIONS, {**params, "name": name}, "population")
 
 
 # ---------------------------------------------------------------------------
@@ -453,42 +538,40 @@ class ShiftingMeanAnalyst(Analyst):
         return grid_mean_query(w, shift, self.centers)
 
 
+QUERY_KINDS = {
+    "identity": Kind(identity_test, {}),
+    "constant": Kind(constant_test, {"value": Key(number, *_UNIT)}),
+    "coord": Kind(coordinate_indicator, {"j": count(0)}),
+}
+
+
+def _queries(value) -> list[dict]:
+    """A fixed analyst's queries: kind names and {kind: ...} mappings."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(q, (str, dict)) for q in value)):
+        raise TypeError("a non-empty list of query kinds and mappings")
+    return [read_spec(QUERY_KINDS, {"kind": q} if isinstance(q, str) else q,
+                      "query", "kind") for q in value]
+
+
+_TAU = Key(number, *_OPEN_UNIT, None)
+
+ANALYSTS = {
+    "fixed": Kind(lambda queries: FixedAnalyst(
+        [_build(QUERY_KINDS, q, "query", "kind") for q in queries]),
+        {"queries": Key(_queries)}),
+    # tau is accepted for older configs; the attack ignores it
+    "random-correlation": Kind(lambda T, tau: RandomCorrelationAnalyst(T), {
+        "T": count(1, ceiling=RUN_MAX_ROUNDS), "tau": _TAU}),
+    "shifting-means": Kind(ShiftingMeanAnalyst, {
+        "T": count(1, ceiling=RUN_MAX_ROUNDS),
+        "w_max": count(1, 4, RUN_MAX_ROUNDS), "r_cells": count(2, 64, GRID_MAX_CELLS),
+        "r_step": Key(number, *_POSITIVE, 1.6), "max_shift": count(0, 3)}),
+}
+
+
 def make_analyst(name: str, params: dict) -> Analyst:
-    params = dict(params)
-    if name == "fixed":
-        specs = params.pop("queries")
-        _reject_extras(name, params)
-        if not isinstance(specs, list):
-            raise ValueError(f"queries must be a list, got {specs!r}")
-        return FixedAnalyst([_query_from_spec(s) for s in specs])
-    if name == "random-correlation":
-        T = config_integer(params.pop("T"), "T")
-        params.pop("tau", None)  # accepted for older configs; the attack ignores it
-        _reject_extras(name, params)
-        return RandomCorrelationAnalyst(T)
-    if name == "shifting-means":
-        kwargs = {k: config_integer(params.pop(k), k)
-                  for k in ("T", "w_max", "r_cells", "max_shift") if k in params}
-        if "r_step" in params:
-            kwargs["r_step"] = config_number(params.pop("r_step"), "r_step")
-        _reject_extras(name, params)
-        return ShiftingMeanAnalyst(**kwargs)
-    raise ValueError(f"unknown analyst {name!r}")
-
-
-def _query_from_spec(spec) -> TestQuery:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict):
-        raise ValueError(f"queries must be kind names or mappings, got {spec!r}")
-    kind = spec.get("kind")
-    if kind == "identity":
-        return identity_test()
-    if kind == "constant":
-        return constant_test(config_number(spec["value"], "value"))
-    if kind == "coord":
-        return coordinate_indicator(config_integer(spec["j"], "j"))
-    raise ValueError(f"unknown query kind {kind!r}")
+    return _build(ANALYSTS, {**params, "name": name}, "analyst")
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +593,9 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("seed", "trials", "n"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError("out must be a path")
-        for spec_name in ("population", "mechanism", "analyst"):
-            spec = getattr(self, spec_name)
-            if not isinstance(spec, dict):
-                raise ConfigError(f"{spec_name} must be a mapping, got {spec!r}")
-            if "name" not in spec:
-                raise ConfigError(f"{spec_name} spec needs a 'name' key")
+        """Read every field, specs included, against CONFIG_KEYS."""
+        fields = read_keys(CONFIG_KEYS, vars(self), "config")
+        vars(self).update({key: fields[key] for key in vars(self)})
 
 
 @dataclass
@@ -558,6 +626,12 @@ class ExperimentReport:
                     f"{ref!r} vs {val!r}")
 
 
+_BUDGET_KEYS = {
+    "budget_mode": Key(one_of(*BudgetLedger.MODES), default="expectation"),
+    "budget_limit": Key(number, lambda v: v >= 0.0, "non-negative", math.inf)}
+_DELTA = Key(number, *_OPEN_UNIT)
+
+
 class NaiveMechanism:
     """The no-mechanism baseline (exact sample means at no cost), and the
     shape of every mechanism: built from its config params, n and the
@@ -569,22 +643,16 @@ class NaiveMechanism:
     one more subclass."""
 
     name = "naive-empirical"
+    keys = {"tau": _TAU, **_BUDGET_KEYS}
 
     def __init__(self, params: dict, n: int, analyst: Analyst):
-        limit = config_number(params.pop("budget_limit", math.inf), "budget_limit")
-        if limit < 0:
-            raise ConfigError(f"budget_limit must be non-negative, got {limit!r}")
-        mode = params.pop("budget_mode", "expectation")
-        if mode not in BudgetLedger.MODES:
-            raise ConfigError(
-                f"budget_mode must be one of {BudgetLedger.MODES}, got {mode!r}")
-        self.budget = (mode, limit)
+        params = read_keys(self.keys, params, f"{self.name} spec")
+        self.budget = (params["budget_mode"], params["budget_limit"])
         self.summary_extras: dict = {}
         self._parse(params, n, analyst)
-        _reject_extras(self.name, params)
 
     def _parse(self, params: dict, n: int, analyst: Analyst) -> None:
-        self.tau = _config_tau(params.pop("tau", None))
+        self.tau = params["tau"]
 
     def open(self, S: Dataset, rng: RandomSource, ledger: BudgetLedger):
         return _NaiveSession(S)
@@ -621,27 +689,21 @@ class SqMechanism(NaiveMechanism):
     sets epsilon and k by the schedule unless both are given."""
 
     name = "subsampling-sq"
+    keys = {"delta": _DELTA, "tau": _TAU,
+            "epsilon": Key(number, lambda v: 0.0 <= v < 0.5, "in [0, 1/2)", None),
+            "k": Key(integer, lambda v: v >= 1, "a vote count k >= 1", None,
+                     SQ_MAX_VOTES), **_BUDGET_KEYS}
 
     def _parse(self, params, n, analyst):
-        self.delta = config_number(params.pop("delta"), "delta")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
-        self.tau = _config_tau(params.pop("tau", None))
-        epsilon = params.pop("epsilon", None)
-        k = params.pop("k", None)
-        if self.tau is not None and (epsilon is None or k is None):
+        self.delta, self.tau = params["delta"], params["tau"]
+        epsilon, k = params["epsilon"], params["k"]
+        if epsilon is None or k is None:
+            if self.tau is None:
+                raise ConfigError("subsampling-sq needs tau or explicit epsilon and k")
             sp = sq_params(n, analyst.rounds, self.tau, self.delta)
             epsilon = sp.epsilon if epsilon is None else epsilon
             k = sp.k if k is None else k
-        if epsilon is None or k is None:
-            raise ValueError("subsampling-sq needs tau or explicit epsilon and k")
-        self.epsilon, self.k = config_number(epsilon, "epsilon"), config_integer(k, "k")
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ConfigError(f"epsilon must be in [0, 1/2), got {self.epsilon!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be a vote count k >= 1, got {self.k!r}")
-        if self.k > SQ_MAX_VOTES:
-            raise ConfigError(f"k must be at most 2**63 - 1, got {self.k!r}")
+        self.epsilon, self.k = epsilon, k
         self.summary_extras = {"epsilon": self.epsilon, "k": self.k,
                                "delta": self.delta}
 
@@ -654,18 +716,21 @@ class MedianMechanism(NaiveMechanism):
     of q's answer law; ``sample_value`` is NaN (not enumerable at run sizes)."""
 
     name = "median"
+    keys = {"delta": _DELTA, "c_m": Key(number, *_POSITIVE, 8.0),
+            "noise": Key(typed(lambda v: isinstance(v, bool), "true or false"),
+                         default=True), **_BUDGET_KEYS}
 
     def _parse(self, params, n, analyst):
-        delta = config_number(params.pop("delta"), "delta")
-        self.noise = params.pop("noise", True)
-        if not isinstance(self.noise, bool):
-            raise ConfigError(f"noise must be true or false, got {self.noise!r}")
-        c_m = config_number(params.pop("c_m", 8.0), "c_m")
+        delta, c_m, self.noise = params["delta"], params["c_m"], params["noise"]
         mp = median_params(analyst.rounds, analyst.w_list, analyst.r_sizes,
                            delta, c_m=c_m)
         if mp.k > n:  # k may be hundreds of digits long, so print it as a float
-            raise ConfigError(f"c_m must be small enough for at most n={n} groups, "
-                              f"got {c_m!r} ({float(mp.k):g} groups)")
+            # both set the count; c_m comes first only above its default
+            keys = ("c_m must be small enough, or delta large enough"
+                    if c_m > self.keys["c_m"].default
+                    else "delta must be large enough, or c_m small enough")
+            raise ConfigError(f"{keys}, for at most n={n} groups, got delta={delta!r}, "
+                              f"c_m={c_m!r} ({float(mp.k):g} groups)")
         self.k_groups = mp.k
         if n // mp.k <= max(analyst.w_list):
             raise ValueError(
@@ -688,6 +753,17 @@ class MedianMechanism(NaiveMechanism):
 
 MECHANISMS = {m.name: m for m in (NaiveMechanism, SqMechanism, MedianMechanism)}
 
+# trials x rounds is capped by RUN_MAX_ROUNDS in check_config
+CONFIG_KEYS = {
+    "seed": count(0), "trials": count(1), "n": count(1, ceiling=SAMPLE_MAX),
+    "population": Key(partial(read_spec, POPULATIONS, where="population")),
+    "mechanism": Key(partial(read_spec, MECHANISMS, where="mechanism")),
+    "analyst": Key(partial(read_spec, ANALYSTS, where="analyst")),
+    "out": Key(typed(lambda v: isinstance(v, str), "a path"), default=None),
+    # legacy: read and then ignored, since trials run serially
+    "threads": count(1, 1),
+}
+
 
 def check_config(
         cfg: ExperimentConfig) -> tuple[Population, Analyst, NaiveMechanism]:
@@ -695,28 +771,23 @@ def check_config(
     they fit together, without running a trial; a fault is a ConfigError.
     An analyst keeps no state between trials, so one serves them all."""
     try:
-        population = population_generators(cfg.population["name"],
-                                           _params_of(cfg.population))
+        population = _build(POPULATIONS, cfg.population, "population")
         if (isinstance(population, CubePopulation)
                 and cfg.n * population.d > CUBE_MAX_ENTRIES):
             raise ValueError(
                 f"n x d must be at most {CUBE_MAX_ENTRIES} cube sample entries, "
                 f"got n={cfg.n}, d={population.d}")
-        mech_cls = MECHANISMS.get(cfg.mechanism["name"])
-        if mech_cls is None:
-            raise ValueError(f"unknown mechanism {cfg.mechanism['name']!r}")
-        analyst = make_analyst(cfg.analyst["name"], _params_of(cfg.analyst))
+        analyst_params, mech_params = dict(cfg.analyst), dict(cfg.mechanism)
+        analyst = make_analyst(analyst_params.pop("name"), analyst_params)
         if cfg.trials * analyst.rounds > RUN_MAX_ROUNDS:
             raise ValueError(
                 f"trials x analyst rounds must be at most {RUN_MAX_ROUNDS} (rounds "
                 f"per trial: {analyst.rounds}), so trials at most "
                 f"{RUN_MAX_ROUNDS // analyst.rounds}")
+        mech_cls = MECHANISMS[mech_params.pop("name")]
         _check_compatibility(population, analyst, mech_cls)
-        return (population, analyst,
-                mech_cls(_params_of(cfg.mechanism), cfg.n, analyst))
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc}") from None
-    except (TypeError, ValueError) as exc:
+        return population, analyst, mech_cls(mech_params, cfg.n, analyst)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -733,12 +804,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     summary = _summarize(rows, n=cfg.n, trials=cfg.trials, mechanism=mechanism.name)
     summary.update(mechanism.summary_extras)
     return ExperimentReport(rows=rows, summary=summary)
-
-
-def _params_of(spec: dict) -> dict:
-    params = dict(spec)
-    params.pop("name", None)
-    return params
 
 
 def _check_compatibility(population, analyst, mechanism: type) -> None:
@@ -766,12 +831,18 @@ def _check_compatibility(population, analyst, mechanism: type) -> None:
         raise ValueError("shifting-means queries need a finite population")
     if not population._is_uniform_grid():
         return
+    w = max(analyst.w_list)  # the largest arity asked
+    if w * (len(population._support) - 1) + 1 > GRID_MAX_SUMS:
+        raise ValueError(
+            f"w_max and points must be small enough for at most {GRID_MAX_SUMS} "
+            f"sums of {w} grid points, got w_max={analyst.w_max}, "
+            f"points={len(population._support)}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        sums = population._support_sums(analyst.w_max)  # as the oracle forms them
+        sums = population._support_sums(w)  # as the oracle forms them
     if not np.isfinite(sums).all():
         lo, hi = float(population._support.min()), float(population._support.max())
         raise ValueError(
-            f"lo and hi must be small enough for sums of w_max = {analyst.w_max} "
+            f"lo and hi must be small enough for sums of w = {w} "
             f"points to stay finite, got lo={lo!r}, hi={hi!r}")
 
 

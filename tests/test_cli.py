@@ -101,9 +101,23 @@ class TestLoadConfig:
         assert (cfg.trials, cfg.n) == (2, 40)
         assert isinstance(cfg.trials, int) and isinstance(cfg.n, int)
 
+    def test_exponent_floats_read_as_floats(self, tmp_path):
+        # YAML 1.1 reads these as strings: an exponent with no dot before it,
+        # or with no sign
+        path = tmp_path / "c.yaml"
+        text = yaml.safe_dump(SMALL_CONFIG)
+        path.write_text(text.replace("delta: 0.2", "delta: 2e-1")
+                        .replace("tau: 0.4", "tau: 4.0e-1"))
+        cfg = load_config(path)
+        assert cfg.mechanism["delta"] == 0.2 and cfg.mechanism["tau"] == 0.4
+        for text, value in (("1e-1", 0.1), ("-2E+3", -2000.0), ("1_0e1", 100.0),
+                            (".5e1", 5.0), ("1.5", 1.5), ("1e", "1e"), ("12", 12)):
+            assert yaml.load(f"x: {text}", Loader=cli._ConfigLoader) == {"x": value}
+
     def test_spec_without_name(self, tmp_path):
         path = write_config(tmp_path, {"population": {"p": 0.3}})
-        with pytest.raises(ConfigError, match="population spec needs a 'name'"):
+        with pytest.raises(ConfigError,
+                           match="^name must be given in the population spec$"):
             load_config(path)
 
     def test_readme_configs_pass_validation(self, tmp_path):
@@ -202,6 +216,25 @@ class TestRunCommand:
           "analyst": {"name": "random-correlation", "T": 4}},
          "trials x analyst rounds must be at most 1048576 (rounds per trial: 4), "
          "so trials at most 262144"),
+        # size keys past their ceilings, refused before anything is allocated
+        ({"n": 300_000_000}, "n must be at most 16777216, got 300000000"),
+        ({"population": {"name": "discretized_gaussian", "points": 100_000_000}},
+         "points must be at most 65536, got 100000000"),
+        ({**_median_on_grid({}), "analyst": {"name": "shifting-means", "T": 3,
+                                             "w_max": 1_000_000_000}},
+         "w_max must be at most 1048576, got 1000000000"),
+        ({**_median_on_grid({}), "analyst": {"name": "shifting-means",
+                                             "T": 1_000_000_000}},
+         "T must be at most 1048576, got 1000000000"),
+        ({**_median_on_grid({}), "analyst": {"name": "shifting-means", "T": 4,
+                                             "r_cells": 1_000_000_000}},
+         "r_cells must be at most 1048576, got 1000000000"),
+        # every key within its ceiling, but the median query laws would
+        # convolve 2^10 x (2^16 - 1) + 1 grid sums
+        ({**_median_on_grid({"points": 2 ** 16}), "analyst": {
+            "name": "shifting-means", "T": 2 ** 10, "w_max": 2 ** 10}},
+         "w_max and points must be small enough for at most 4194304 sums of "
+         "1024 grid points, got w_max=1024, points=65536"),
     ])
     def test_misfit_config_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, over, needle):
@@ -345,6 +378,19 @@ class TestRunCommand:
         # would raise on while parsing
         ({"population": {"name": "bernoulli", "p": 10 ** 5000}}, "p"),
         ({"seed": 10 ** 5000}, "seed"),
+        # each message names its key
+        ({"mechanism": {"name": []}}, "name"),
+        ({**_median_on_grid({}), "analyst": {"name": "shifting-means"}}, "T"),
+        ({"population": {"name": "uniform_pm1_cube", "d": 0},
+          "analyst": {"name": "random-correlation", "T": 1}}, "d"),
+        ({"analyst": {"name": "fixed", "queries": []}}, "queries"),
+        ({"analyst": {"name": "fixed", "queries": [{}]}}, "kind"),
+        (_median_on_grid({"points": 1}), "points"),
+        (_median_on_grid({"sigma": 0}), "sigma"),
+        (_median_on_grid({"lo": 1.0, "hi": 1.0}), "hi"),
+        # 5550 groups for n = 400: delta is named first, and c_m after it
+        ({**_median_on_grid({}), "mechanism": {"name": "median", "delta": 1.0e-300}},
+         "delta"),
     ])
     def test_nested_value_of_wrong_type_exit_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch, over, key):
@@ -382,6 +428,17 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_grid_sums_checked_at_the_largest_arity_asked(self, tmp_path, capsys):
+        # T = 3 asks arities 1..3 only, and 3 * hi = 1.5e308 is finite, though
+        # w_max * hi is not; nor would 2^20 x 256 sums fit in memory
+        cfg = write_config(tmp_path, {"trials": 1, **_median_on_grid(
+            {"lo": 0.0, "hi": 5.0e307}), "analyst": {
+                "name": "shifting-means", "T": 3, "w_max": 2 ** 20}})
+        out = tmp_path / "x.csv"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 3
 
     def test_overflowing_grid_quotient_runs(self, tmp_path, capsys):
         # the centres stay finite and increasing, but a subsample mean over

@@ -575,7 +575,7 @@ class TestRunExperiment:
           "mechanism": {"name": "median", "delta": 0.5, "c_m": 0.5},
           "analyst": {"name": "shifting-means", "T": 4, "w_max": 4,
                       "r_cells": 8}}, "groups of as few as 4 elements"),
-        ({"analyst": {"name": "fixed"}}, "missing parameter 'queries'"),
+        ({"analyst": {"name": "fixed"}}, "queries must be given in the fixed spec"),
     ])
     def test_misfit_config_rejected_before_any_trial(self, over, needle,
                                                      monkeypatch):
@@ -597,14 +597,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("value", [True, "0.3", math.nan, None, [1]])
     def test_config_number_rejects_non_numbers(self, value):
+        # a required real key, as the mechanisms' delta is
         import adasub.harness as hz
         with pytest.raises(hz.ConfigError, match="^delta must be a number"):
-            hz.config_number(value, "delta")
+            hz.read_keys({"delta": hz.Key(hz.number)}, {"delta": value}, "spec")
 
     def test_config_number_accepts_ints_floats_and_infinity(self):
         import adasub.harness as hz
         values = (3, 0.25, -math.inf, np.float32(0.5), np.int64(2))
-        got = [hz.config_number(v, "x") for v in values]
+        got = [hz.read_keys({"x": hz.Key(hz.number)}, {"x": v}, "spec")["x"]
+               for v in values]
         assert got == [3.0, 0.25, -math.inf, 0.5, 2.0]
         assert all(type(x) is float for x in got)
 
