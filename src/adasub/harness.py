@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -53,7 +52,7 @@ WITHIN_TOL = 1e-12
 MEDIAN_CHECK_THRESHOLD = 0.4
 
 CUBE_ROW_BLOCK = 256  # rows of a cube sample drawn at once; a multiple of 4
-CUBE_MAX_ENTRIES = 1 << 31  # n x d ceiling on a cube sample, one byte an entry
+CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one byte an entry
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
 GRID_MAX_POINTS = 1 << 16  # discretized_gaussian points ceiling
@@ -212,9 +211,9 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
     s_arr = np.asarray(signs, dtype=np.int64)
 
     def batch(arr, _s=s_arr):
-        # exact int64 sums, one column at a time: a cube sample is stored
-        # column-major, and casting it whole would hold 8nd bytes
-        acc = np.zeros(arr.shape[0], dtype=np.int64)
+        # exact int32 sums (|sum| <= d < 2**31), one column at a time: a cube
+        # sample is stored column-major, and casting it whole would hold 4nd bytes
+        acc = np.zeros(arr.shape[0], dtype=np.int32)
         for j, s in enumerate(_s):
             (np.add if s > 0 else np.subtract)(acc, arr[:, j], out=acc)
         return (acc > 0).astype(float)
@@ -336,9 +335,12 @@ class FinitePopulation(Population):
 
 @lru_cache(maxsize=None)
 def _prob_sign_sum_positive(d: int) -> float:
-    """Exact P[sum of d iid uniform ±1 coordinates > 0]."""
-    acc = sum(math.comb(d, j) for j in range(d // 2 + 1, d + 1))
-    return float(Fraction(acc, 2 ** d))
+    """Exact P[sum of d iid uniform ±1 coordinates > 0]: by symmetry, half
+    the mass off a zero sum, which only an even d can reach. The integer
+    true division rounds correctly."""
+    if d % 2:
+        return 0.5
+    return (2 ** d - math.comb(d, d // 2)) / 2 ** (d + 1)
 
 
 class CubePopulation(Population):
@@ -445,14 +447,17 @@ def population_generators(name: str, params: dict) -> Population:
 
 class Analyst:
     """A query strategy. Receives only (round, response prefix, randomness);
-    the sample itself is never exposed to it."""
+    the sample itself is never exposed to it. The prefix is the runner's own
+    growing list, lent read-only, since a copy per round would cost O(T^2):
+    an analyst must not mutate it, and must copy what it keeps."""
 
     rounds: int = 0
 
-    def next_query(self, t: int, responses: tuple, rng: RandomSource):
+    def next_query(self, t: int, responses: Sequence[float], rng: RandomSource):
         raise NotImplementedError
 
-    def final_tests(self, responses: tuple, rng: RandomSource) -> list[TestQuery]:
+    def final_tests(self, responses: Sequence[float],
+                    rng: RandomSource) -> list[TestQuery]:
         return []
 
 
@@ -525,7 +530,7 @@ class ShiftingMeanAnalyst(Analyst):
         self.w_list = [((t % self.w_max) + 1) for t in range(self.rounds)]
         self.r_sizes = [r_cells] * self.rounds
 
-    def _shift_cells(self, t: int, responses: tuple) -> int:
+    def _shift_cells(self, t: int, responses: Sequence[float]) -> int:
         if not responses:
             return 0
         prev_cell = int(round(responses[-1] / self.r_step))
@@ -862,7 +867,7 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
 
     responses: list[float] = []
     for t in range(1, analyst.rounds + 1):
-        q = analyst.next_query(t, tuple(responses), rng.child(2, t))
+        q = analyst.next_query(t, responses, rng.child(2, t))
         try:
             answer = session.answer(q)
         except BudgetExhausted:
@@ -874,7 +879,7 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
                                getattr(session, "sample_value", None))
         record(t, q.name, scored, ledger.last)  # this answer's charge; the baseline's is 0.0
     else:
-        tests = analyst.final_tests(tuple(responses), rng.child(3))
+        tests = analyst.final_tests(responses, rng.child(3))
         for j, psi in enumerate(tests):
             record(analyst.rounds + 1 + j, f"test:{psi.name.removeprefix('test:')}",
                    mechanism.row(population, S, psi), 0.0)

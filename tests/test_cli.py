@@ -206,7 +206,7 @@ class TestRunCommand:
         # a 2^32-entry cube sample, refused before it is drawn
         ({"n": 2 ** 16, "population": {"name": "uniform_pm1_cube", "d": 2 ** 16},
           "analyst": {"name": "random-correlation", "T": 2 ** 16}},
-         "n x d must be at most 2147483648 cube sample entries, "
+         "n x d must be at most 268435456 cube sample entries, "
          "got n=65536, d=65536"),
         # 10^400 rows, refused before a trial keeps one; the count is not
         # formatted, as a float would overflow
@@ -235,6 +235,11 @@ class TestRunCommand:
             "name": "shifting-means", "T": 2 ** 10, "w_max": 2 ** 10}},
          "w_max and points must be small enough for at most 4194304 sums of "
          "1024 grid points, got w_max=1024, points=65536"),
+        # n and d within their ceilings, but a 2 GiB cube sample
+        ({"n": 2048, "population": {"name": "uniform_pm1_cube", "d": 2 ** 20},
+          "analyst": {"name": "random-correlation", "T": 2 ** 20}},
+         "n x d must be at most 268435456 cube sample entries, "
+         "got n=2048, d=1048576"),
     ])
     def test_misfit_config_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, over, needle):

@@ -1,4 +1,6 @@
 import math
+from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +120,13 @@ class TestPopulations:
         assert _prob_sign_sum_positive(3) == pytest.approx(0.5, abs=1e-15)
         pop = CubePopulation(2)
         assert pop.truth(sign_sum_test([1, -1])) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("ds", [range(1, 200), range(999, 1002), (4096, 4098)])
+    def test_sign_sum_truth_is_the_tail_sum(self, ds):
+        # the reference sums the binomial tail, O(d^2) bignum work
+        for d in ds:
+            tail = sum(math.comb(d, j) for j in range(d // 2 + 1, d + 1))
+            assert _prob_sign_sum_positive(d) == float(Fraction(tail, 2 ** d))
 
     def test_cube_rejects_unknown_queries(self):
         pop = CubePopulation(2)
@@ -478,9 +487,30 @@ class TestRunExperiment:
             hz.make_analyst = orig
         assert len(seen) == 2
         for t, responses, rng in seen:
-            assert isinstance(responses, tuple)
+            assert isinstance(responses, Sequence)
             assert all(isinstance(v, float) for v in responses)
             assert isinstance(rng, RandomSource)
+
+    def test_analyst_is_lent_one_response_list(self, monkeypatch):
+        # a copy of the prefix per round would cost O(T^2) over a trial
+        seen = []
+
+        class Spy(Analyst):
+            rounds = 3
+
+            def next_query(self, t, responses, rng):
+                seen.append((responses, len(responses)))
+                return constant_test(0.5)
+
+            def final_tests(self, responses, rng):
+                seen.append((responses, len(responses)))
+                return []
+
+        import adasub.harness as hz
+        monkeypatch.setattr(hz, "make_analyst", lambda name, params: Spy())
+        run_experiment(sq_config(trials=1))
+        assert [size for _, size in seen] == [0, 1, 2, 3]
+        assert all(responses is seen[0][0] for responses, _ in seen)
 
     def test_fixed_naive_bias_within_sampling_theory(self):
         # |phi(S) - phi(D)| beyond 3 sigma in at most 1% of trials
