@@ -304,16 +304,19 @@ class TestQuery:
                                lambda x: float(batch(np.array([x]))[0]))
 
     def values_on(self, dataset: Dataset) -> np.ndarray:
-        """Per-element values on a dataset (arity 1 only)."""
+        """Per-element values on a dataset (arity 1 only): floats, range-checked,
+        or a {0,1}-valued batch's bools, which lie in [0, 1] by type."""
         if self.arity != 1:
             raise ValueError("per-element values require arity 1")
         if self.batch is not None:
-            vals = np.asarray(self.batch(dataset.array), dtype=float)
+            vals = np.asarray(self.batch(dataset.array))
         else:
             vals = np.array([float(self.evaluator(x)) for x in dataset], dtype=float)
         if vals.shape != (len(dataset),):
             raise ValueError("batch evaluator returned a wrong-shaped array")
-        _check_unit_range(vals, self.name)
+        if vals.dtype != bool:
+            vals = vals.astype(float, copy=False)
+            _check_unit_range(vals, self.name)
         return vals
 
 
@@ -356,7 +359,7 @@ def _row_means(q, S: Dataset, pos: np.ndarray) -> np.ndarray:
     if isinstance(q, Query):
         return q.output_laws(S, pos) @ np.asarray(q.outputs, dtype=float)
     if q.arity == 1:
-        return q.values_on(Dataset.adopt(S.array[pos[:, 0]]))
+        return q.values_on(Dataset.adopt(S.array[pos[:, 0]])).astype(float, copy=False)
     vals = np.array([q.evaluator(*sub) for sub in S.subsamples(pos)], dtype=float)
     _check_unit_range(vals, q.name)
     return vals

@@ -51,7 +51,6 @@ WITHIN_TOL = 1e-12
 
 MEDIAN_CHECK_THRESHOLD = 0.4
 
-CUBE_ROW_BLOCK = 256  # rows of a cube sample drawn at once; a multiple of 4
 CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one byte an entry
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
@@ -198,8 +197,7 @@ def constant_test(value: float) -> TestQuery:
 
 def coordinate_indicator(j: int) -> TestQuery:
     """phi(x) = 1[x_j = 1] on ±1 vector elements."""
-    return TestQuery(1, name=f"coord:{j}",
-                     batch=lambda arr, _j=j: (arr[:, _j] == 1).astype(float),
+    return TestQuery(1, name=f"coord:{j}", batch=lambda arr, _j=j: arr[:, _j] == 1,
                      tag=("coord", j))
 
 
@@ -216,7 +214,7 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
         acc = np.zeros(arr.shape[0], dtype=np.int32)
         for j, s in enumerate(_s):
             (np.add if s > 0 else np.subtract)(acc, arr[:, j], out=acc)
-        return (acc > 0).astype(float)
+        return acc > 0
 
     return TestQuery(1, name="test:sign-sum", batch=batch, tag=("sign_sum", signs))
 
@@ -335,9 +333,8 @@ class FinitePopulation(Population):
 
 @lru_cache(maxsize=None)
 def _prob_sign_sum_positive(d: int) -> float:
-    """Exact P[sum of d iid uniform ±1 coordinates > 0]: by symmetry, half
-    the mass off a zero sum, which only an even d can reach. The integer
-    true division rounds correctly."""
+    """Exact P[sum of d iid uniform ±1 coordinates > 0]: by symmetry, half the
+    mass off a zero sum, which only an even d reaches (rounded correctly)."""
     if d % 2:
         return 0.5
     return (2 ** d - math.comb(d, d // 2)) / 2 ** (d + 1)
@@ -351,9 +348,9 @@ class CubePopulation(Population):
     constants.
 
     A drawn sample is stored column-major (an F-contiguous (n, d) int8
-    array), since the queries against it scan one coordinate at a time. Its
-    values are still those of ``integers(0, 2, size=(n, d), dtype=int8)``
-    mapped to ±1, from the same stream.
+    array), since the queries against it scan one coordinate at a time.
+    Entry (i, j) is the top bit of byte j*n + i of the stream's uint32 words
+    (low byte first) mapped to ±1: the bits ``integers(0, 2, (d, n), int8)`` reads.
     """
 
     def __init__(self, d: int):
@@ -363,23 +360,14 @@ class CubePopulation(Population):
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
-        # integers(0, 2, int8) takes each entry as the top bit of one byte
-        # of successive 32-bit words, low byte first. Drawing the words
-        # CUBE_ROW_BLOCK rows at a time reads the same stream, because each
-        # block ends on a word boundary, and holds a block or two of words,
-        # not n x d of them.
-        d = self.d
-        cols = np.empty((d, n), dtype=np.int8)
-        for i in range(0, n, CUBE_ROW_BLOCK):
-            rows = min(CUBE_ROW_BLOCK, n - i)
-            words = rng.generator.integers(0, 2 ** 32, size=-(-rows * d // 4),
-                                           dtype=np.uint32)
-            block = words.astype("<u4", copy=False).view(np.int8)[:rows * d]
-            block >>= 7  # the top bit: 1 reads -1, 0 reads 0
-            np.invert(block, out=block)
-            block |= 1  # 1 becomes +1, 0 becomes -1
-            cols[:, i:i + rows] = block.reshape(rows, d).T
-        return Dataset.adopt(cols.T)
+        # mapped in place on the words' own bytes: the draw holds n x d bytes
+        words = rng.generator.integers(0, 2 ** 32, size=-(-n * self.d // 4),
+                                       dtype=np.uint32)
+        cols = words.astype("<u4", copy=False).view(np.int8)[:n * self.d]
+        cols >>= 7  # the top bit: 1 reads -1, 0 reads 0
+        np.invert(cols, out=cols)
+        cols |= 1  # 1 becomes +1, 0 becomes -1
+        return Dataset.adopt(cols.reshape(self.d, n).T)
 
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None
@@ -448,16 +436,14 @@ def population_generators(name: str, params: dict) -> Population:
 class Analyst:
     """A query strategy. Receives only (round, response prefix, randomness);
     the sample itself is never exposed to it. The prefix is the runner's own
-    growing list, lent read-only, since a copy per round would cost O(T^2):
-    an analyst must not mutate it, and must copy what it keeps."""
+    list, lent read-only (a copy per round costs O(T^2)): never mutate it."""
 
     rounds: int = 0
 
     def next_query(self, t: int, responses: Sequence[float], rng: RandomSource):
         raise NotImplementedError
 
-    def final_tests(self, responses: Sequence[float],
-                    rng: RandomSource) -> list[TestQuery]:
+    def final_tests(self, responses: Sequence[float], rng: RandomSource) -> list[TestQuery]:
         return []
 
 

@@ -6,9 +6,10 @@ draws one element x_i uniformly from the sample and flips
 Bernoulli(phi_eps(x_i)), so the votes are iid Bernoulli(phi_eps(S)) with
 phi_eps(S) the sample mean of the squashed values, and the answer is
 exactly Binomial(k, phi_eps(S)) / k. The session draws it that way: one
-pass over the query's values and one binomial draw. Each vote is still a
-single arity-1 subsampling query with a binary range and uniformity floor
-eps, and the ledger is charged k of them.
+pass over the query's values (a count of the ones for a {0,1}-valued test's
+bools, as then phi_eps(S) = eps + (1 - 2 eps) phi(S)) and one binomial
+draw. Each vote is still a single arity-1 subsampling query with a binary
+range and uniformity floor eps, and the ledger is charged k of them.
 
 The approximate-median mechanism splits the sample into k groups and binary
 searches the query's ordered range; each probe takes one subsample vote per
@@ -254,8 +255,12 @@ class SqSession:
             raise ValueError("the SQ mechanism answers arity-1 queries")
         self.ledger.charge(self.k * self.vote_cost, label=phi.name or "sq")
         values = phi.values_on(self.dataset)
-        self.sample_value = float(values.mean())
-        p = float(np.clip(values, self.epsilon, 1.0 - self.epsilon).mean())
+        if values.dtype == bool:  # the count/n is the float mean, exactly
+            self.sample_value = np.count_nonzero(values) / len(values)
+            p = self.epsilon + (1.0 - 2.0 * self.epsilon) * self.sample_value
+        else:
+            self.sample_value = float(values.mean())
+            p = float(np.clip(values, self.epsilon, 1.0 - self.epsilon).mean())
         return float(self._gen.binomial(self.k, p)) / self.k
 
 

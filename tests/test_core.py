@@ -402,6 +402,20 @@ class TestQueryType:
         coord = TestQuery(1, batch=lambda arr: (arr[:, 1] == 1).astype(float))
         assert [coord.evaluator(x) for x in ((1, -1), (-1, 1))] == [0.0, 1.0]
 
+    def test_bool_batch_values_stay_bool_and_float_values_are_checked(self):
+        S = Dataset([0, 1, 1])
+        coord = TestQuery(1, batch=lambda arr: arr == 1)
+        assert coord.values_on(S).dtype == bool
+        assert coord.values_on(S).tolist() == [False, True, True]
+        assert [coord.evaluator(x) for x in (0, 1)] == [0.0, 1.0]
+        assert query_expectation_on_sample(coord, S) == 2 / 3
+        D = GroundTruth((0, 1), np.array([0.25, 0.75]))
+        assert variance_on_population(coord, D) == 0.75 - 0.75 ** 2
+        with pytest.raises(ValueError, match="wrong-shaped"):
+            TestQuery(1, batch=lambda arr: np.ones(len(arr) + 1, dtype=bool)).values_on(S)
+        with pytest.raises(ValueError, match="outside"):
+            TestQuery(1, batch=lambda arr: arr * 2, name="twice").values_on(S)
+
     @pytest.mark.parametrize("index", [
         lambda m: np.full(m, -1),  # would wrap to the last output unchecked
         lambda m: np.full(m, 2),

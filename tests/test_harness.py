@@ -56,22 +56,35 @@ class TestPopulations:
         assert np.all(np.abs(means - 0.5) <= 4 * 0.5 / math.sqrt(4000))
         assert pop.truth(coordinate_indicator(1)) == 0.5
 
-    def test_cube_draw_keeps_stream_and_values(self):
-        S = CubePopulation(5).draw(7, RandomSource(3))
-        bits = RandomSource(3).generator.integers(0, 2, size=(7, 5), dtype=np.int8)
-        assert S.array.dtype == np.int8
-        assert np.array_equal(S.array, bits * 2 - 1)
-
-    @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2)])
-    def test_blocked_cube_draw_reads_the_int8_stream(self, n, d, monkeypatch):
-        # blocks of 4 rows: n below one block, n not a multiple of it, n x d
-        # not a multiple of 4 (a last word cut short), and d = 1
-        import adasub.harness as hz
-        monkeypatch.setattr(hz, "CUBE_ROW_BLOCK", 4)
+    @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2), (1, 1)])
+    def test_cube_draw_reads_columns_from_the_stream_words(self, n, d):
+        # entry (i, j) is the top bit of byte j*n + i of the child stream's
+        # uint32 words, low byte first: n x d not a multiple of 4 cuts the
+        # last word short
         S = CubePopulation(d).draw(n, RandomSource(5).child(0))
+        words = RandomSource(5).child(0).generator.integers(
+            0, 2 ** 32, size=-(-n * d // 4), dtype=np.uint32).tolist()
+        want = [[1 if words[b // 4] >> (8 * (b % 4) + 7) & 1 else -1
+                 for b in range(i, n * d, n)] for i in range(n)]
+        assert S.array.tolist() == want
+        # the bits that integers(0, 2, int8) reads, one column per row
         bits = RandomSource(5).child(0).generator.integers(
-            0, 2, size=(n, d), dtype=np.int8)
-        assert np.array_equal(S.array, bits * 2 - 1)
+            0, 2, size=(d, n), dtype=np.int8)
+        assert np.array_equal(S.array, bits.T * 2 - 1)
+
+    def test_cube_coordinates_and_pairs_are_uniform(self):
+        # within 4 standard errors: each coordinate's +1 frequency, and the
+        # four sign cells of each pair of coordinates and of each pair of
+        # rows adjacent in a column (adjacent bytes of the stream)
+        n, d = 4000, 8
+        x = CubePopulation(d).draw(n, RandomSource(21)).array == 1
+        assert np.all(np.abs(x.mean(axis=0) - 0.5) <= 4 * 0.5 / math.sqrt(n))
+        pairs = [(x[:, a], x[:, b]) for a in range(d) for b in range(a + 1, d)]
+        pairs += [(x[:-1:2, j], x[1::2, j]) for j in range(d)]
+        for u, v in pairs:
+            cells = np.bincount(2 * u + v, minlength=4) / len(u)
+            assert np.all(np.abs(cells - 0.25)
+                          <= 4 * math.sqrt(0.25 * 0.75 / len(u))), cells
 
     def test_cube_sample_is_column_major_and_read_only(self):
         arr = CubePopulation(6).draw(9, RandomSource(2)).array
@@ -82,7 +95,6 @@ class TestPopulations:
 
     def test_cube_draw_holds_the_sample_and_two_blocks(self):
         import tracemalloc
-        from adasub.harness import CUBE_ROW_BLOCK
         n, d = 4000, 1000
         CubePopulation(3).draw(5, RandomSource(0))  # one-time set-up, untraced
         tracemalloc.start()
@@ -91,7 +103,7 @@ class TestPopulations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= n * d + 2 * CUBE_ROW_BLOCK * d + 8192  # and a few objects
+        assert peak <= n * d + 8192  # the sample's own bytes and a few objects
 
     def test_sign_sum_batch_ignores_memory_order(self):
         gen = RandomSource(4).generator

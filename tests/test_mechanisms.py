@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -312,6 +313,50 @@ class TestSqExactLaw:
                              minlength=k + 1)
         assert counts.size == k + 1
         p = float(np.mean(np.clip(values, eps, 1.0 - eps)))
+        for c, m in zip(counts, binomial_pmf(k, p)):
+            se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
+            assert abs(c / reps - m) <= 4 * se
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.booleans(), min_size=1, max_size=300),
+           eps=st.one_of(st.sampled_from([0.0, 0.01, 0.1, 0.49]),
+                         st.floats(0.0, 0.5, exclude_max=True)))
+    @example(values=[True] * 7, eps=0.49)
+    @example(values=[False, True, True], eps=0.1)
+    def test_bool_values_answer_from_their_count(self, values, eps):
+        # a {0,1} test's answer law is fixed by its count of ones
+        s = SqSession(Dataset([int(v) for v in values]), eps, 4, RandomSource(1), 0.1)
+        drawn = []
+
+        class Votes:  # records the binomial's parameter in place of a draw
+            def binomial(self, k, p):
+                drawn.append(p)
+                return 0
+
+        s._gen = Votes()
+        s.answer(TestQuery(1, name="bool", batch=lambda a: a == 1))
+        floats = np.array(values, dtype=float)
+        assert s.sample_value == floats.mean()
+        exact = Fraction(eps) + (1 - 2 * Fraction(eps)) * Fraction(sum(values), len(values))
+        assert abs(Fraction(drawn[0]) - exact) <= 2 * Fraction(np.spacing(float(exact)))
+        # numpy's mean of the clipped values rounds too: up to 7 ulp off the
+        # exact value at these sizes
+        want = np.clip(floats, eps, 1.0 - eps).mean()
+        assert abs(drawn[0] - want) <= 8 * np.spacing(want)
+
+    @pytest.mark.parametrize("eps,seed", [(0.0, 12), (0.1, 13), (0.3, 14)])
+    def test_bool_answer_frequencies_match_binomial(self, eps, seed):
+        values, k, reps = [0, 1, 1, 0, 1], 4, 20_000
+        S = Dataset(values)
+        s = SqSession(S, eps, k, RandomSource(seed), 0.1)
+        q = TestQuery(1, name="bool", batch=lambda a: a == 1)
+        counts = np.bincount([round(s.answer(q) * k) for _ in range(reps)],
+                             minlength=k + 1)
+        assert counts.size == k + 1
+        # one vote's law, phi_eps(S), from exact enumeration of its subsets
+        phi = squash(IDENT, eps).evaluator
+        vote = Query.randomized(1, (0, 1), lambda x: [1.0 - phi(x), phi(x)])
+        p = exact_response_pmf(vote, S).masses[1]
         for c, m in zip(counts, binomial_pmf(k, p)):
             se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
             assert abs(c / reps - m) <= 4 * se
