@@ -269,24 +269,24 @@ def _kl_mixture_block(lo, sizes, d, e):
 
 
 def _suite_exceeds_mean(trials: int, seed: int) -> SuiteResult:
-    """Three probe instances of the exceeds-mean-minus-one lower bound
-    0.0357: a constant list, a large two-value Monte Carlo run, and an
-    exactly enumerated small instance."""
+    """Three probes of the exceeds-mean-minus-one lower bound 0.0357: a
+    constant list by Monte Carlo at min(trials, 2000) draws, and two exact
+    tails (``dv.sample_exceeds_mean_exact``): a large two-value instance,
+    200 zeros and 200 ones with n = 100, whose tail is
+    1/2 + C(200,50)^2 / (2 C(400,100)), and a small one."""
     res = SuiteResult("exceeds-mean", 3)
     floor = 0.0357
     rng = RandomSource(seed).child(0)
     est = dv.sample_exceeds_mean_probe([0.5] * 12, 3, min(trials, 2000), rng)
     if est < 1.0:
         res.failures.append(f"constant probe: estimate {est!r} < 1")
-    two_val = [0.0] * 200 + [1.0] * 200
-    est2 = dv.sample_exceeds_mean_probe(two_val, 100, trials, RandomSource(seed).child(1))
-    se = math.sqrt(max(est2 * (1 - est2), 1e-12) / trials)
-    if est2 < floor - 4 * se:
-        res.failures.append(f"two-value probe: estimate {est2!r} < {floor} - 4se")
+    two_val = dv.sample_exceeds_mean_exact([0.0] * 200 + [1.0] * 200, 100)
+    if two_val < floor:
+        res.failures.append(f"two-value probe: {two_val!r} < {floor}")
     exact = dv.sample_exceeds_mean_exact([i % 2 for i in range(10)], 5)
     if exact < floor:
         res.failures.append(f"exact probe: {exact!r} < {floor}")
-    res.stats = {"constant": est, "two_value": est2, "exact": exact}
+    res.stats = {"constant": est, "two_value": two_val, "exact": exact}
     return res
 
 
@@ -298,7 +298,7 @@ SUITES = {
     "kl-chi2": (10_000, lambda t, s: _suite_kl("kl-chi2", t, s, _kl_chi2_block)),
     "kl-mixture":
         (10_000, lambda t, s: _suite_kl("kl-mixture", t, s, _kl_mixture_block)),
-    "exceeds-mean": (100_000, _suite_exceeds_mean),
+    "exceeds-mean": (2000, _suite_exceeds_mean),
 }
 
 

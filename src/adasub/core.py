@@ -31,7 +31,7 @@ MASS_TOL = 1e-12
 
 class EnumerationCapExceeded(RuntimeError):
     """An exact enumeration would walk more than ``ENUM_CAP`` rows; raised
-    only by ``check_enumeration``, before any row is built."""
+    only by ``check_enumeration``, before any row past the cap is built."""
 
 
 def check_enumeration(count: int, what: str) -> None:

@@ -242,15 +242,79 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
 
 
 def sample_exceeds_mean_exact(S: Sequence[float], n: int) -> float:
-    """Exact Pr[sum of n without-replacement draws > mean - 1] by
-    enumerating all C(|S|, n) subsets."""
+    """Exact Pr[sum of n without-replacement draws from S > its mean - 1],
+    from the law that ``sample_exceeds_mean_probe`` samples: the
+    multivariate hypergeometric law of how many copies k_j of each distinct
+    value level_j the n-subset holds.
+
+    The walk visits every count vector k with 0 <= k_j <= c_j (c_j copies of
+    level_j in S) and sum k_j = n, and sums prod_j C(c_j, k_j) over those with
+    sum k_j * level_j > n * mean(S) - 1, exactly, as an integer; the result
+    is that integer over C(|S|, n). Vectors are built in rounds, one nonzero
+    entry per round in ascending level order, each sum accumulated level by
+    level in floating point. A round builds only partial vectors that can
+    still be completed, so each one stands for at least one count vector:
+    the running total is checked against ``ENUM_CAP`` before each round is
+    built, and it ends at the number of count vectors. There are at most
+    C(|S|, n) of those, exactly that many when all values differ, and n + 1
+    for two values that each occur at least n times.
+    """
     vals = _probe_values(S, n)
-    count = math.comb(vals.size, n)
-    check_enumeration(count, f"C({vals.size},{n})")
+    levels, colors = np.unique(vals, return_counts=True)
     target = n * vals.mean() - 1.0
-    hits = sum(int(np.count_nonzero(vals[pos].sum(axis=1) > target))
-               for pos in position_blocks(vals.size, n))
-    return hits / count
+    total = math.comb(vals.size, n)
+    # weights and their sums are at most C(|S|, n), the sum of all weights
+    dtype = np.int64 if total < 2 ** 63 else object
+    room = np.append(np.cumsum(colors[::-1])[::-1], 0)  # copies at levels j onward
+    what = f"C({vals.size},{n}) count vectors, at least"
+    hits = done = 0
+    # partial vectors: last level set (-1 before any), copies taken, sum, weight
+    last, taken = np.array([-1]), np.array([0])
+    sums, weight = np.zeros(1), np.ones(1, dtype=dtype)
+    while last.size:
+        need = n - taken
+        # the next nonzero level j has room[j] >= need, and room falls with j
+        top = np.searchsorted(-room, -need, side="right")
+        row, nxt = _ragged(last + 1, top - last - 1, done, what)
+        need = need[row]
+        low = np.maximum(1, need - room[nxt + 1])
+        pick, k = _ragged(low, np.minimum(colors[nxt], need) - low + 1, done, what)
+        row, nxt = row[pick], nxt[pick]
+        taken = taken[row] + k
+        sums = sums[row] + k * levels[nxt]
+        keys, which = np.unique(colors[nxt] * (n + 1) + k, return_inverse=True)
+        weight = weight[row] * _binomials(keys // (n + 1), keys % (n + 1), dtype)[which]
+        complete = taken == n
+        hits += weight[complete & (sums > target)].sum()
+        done += int(np.count_nonzero(complete))
+        last, taken = nxt[~complete], taken[~complete]
+        sums, weight = sums[~complete], weight[~complete]
+    return int(hits) / total
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray, done: int,
+            what: str) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, the run starts[i], starts[i] + 1, ... of lengths[i]
+    integers, concatenated: each entry's i and its value. Each entry stands
+    for at least one count vector beside the ``done`` ones already counted,
+    so their total is checked against ``ENUM_CAP`` before any is built."""
+    check_enumeration(done + int(lengths.sum()), what)
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, starts[owner] + offset
+
+
+def _binomials(cs: np.ndarray, ks: np.ndarray, dtype) -> np.ndarray:
+    """C(cs[i], ks[i]) for pairs in ascending order: math.comb for the first
+    pair of each c, then C(c, k) = C(c, k-1) (c-k+1) / k along a run of k."""
+    out, prev = [], (-1, -1)
+    for c, k in zip(cs.tolist(), ks.tolist()):
+        if prev == (c, k - 1):
+            out.append(out[-1] * (c - k + 1) // k)
+        else:
+            out.append(math.comb(c, k))
+        prev = (c, k)
+    return np.array(out, dtype=dtype)
 
 
 def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
@@ -296,26 +360,30 @@ def random_query_instance(gen: np.random.Generator, *,
     """A random deterministic query (a uniform random map from ordered
     w-tuples of a small alphabet to 0..|Y|-1) plus a random dataset over
     that alphabet, with |Y| from ``QUERY_Y_RANGE`` and the alphabet size
-    from ``QUERY_ALPHABET_RANGE``. Datasets may contain duplicates."""
+    from ``QUERY_ALPHABET_RANGE``. Datasets may contain duplicates.
+
+    The map is one ``integers(0, |Y|, size=(a,) * w)`` draw, which reads the
+    stream as one scalar draw per key in ``itertools.product`` order does,
+    and the query answers a block of rows by looking them up in it
+    (``Query.batch``)."""
     n = int(gen.integers(n_range[0], n_range[1] + 1))
     w = int(gen.integers(w_range[0], min(w_range[1], n - 1) + 1))
     ysize = int(gen.integers(QUERY_Y_RANGE[0], QUERY_Y_RANGE[1] + 1))
     a = int(gen.integers(QUERY_ALPHABET_RANGE[0], QUERY_ALPHABET_RANGE[1] + 1))
-    table = {key: int(gen.integers(0, ysize))
-             for key in itertools.product(range(a), repeat=w)}
-    q = Query.deterministic(w, tuple(range(ysize)),
-                            lambda *sub, _t=table: _t[sub],
-                            name=f"randmap(w={w},|Y|={ysize},a={a})")
+    table = gen.integers(0, ysize, size=(a,) * w)
+    q = Query(w, tuple(range(ysize)), name=f"randmap(w={w},|Y|={ysize},a={a})",
+              batch=lambda elements: table[tuple(elements.T)])
     S = Dataset(gen.integers(0, a, size=n))
     return q, S
 
 
 def random_subset_function(gen: np.random.Generator, n: int, w: int,
                            linear: bool = False) -> dict[tuple[int, ...], float]:
-    """A random real function on w-subsets of [n]; optionally linear
-    (f(T) = sum of per-index weights over T)."""
+    """A random real function on w-subsets of [n]: one uniform value on
+    [-1, 1) per subset in ``itertools.combinations`` order, from one draw
+    call, or, if linear, f(T) = sum of per-index weights over T."""
     combos = itertools.combinations(range(n), w)
     if linear:
         alpha = gen.uniform(-1.0, 1.0, size=n)
         return {c: float(sum(alpha[i] for i in c)) for c in combos}
-    return {c: float(gen.uniform(-1.0, 1.0)) for c in combos}
+    return dict(zip(combos, gen.uniform(-1.0, 1.0, size=math.comb(n, w)).tolist()))

@@ -333,11 +333,23 @@ class FinitePopulation(Population):
 
 @lru_cache(maxsize=None)
 def _prob_sign_sum_positive(d: int) -> float:
-    """Exact P[sum of d iid uniform ±1 coordinates > 0]: by symmetry, half the
-    mass off a zero sum, which only an even d reaches (rounded correctly)."""
+    """Exact P[sum of d iid uniform ±1 coordinates > 0], rounded correctly:
+    by symmetry, half the mass off a zero sum, which only an even d reaches.
+    For even d that is (1 - p)/2 with p = C(d, d/2)/2^d, the product over
+    k = 1..d/2 of (2k-1)/(2k). Taken at 128 fractional bits and floored at
+    every step, it lands x with p in [x, x + d/2] 2^-128, so both ends of
+    (1 - p)/2 are rounded; where they round apart, the exact binomial
+    decides (math.comb, which takes seconds at d = 2^20)."""
     if d % 2:
         return 0.5
-    return (2 ** d - math.comb(d, d // 2)) / 2 ** (d + 1)
+    half, one = d // 2, 1 << 128
+    x = one
+    for k in range(1, half + 1):
+        x = x * (2 * k - 1) // (2 * k)
+    lo, hi = (one - x - half) / (2 * one), (one - x) / (2 * one)
+    if lo == hi:
+        return hi
+    return (2 ** d - math.comb(d, half)) / 2 ** (d + 1)
 
 
 class CubePopulation(Population):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -505,9 +506,13 @@ class TestVerifyCommand:
 
     def test_verify_all_stdout_is_pinned(self, capsys):
         # `adasub verify all` at its defaults, every suite at its default
-        # instance count and seed 1
+        # instance count and seed 1, within a runtime budget of about 8
+        # times its time on a 2-vCPU machine
+        start = time.perf_counter()
         assert main(["verify", "all"]) == 0
+        elapsed = time.perf_counter() - start
         assert capsys.readouterr().out == (FIXTURES / "verify_all.txt").read_text()
+        assert elapsed < 5.0, f"verify all took {elapsed:.1f}s, budget 5s"
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "nonsense"]) == 2

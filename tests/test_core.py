@@ -334,7 +334,9 @@ class TestEnumerationCap:
          lambda: population_response_pmf(
              Query.deterministic(2, (0, 1, 2, 3, 4), lambda a, b: a + b),
              GroundTruth((0, 1, 2), np.full(3, 1 / 3)))),
-        (math.comb(8, 3),  # C(|S|, n) subsets of the probe's values
+        (math.comb(8, 3),  # C(|S|, n) count vectors when all values differ
+         lambda: sample_exceeds_mean_exact([i / 7 for i in range(8)], 3)),
+        (4,  # count vectors (k0, k1) with k0 + k1 = 3, of four 0s and four 1s
          lambda: sample_exceeds_mean_exact([0, 1] * 4, 3)),
     ])
     def test_cap_counts_rows(self, monkeypatch, count, walk):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -491,6 +492,34 @@ class TestExceedsMeanProbe:
             assert sample_exceeds_mean_exact(values, n) \
                 == hits / math.comb(vals.size, n)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_count_vectors_match_the_per_subset_loop(self, data):
+        # dyadic values sum exactly in any order, so no tie with the target
+        # depends on the rounding of a sum
+        size = data.draw(st.integers(2, 11))
+        if data.draw(st.booleans()):  # all distinct
+            values = data.draw(st.permutations(range(17)))[:size]
+        else:
+            values = data.draw(st.lists(st.integers(0, 4), min_size=size,
+                                        max_size=size))
+        values = [v / 16 for v in values]
+        n = data.draw(st.integers(1, size - 1))
+        vals = np.asarray(values)
+        target = n * vals.mean() - 1.0
+        hits = sum(1 for combo in itertools.combinations(range(size), n)
+                   if vals[list(combo)].sum() > target)
+        assert sample_exceeds_mean_exact(values, n) == hits / math.comb(size, n)
+
+    @pytest.mark.parametrize("m,n", [(200, 100), (6, 2), (31, 10), (1000, 400)])
+    def test_two_value_tail_is_the_closed_form(self, m, n):
+        # m zeros and m ones, n = 2r: the count of ones X is hypergeometric
+        # and symmetric about r, and the sum clears r - 1 iff X >= r, so the
+        # tail is 1/2 + P(X = r)/2
+        r = n // 2
+        want = Fraction(1, 2) + Fraction(math.comb(m, r) ** 2, 2 * math.comb(2 * m, n))
+        assert sample_exceeds_mean_exact([0.0] * m + [1.0] * m, n) == float(want)
+
     def test_alternating_exact(self):
         got = sample_exceeds_mean_exact([i % 2 for i in range(10)], 5)
         assert got == pytest.approx(226 / 252, abs=1e-15)
@@ -501,3 +530,55 @@ class TestExceedsMeanProbe:
             sample_exceeds_mean_probe([0.5, 1.5], 1, 10, RandomSource(3))
         with pytest.raises(ValueError):
             sample_exceeds_mean_exact([0.5, 0.5], 2)
+
+
+def _per_key_query_instance(gen):
+    """random_query_instance as one scalar draw per key of its map."""
+    n = int(gen.integers(3, 9))
+    w = int(gen.integers(1, min(3, n - 1) + 1))
+    ysize = int(gen.integers(2, 5))
+    a = int(gen.integers(2, 6))
+    table = {key: int(gen.integers(0, ysize))
+             for key in itertools.product(range(a), repeat=w)}
+    return n, w, ysize, a, table, gen.integers(0, a, size=n)
+
+
+def _instance_generators():
+    for i in range(200):
+        yield lambda i=i: RandomSource(31).child(i).generator
+        yield lambda i=i: np.random.default_rng(i)
+
+
+class TestInstanceStreams:
+    """The instance generators read their streams as the per-key scalar
+    draws they replaced: the same instance from the same generator."""
+
+    def test_query_instance_reads_the_per_key_draws(self):
+        for make in _instance_generators():
+            gen, ref = make(), make()
+            q, S = random_query_instance(gen)
+            n, w, ysize, a, table, data = _per_key_query_instance(ref)
+            assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+            assert (len(S), q.arity, q.outputs) == (n, w, tuple(range(ysize)))
+            assert q.name == f"randmap(w={w},|Y|={ysize},a={a})"
+            assert S.array.tolist() == data.tolist()
+            keys = np.array(list(table), dtype=np.int64).reshape(-1, w)
+            assert q.batch(keys).tolist() == list(table.values())
+            assert [q.evaluator(*key) for key in table] == list(table.values())
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_subset_function_reads_the_per_subset_draws(self, linear):
+        for i, make in enumerate(_instance_generators()):
+            gen, ref = make(), make()
+            n = 3 + i % 6
+            w = 1 + i // 6 % min(3, n - 1)
+            f = random_subset_function(gen, n, w, linear=linear)
+            combos = itertools.combinations(range(n), w)
+            if linear:
+                alpha = ref.uniform(-1.0, 1.0, size=n)
+                want = {c: float(sum(alpha[j] for j in c)) for c in combos}
+            else:
+                want = {c: float(ref.uniform(-1.0, 1.0)) for c in combos}
+            assert f == want
+            assert list(f) == list(want)
+            assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)

@@ -191,6 +191,29 @@ class TestLeaveOneOutPmfs:
             assert np.max(np.abs(law - want)) <= 1e-12
             assert np.array_equal(law == 0.0, want == 0.0)
 
+    def test_memory_and_time_do_not_grow_with_n_times_subsets(self):
+        # a per-position mask over every subset block would take
+        # n * C(n, w) = 4e8 steps here; the subtraction takes one pass
+        import time
+        import tracemalloc
+        n, ysize = 20_000, 2
+        S = Dataset(np.arange(n) % 3)
+        q = Query(1, (0, 1), name="odd", batch=lambda e: e[:, 0] % 2)
+        floats = core.SUBSET_BLOCK * (1 + ysize) + n * ysize
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            full, loo = leave_one_out_pmfs(q, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak <= 6 * 8 * floats
+        odd = np.count_nonzero(S.array % 2)
+        assert full.masses.tolist() == [(n - odd) / n, odd / n]
+        assert loo[S.array % 2 == 1, 1].tolist() == [(odd - 1) / (n - 1)] * odd
+        assert loo[S.array % 2 == 0, 1].tolist() == [odd / (n - 1)] * (n - odd)
+
     def test_needs_a_leave_one_out_sample_of_arity_size(self):
         q = Query.deterministic(3, (0, 1), lambda *xs: 0, name="c")
         with pytest.raises(ValueError):

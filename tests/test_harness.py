@@ -140,6 +140,23 @@ class TestPopulations:
             tail = sum(math.comb(d, j) for j in range(d // 2 + 1, d + 1))
             assert _prob_sign_sum_positive(d) == float(Fraction(tail, 2 ** d))
 
+    @pytest.mark.parametrize("ds", [range(0, 4097, 2), (2 ** 16, 2 ** 18)])
+    def test_sign_sum_fixed_point_is_the_exact_form(self, ds):
+        # C(d, d/2) / 2^d at 128 bits against the exact binomial, every even
+        # d up to 4096 and two large ones (math.comb alone takes 1 s at 2^18)
+        for d in ds:
+            want = (2 ** d - math.comb(d, d // 2)) / 2 ** (d + 1)
+            assert _prob_sign_sum_positive.__wrapped__(d) == want
+
+    def test_sign_sum_truth_at_the_cube_ceiling_is_fast(self):
+        import time
+        start = time.perf_counter()
+        p = _prob_sign_sum_positive.__wrapped__(2 ** 20)
+        assert time.perf_counter() - start < 2.0  # math.comb takes 12 s
+        # P(sum = 0) = C(d, d/2)/2^d is about sqrt(2/(pi d))
+        assert p == pytest.approx(0.5 - math.sqrt(2 / (math.pi * 2 ** 20)) / 2,
+                                  rel=1e-9)
+
     def test_cube_rejects_unknown_queries(self):
         pop = CubePopulation(2)
         with pytest.raises(ValueError):
