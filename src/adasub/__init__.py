@@ -59,6 +59,7 @@ from .mechanisms import (
     median_params,
     mi_upper_bound,
     sq_accuracy_threshold,
+    sq_answer_cost,
     sq_params,
     sq_vote_budget,
     squash,

@@ -46,10 +46,12 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    RUN_MAX_ROUNDS,
     read_keys,
     run_experiment,
 )
-from .mechanisms import cost_hp, median_params, search_rounds, sq_params
+from .mechanisms import (
+    median_params, mi_upper_bound, search_rounds, sq_answer_cost, sq_params)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -345,6 +347,8 @@ def cmd_params(args) -> int:
             for flag, value in (("rmax", args.rmax), ("wmax", wmax), ("n", args.n)):
                 if value is not None and value < 1:
                     raise ConfigError(f"--{flag} must be at least 1, got {value}")
+            if args.T > RUN_MAX_ROUNDS:  # before the two T-long lists are built
+                raise ConfigError(f"--T must be at most {RUN_MAX_ROUNDS}, got {args.T}")
             mp = median_params(args.T, [wmax] * args.T, [args.rmax] * args.T,
                                args.delta)
             print(f"groups k            : {mp.k}")
@@ -358,14 +362,14 @@ def cmd_params(args) -> int:
             if getattr(args, flag) is None:
                 raise ConfigError(f"statistical-query params need --{flag}")
         sp = sq_params(args.n, args.T, args.tau, args.delta)
-        per_query = sp.k * cost_hp(args.n, 2, sp.epsilon, args.delta)
+        per_query = sq_answer_cost(args.n, sp.k, sp.epsilon, args.delta)
         total = args.T * per_query
         print(f"epsilon (squash)    : {format_number(sp.epsilon)}")
         print(f"votes per query k   : {sp.k}")
         print(f"advisory minimal n  : {sp.advisory_min_n}")
         print(f"per-query cost      : {format_number(per_query)}")
         print(f"total budget (T={args.T}): {format_number(total)}")
-        print(f"MI upper bound      : {format_number(args.n * total)}")
+        print(f"MI upper bound      : {format_number(mi_upper_bound(args.n, total))}")
         return EXIT_OK
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -146,12 +146,6 @@ class GroundTruth:
         if len(set(self.support)) != len(self.support):
             raise ValueError("support entries must be distinct")
 
-    def mass_of(self, x) -> float:
-        try:
-            return float(self.masses[self.support.index(x)])
-        except ValueError:
-            return 0.0
-
 
 @dataclass(frozen=True)
 class Query:

@@ -92,10 +92,6 @@ class StabilityReport:
     per_index: tuple[float, ...]
     law: ResponsePMF
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.measured
-
 
 def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
@@ -151,12 +147,12 @@ def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
     """
     if not 1 <= w <= n - 1:
         raise ValueError(f"need 1 <= w <= n-1, got w={w}, n={n}")
-    pos = np.concatenate(list(position_blocks(n, w)))
+    check_enumeration(n * math.comb(n, w), f"n*C({n},{w})")  # one pass per i
+    # (w, C(n,w)), rows contiguous: the per-i test below reduces over axis 0
+    cols = np.concatenate(list(position_blocks(n, w))).T.copy()
     f = f.__getitem__ if isinstance(f, Mapping) else f
-    vals = np.array([float(f(c)) for c in map(tuple, pos.tolist())])
-    hit = np.zeros((n, len(pos)), dtype=bool)
-    hit[pos, np.arange(len(pos))[:, None]] = True
-    cond_means = np.array([vals[~hit[i]].mean() for i in range(n)])
+    vals = np.array([float(f(c)) for c in zip(*cols.tolist())])
+    cond_means = np.array([vals[(cols != i).all(axis=0)].mean() for i in range(n)])
     lhs = float(cond_means.var())
     rhs = w / ((n - 1) * (n - w)) * float(vals.var())
     return lhs, rhs

@@ -81,15 +81,6 @@ class ResponsePMF:
             raise ValueError("masses must align index-for-index with outputs")
         check_mass_rows(masses)
 
-    def mass_of(self, y) -> float:
-        try:
-            return float(self.masses[self.outputs.index(y)])
-        except ValueError:
-            return 0.0
-
-    def mean(self) -> float:
-        return float(np.dot(self.masses, np.asarray(self.outputs, dtype=float)))
-
     def support(self) -> tuple:
         return tuple(y for y, m in zip(self.outputs, self.masses) if m > 0.0)
 

@@ -40,6 +40,7 @@ from .mechanisms import (
     SqSession,
     approximate_median_check,
     median_params,
+    mi_upper_bound,
     sq_accuracy_threshold,
     sq_params,
 )
@@ -927,6 +928,6 @@ def _summarize(rows: list[dict], *, n: int, trials: int, mechanism: str) -> dict
         "test_error_mean": float(np.mean(test_errors)) if test_errors else math.nan,
         "test_error_max": max(test_errors) if test_errors else math.nan,
         "total_cost_per_trial_mean": mean_cost,
-        "mi_upper_bound": n * mean_cost,
+        "mi_upper_bound": mi_upper_bound(n, mean_cost),
     }
     return summary

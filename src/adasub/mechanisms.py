@@ -24,9 +24,10 @@ Charged costs follow the per-query schedules:
     cost_uniform  (w|Y|/(n-w)) min(ln n, 1 + ln(1 + w/(n p)))
     cost_hp       (|Y|/n)     min(ln n, 1 + ln(1 + ln(1/delta)/(n p)))
 
-(the high-probability schedule fixes w = 1). n times the total charged
-cost upper-bounds the mutual information between the sample and the
-transcript of responses.
+(the high-probability schedule fixes w = 1). One SQ answer charges
+k cost_hp(n, 2, eps, delta) (``sq_answer_cost``), and n times the total
+charged cost (``mi_upper_bound``) upper-bounds the mutual information
+between the sample and the transcript of responses.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class BudgetExhausted(RuntimeError):
 
 class BudgetLedger:
     """Running account of per-query charges: the one record of what a
-    session charged. ``last`` is the most recent charge (0.0 before any).
+    session charged. ``total`` is the sum of the charges and ``last`` the
+    most recent one (0.0 before any).
 
     In ``almost_sure`` mode a charge that would push the total past the
     limit raises BudgetExhausted and leaves the ledger unchanged; in
@@ -63,28 +65,22 @@ class BudgetLedger:
         self.limit = float(limit)
         if not self.limit >= 0:  # NaN too: no charge would ever be refused
             raise ValueError(f"limit must be nonnegative, got {limit!r}")
-        self._charges: list[tuple[str, float]] = []
         self._total = 0.0
         self.last = 0.0
 
-    def charge(self, amount: float, label: str = "") -> None:
+    def charge(self, amount: float) -> None:
         if not amount >= 0:  # NaN too: it would disable every later refusal
             raise ValueError(f"charges must be nonnegative, got {amount!r}")
         if self.mode == "almost_sure" and self._total + amount > self.limit + 1e-12:
             raise BudgetExhausted(
                 f"charge {amount} would exceed limit {self.limit} "
                 f"(total {self._total})")
-        self._charges.append((label, amount))
         self._total += amount
         self.last = amount
 
     @property
     def total(self) -> float:
         return self._total
-
-    @property
-    def charges(self) -> tuple[tuple[str, float], ...]:
-        return tuple(self._charges)
 
 
 def cost_basic(n: int, w: int, ysize: int) -> float:
@@ -124,11 +120,17 @@ def _check_cost_args(n: int, w: int, ysize: int) -> None:
         raise ValueError("range size must be at least 1")
 
 
-def mi_upper_bound(ledger: BudgetLedger, n: int) -> float:
-    """n times the realized total charged cost: an upper bound on the mutual
-    information between the sample and this run's responses (average the
-    per-run value over trials for the expectation form)."""
-    return n * ledger.total
+def mi_upper_bound(n: int, total_cost: float) -> float:
+    """n times a total charged cost: an upper bound on the mutual
+    information between the sample and the responses charged for it (pass
+    the per-trial mean total for the expectation form)."""
+    return n * total_cost
+
+
+def sq_answer_cost(n: int, k: int, epsilon: float, delta: float) -> float:
+    """What one SQ answer charges: k votes, each a binary arity-1 query
+    that is epsilon-uniform, at the high-probability cost."""
+    return k * cost_hp(n, 2, epsilon, delta)
 
 
 def squash(phi: TestQuery, epsilon: float) -> TestQuery:
@@ -238,10 +240,6 @@ class SqSession:
         self.sample_value = math.nan
         self._gen = rng.generator
 
-    @property
-    def vote_cost(self) -> float:
-        return cost_hp(len(self.dataset), 2, self.epsilon, self.delta)
-
     def answer(self, phi: TestQuery) -> float:
         """Answer one statistical query: the mean of k Bernoulli votes, each
         on one element drawn uniformly from the sample with the squashed
@@ -253,7 +251,8 @@ class SqSession:
         phi(S) of the same values."""
         if phi.arity != 1:
             raise ValueError("the SQ mechanism answers arity-1 queries")
-        self.ledger.charge(self.k * self.vote_cost, label=phi.name or "sq")
+        self.ledger.charge(sq_answer_cost(len(self.dataset), self.k, self.epsilon,
+                                          self.delta))
         values = phi.values_on(self.dataset)
         if values.dtype == bool:  # the count/n is the float mean, exactly
             self.sample_value = np.count_nonzero(values) / len(values)
@@ -370,8 +369,7 @@ class MedianSession:
         if q.arity >= min_group:
             raise ValueError(
                 f"query arity {q.arity} is not below the smallest group size {min_group}")
-        self.ledger.charge(search_rounds(len(outputs)) * self._probe_charge(q.arity),
-                           label=q.name or "median")
+        self.ledger.charge(search_rounds(len(outputs)) * self._probe_charge(q.arity))
         lo, hi = 0, len(outputs) - 1
         while lo < hi:
             probe = (lo + hi + 1) // 2

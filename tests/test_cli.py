@@ -16,11 +16,14 @@ import adasub.cli as cli
 import adasub.divergence as dv
 from adasub.cli import (
     ConfigError,
+    format_number,
     load_config,
     main,
     run_suite,
 )
 from adasub.engine import RandomSource, ResponsePMF
+from adasub.harness import RUN_MAX_ROUNDS
+from adasub.mechanisms import mi_upper_bound, sq_answer_cost, sq_params
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -644,6 +647,17 @@ class TestParamsCommand:
         assert "epsilon" in out
         assert "MI upper bound" in out
 
+    def test_sq_cost_lines_are_the_mechanism_functions(self, capsys):
+        n, T, tau, delta = 15000, 1000, 0.1, 0.1
+        assert main(["params", "--n", str(n), "--T", str(T),
+                     "--tau", str(tau), "--delta", str(delta)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sp = sq_params(n, T, tau, delta)
+        per_query = sq_answer_cost(n, sp.k, sp.epsilon, delta)
+        assert lines[3] == f"per-query cost      : {format_number(per_query)}"
+        assert lines[5] == ("MI upper bound      : "
+                            f"{format_number(mi_upper_bound(n, T * per_query))}")
+
     def test_tau_one_exit_2(self, capsys):
         assert main(["params", "--n", "100", "--T", "10",
                      "--tau", "1.0", "--delta", "0.1"]) == 2
@@ -665,6 +679,15 @@ class TestParamsCommand:
         assert main(["params", "--median", "--T", "10", "--rmax", "1",
                      "--delta", "0.1"]) == 0
         assert "search rounds/query : 0" in capsys.readouterr().out
+
+    def test_median_T_past_the_round_ceiling_exit_2(self, capsys):
+        # checked before the two T-long lists are built
+        assert main(["params", "--median", "--T", str(RUN_MAX_ROUNDS + 1),
+                     "--rmax", "16", "--delta", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: --T must be at most {RUN_MAX_ROUNDS}, "
+                       f"got {RUN_MAX_ROUNDS + 1}\n")
 
     def test_median_missing_flag_exit_2(self, capsys):
         assert main(["params", "--median", "--T", "100"]) == 2

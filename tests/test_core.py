@@ -147,8 +147,9 @@ class TestEnumerators:
 class TestGroundTruth:
     def test_valid(self):
         gt = bernoulli(0.3)
-        assert gt.mass_of(1) == pytest.approx(0.3)
-        assert gt.mass_of(7) == 0.0
+        assert gt.support == (0, 1)
+        assert gt.masses[1] == pytest.approx(0.3)
+        assert 7 not in gt.support
 
     @pytest.mark.parametrize("masses", [[0.5, 0.6], [0.5, 0.4], [-0.1, 1.1]])
     def test_bad_masses(self, masses):

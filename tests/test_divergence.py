@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import adasub.divergence as dv
 from adasub.cli import run_suite
-from adasub.core import Dataset, Query
+from adasub.core import Dataset, EnumerationCapExceeded, Query
 from adasub.divergence import (
     PMF_BLOCK,
     alkl_bound_general,
@@ -240,7 +241,7 @@ class TestLeaveOneOutChi2:
                                                          abs=1e-15)
         assert report.measured == pytest.approx(0.25, abs=1e-15)
         assert report.bound == pytest.approx(0.25, abs=1e-15)
-        assert report.slack == pytest.approx(0.0, abs=1e-12)
+        assert report.bound - report.measured == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_query(self):
         q = Query.deterministic(1, (0, 1), lambda x: 0, name="c")
@@ -391,6 +392,20 @@ class TestVarianceContraction:
             rhs = w / ((n - 1) * (n - w)) * float(vals.var())
             assert verify_variance_contraction(f, n, w) == (lhs, rhs)
             assert verify_variance_contraction(f.__getitem__, n, w) == (lhs, rhs)
+
+    def test_cap_counts_one_pass_per_point(self):
+        # n x C(n, w) = 9,000,000 mask entries: refused before any is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapExceeded, match=r"n\*C\(3000,1\)"):
+                verify_variance_contraction(lambda c: float(c[0]), 3000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # 1,000,000 entries are within the cap; a linear f gives equality
+        lhs, rhs = verify_variance_contraction(lambda c: float(c[0]), 1000, 1)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestKlChi2Inequality:

@@ -27,7 +27,8 @@ from adasub.harness import (
     run_experiment,
     sign_sum_test,
 )
-from adasub.mechanisms import SqSession, cost_hp, sq_params
+from adasub.mechanisms import (
+    BudgetLedger, SqSession, cost_hp, mi_upper_bound, sq_answer_cost, sq_params)
 from grid_reference import grid_cell, scalar_grid_mean
 
 
@@ -418,7 +419,14 @@ class TestRunExperiment:
         import adasub.harness as hz
         T, n = 4000, 8
         analyst = RandomCorrelationAnalyst(T)
-        ledgers = []
+        ledgers, charged = [], []  # every accepted charge, in order
+        charge = BudgetLedger.charge
+
+        def spy_charge(ledger, amount):
+            charge(ledger, amount)
+            charged.append(amount)
+
+        monkeypatch.setattr(BudgetLedger, "charge", spy_charge)
 
         def trial(mech):
             open_session = mech.open
@@ -434,15 +442,15 @@ class TestRunExperiment:
             return rows
 
         rows = trial(hz.SqMechanism({"delta": 0.1, "epsilon": 0.1, "k": 3}, n, analyst))
-        assert len(ledgers[0].charges) == T
+        assert len(charged) == T
         assert math.fsum(r["cost"] for r in rows) \
             == pytest.approx(ledgers[0].total, rel=1e-9)
         # each answered row costs exactly what its session charged, in order
-        assert [r["cost"] for r in rows[:T]] == [a for _, a in ledgers[0].charges]
+        assert [r["cost"] for r in rows[:T]] == charged
         # the baseline charges nothing, so every row reads 0.0
         rows = trial(hz.NaiveMechanism({}, n, analyst))
         assert all(r["cost"] == 0.0 for r in rows)
-        assert ledgers[1].charges == () and ledgers[1].total == 0.0
+        assert len(charged) == T and ledgers[1].total == 0.0
 
     def test_different_seed_changes_answers(self):
         r1 = run_experiment(sq_config(seed=1))
@@ -461,6 +469,20 @@ class TestRunExperiment:
             assert sum(costs) == pytest.approx(2 * per_query, rel=1e-12)
         assert report.summary["mi_upper_bound"] \
             == pytest.approx(60 * 2 * per_query, rel=1e-9)
+
+    def test_answered_sq_rows_cost_one_sq_answer(self):
+        report = run_experiment(sq_config(trials=3))
+        s = report.summary
+        want = sq_answer_cost(60, s["k"], s["epsilon"], 0.2)
+        answered = [r for r in report.rows if not r["query_id"].startswith("test:")]
+        assert len(answered) == 3 * 2
+        assert all(r["cost"] == want for r in answered)
+
+    def test_sidecar_mi_bound_is_mi_upper_bound(self):
+        s = run_experiment(sq_config(trials=3)).summary
+        assert s["total_cost_per_trial_mean"] > 0
+        assert s["mi_upper_bound"] == mi_upper_bound(s["n"],
+                                                     s["total_cost_per_trial_mean"])
 
     def test_naive_mechanism_answers_sample_means(self):
         cfg = sq_config(mechanism={"name": "naive-empirical", "tau": 0.3})
@@ -579,6 +601,9 @@ class TestRunExperiment:
                      "r_cells": 16, "r_step": 1.6},
         )
         report = run_experiment(cfg)
+        s = report.summary
+        assert s["mi_upper_bound"] == mi_upper_bound(s["n"],
+                                                     s["total_cost_per_trial_mean"])
         rows = report.rows
         assert len(rows) == 2 * 3
         for r in rows:

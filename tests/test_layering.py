@@ -16,7 +16,7 @@ import numpy as np
 import adasub
 from adasub.core import Dataset, Query, TestQuery
 from adasub.engine import RandomSource
-from adasub.mechanisms import MedianSession, SqSession
+from adasub.mechanisms import BudgetLedger, MedianSession, SqSession
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "adasub"
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -94,8 +94,18 @@ def test_perfbench_traces_live_callables(monkeypatch):
 
 def test_perfbench_reads_live_session_attributes(monkeypatch):
     """perfbench's answer clock and probe-cost count read a live session's
-    ``k``, ``groups`` and ``_vote_cost``, so deleting one of them fails here
-    and not only in a benchmark run."""
+    ``k``, ``groups`` and ``_vote_cost``, and its ledger count reads the
+    amount of a ``BudgetLedger.charge`` call, passed by position or by name,
+    so deleting or renaming one of them fails here and not only in a
+    benchmark run."""
+    calls = []  # (args, kwargs) of every charge the sessions make
+    charge = BudgetLedger.charge
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return charge(*args, **kwargs)
+
+    monkeypatch.setattr(BudgetLedger, "charge", spy)
     with _perfbench(monkeypatch) as (tracing, workloads):
         clock = workloads.AnswerClock(adasub)
         sq = SqSession(Dataset([0, 1, 1, 0]), 0.1, 5, RandomSource(1), 0.2)
@@ -109,6 +119,13 @@ def test_perfbench_reads_live_session_attributes(monkeypatch):
             assert clock.votes == 5 + len(median.groups) * 3  # 3 probes over 5 values
         # one probe's cost, as charged: 3 probes for a range of 5 values
         assert 3 * tracing._probe_cost((median, q), {}) == median.ledger.last
+        count = tracing.COUNTS["mechanisms.BudgetLedger.charge"]
+        assert [count(*call) for call in calls] == [sq.ledger.last, median.ledger.last]
+        ledger = BudgetLedger()
+        for args, kwargs in (((ledger, 0.25), {}), ((ledger,), {"amount": 0.5})):
+            charge(*args, **kwargs)
+            assert count(args, kwargs) == ledger.last
+        assert ledger.total == 0.75
 
 
 def test_position_blocks_is_the_one_enumerator():

@@ -23,6 +23,7 @@ from adasub.mechanisms import (
     mi_upper_bound,
     search_rounds,
     sq_accuracy_threshold,
+    sq_answer_cost,
     sq_params,
     sq_vote_budget,
     squash,
@@ -31,6 +32,19 @@ from grid_reference import scalar_grid_mean
 
 IDENT = TestQuery(1, lambda x: float(x), name="id",
                   batch=lambda a: a.astype(float))
+
+
+def record_charges(ledger: BudgetLedger) -> list[float]:
+    """Spy on ``ledger.charge``: the returned list gets every amount the
+    ledger accepts, in order."""
+    amounts, charge = [], ledger.charge
+
+    def spy(amount):
+        charge(amount)
+        amounts.append(amount)
+
+    ledger.charge = spy
+    return amounts
 
 
 def const(c):
@@ -91,19 +105,19 @@ class TestCosts:
 
 class TestMiUpperBound:
     def test_empty(self):
-        assert mi_upper_bound(BudgetLedger(), 50) == 0.0
+        assert mi_upper_bound(50, BudgetLedger().total) == 0.0
 
     def test_single_charge(self):
         ledger = BudgetLedger()
         ledger.charge(0.0221)
-        assert mi_upper_bound(ledger, 100) == pytest.approx(2.21, abs=1e-12)
+        assert mi_upper_bound(100, ledger.total) == pytest.approx(2.21, abs=1e-12)
 
     def test_additivity(self):
         ledger = BudgetLedger()
         for _ in range(7):
             ledger.charge(0.125)
-        assert mi_upper_bound(ledger, 16) == pytest.approx(16 * 7 * 0.125,
-                                                           abs=1e-12)
+        assert mi_upper_bound(16, ledger.total) == pytest.approx(16 * 7 * 0.125,
+                                                                 abs=1e-12)
 
 
 class TestBudgetLedger:
@@ -114,12 +128,11 @@ class TestBudgetLedger:
 
     def test_almost_sure_refusal_leaves_state_unchanged(self):
         ledger = BudgetLedger("almost_sure", limit=1.0)
-        ledger.charge(0.5, "a")
+        ledger.charge(0.5)
         with pytest.raises(BudgetExhausted):
-            ledger.charge(0.6, "b")
-        assert ledger.total == 0.5
-        assert ledger.charges == (("a", 0.5),)
-        ledger.charge(0.5, "c")  # exactly hits the limit
+            ledger.charge(0.6)
+        assert ledger.total == 0.5 and ledger.last == 0.5
+        ledger.charge(0.5)  # exactly hits the limit
         assert ledger.total == 1.0
 
     def test_bad_mode(self):
@@ -132,7 +145,7 @@ class TestBudgetLedger:
         ledger = BudgetLedger("almost_sure", 1.0)
         with pytest.raises(ValueError, match="charges must be nonnegative"):
             ledger.charge(amount)
-        assert ledger.total == 0.0 and ledger.charges == ()
+        assert ledger.total == 0.0 and ledger.last == 0.0
         with pytest.raises(BudgetExhausted):
             ledger.charge(100.0)
 
@@ -238,11 +251,13 @@ class TestSqSession:
     def test_ledger_charges_per_vote_cost(self):
         S = Dataset([0, 1, 1, 0])
         s = SqSession(S, 0.02, 9, RandomSource(6), 0.2)
+        charged = record_charges(s.ledger)
         s.answer(IDENT)
         s.answer(IDENT)
-        want = 2 * 9 * cost_hp(4, 2, 0.02, 0.2)
-        assert s.ledger.total == pytest.approx(want, rel=1e-12)
-        assert [a for _, a in s.ledger.charges] == [9 * cost_hp(4, 2, 0.02, 0.2)] * 2
+        want = 9 * cost_hp(4, 2, 0.02, 0.2)
+        assert sq_answer_cost(4, 9, 0.02, 0.2) == want
+        assert charged == [want] * 2
+        assert s.ledger.total == pytest.approx(2 * want, rel=1e-12)
 
     def test_refusal_consumes_no_randomness(self):
         S = Dataset([0, 1, 1, 0])
@@ -252,7 +267,7 @@ class TestSqSession:
         first = a.answer(IDENT)
         with pytest.raises(BudgetExhausted):
             a.answer(IDENT)
-        assert len(a.ledger.charges) == 1
+        assert a.ledger.total == a.ledger.last == 9 * cost_hp(4, 2, 0.0, 0.1)
         # a fresh session on the same stream reproduces both answers,
         # so the refused call consumed nothing
         b = SqSession(S, 0.0, 9, RandomSource(7), 0.1)
@@ -515,6 +530,7 @@ class TestMedianSession:
         runs = []
         for batched in (True, False):
             s = MedianSession(S, 9, RandomSource(10), noise=noise)
+            charged = record_charges(s.ledger)
             responses = []
             for t in range(1, analyst.rounds + 1):
                 q = analyst.next_query(t, tuple(responses), None)
@@ -522,7 +538,7 @@ class TestMedianSession:
                 if not batched:
                     q = scalar_grid_mean(q)  # fsum and the scalar cell rule
                 responses.append(s.answer(q))
-            runs.append((responses, s.ledger.charges, s._gen.bit_generator.state))
+            runs.append((responses, charged, s._gen.bit_generator.state))
         (*batched, state), (*scalar, scalar_state) = runs
         assert batched == scalar  # the same responses and ledger charges
         np.testing.assert_equal(state, scalar_state)  # no draw added or removed
@@ -547,7 +563,7 @@ class TestMedianSession:
         s = MedianSession(Dataset(np.zeros(10)), 3, RandomSource(6))
         with pytest.raises(ValueError, match="smallest group size 3"):
             s.answer(q)
-        assert s.ledger.total == 0.0 and s.ledger.charges == ()
+        assert s.ledger.total == 0.0 and s.ledger.last == 0.0
 
     def test_probe_charge_computed_once_per_arity(self, monkeypatch):
         import adasub.mechanisms as mech
@@ -560,11 +576,12 @@ class TestMedianSession:
         monkeypatch.setattr(mech, "cost_uniform", counting)
         grid = tuple(float(v) for v in range(8))
         s = MedianSession(Dataset(np.arange(23.0)), 5, RandomSource(8))
+        charged = record_charges(s.ledger)
         for w in (1, 2, 1, 2, 2):
             s.answer(Query.deterministic(w, grid, lambda *xs: 3.0, name=f"w{w}"))
         assert len(calls) == 2 * s.k  # one pass over the groups per arity
-        assert len(s.ledger.charges) == 5
-        for w, (_, amount) in zip((1, 2, 1, 2, 2), s.ledger.charges):
+        assert len(charged) == 5
+        for w, amount in zip((1, 2, 1, 2, 2), charged):
             # bit-identical to summing the groups' vote costs afresh
             assert amount == 3 * sum(cost_uniform(len(g), w, 2, w / len(g))
                                      for g in s.groups)
@@ -576,7 +593,7 @@ class TestMedianSession:
                           ledger=BudgetLedger("almost_sure", 1e-9))
         with pytest.raises(BudgetExhausted):
             s.answer(q)
-        assert s.ledger.charges == ()
+        assert s.ledger.total == 0.0 and s.ledger.last == 0.0
         # stream untouched: same answers as a fresh session
         fresh = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(7))
         s.ledger.limit = math.inf
