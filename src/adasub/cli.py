@@ -47,6 +47,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     RUN_MAX_ROUNDS,
+    SAMPLE_MAX,
     read_keys,
     run_experiment,
 )
@@ -116,8 +117,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def format_number(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".12g")
@@ -130,12 +129,8 @@ def write_csv(report: ExperimentReport, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ROW_COLUMNS)
         for row in report.rows:
-            writer.writerow([
-                row["trial"], row["t"], row["query_id"], row["mechanism"],
-                *(format_number(row[c]) for c in
-                  ("answer", "sample_value", "truth", "bias", "threshold",
-                   "within_bound", "cost")),
-            ])
+            writer.writerow([row[c] if isinstance(row[c], str) else format_number(row[c])
+                             for c in ROW_COLUMNS])
 
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:
@@ -165,8 +160,14 @@ def cmd_run(args) -> int:
     except Exception as exc:  # the config was valid, so the fault is internal
         print(f"run failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    write_csv(report, out)
-    write_summary_json(report, out.with_suffix(out.suffix + ".summary.json"))
+    sidecar = out.with_suffix(out.suffix + ".summary.json")
+    for path, write in ((out, write_csv), (sidecar, write_summary_json)):
+        try:
+            write(report, path)
+        except OSError as exc:
+            print(f"config error: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     print(f"wrote {len(report.rows)} rows to {out}")
     for key in sorted(report.summary):
         print(f"  {key}: {report.summary[key]}")
@@ -340,6 +341,11 @@ def cmd_verify(args) -> int:
 
 def cmd_params(args) -> int:
     try:
+        for flag, ceiling in (("n", SAMPLE_MAX), ("T", RUN_MAX_ROUNDS),
+                              ("wmax", RUN_MAX_ROUNDS)):  # before any arithmetic
+            value = getattr(args, flag)
+            if value is not None and value > ceiling:
+                raise ConfigError(f"--{flag} must be at most {ceiling}, got {value}")
         if args.median:
             if args.T is None or args.rmax is None or args.delta is None:
                 raise ConfigError("median params need --T, --rmax and --delta")
@@ -347,8 +353,6 @@ def cmd_params(args) -> int:
             for flag, value in (("rmax", args.rmax), ("wmax", wmax), ("n", args.n)):
                 if value is not None and value < 1:
                     raise ConfigError(f"--{flag} must be at least 1, got {value}")
-            if args.T > RUN_MAX_ROUNDS:  # before the two T-long lists are built
-                raise ConfigError(f"--T must be at most {RUN_MAX_ROUNDS}, got {args.T}")
             mp = median_params(args.T, [wmax] * args.T, [args.rmax] * args.T,
                                args.delta)
             print(f"groups k            : {mp.k}")

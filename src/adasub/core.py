@@ -212,39 +212,39 @@ class Query:
     def output_laws(self, S: Dataset, positions: np.ndarray) -> np.ndarray:
         """The (m, |Y|) output law of q on each row of an (m, w) position
         array of S: one-hot rows through ``output_indices`` for a
-        deterministic q, else the ``output_pmf`` row of each subsample."""
-        m = len(positions)
-        if self.evaluator is None:
-            return np.array([self.output_pmf(sub) for sub in S.subsamples(positions)],
-                            dtype=float).reshape(m, len(self.outputs))
-        laws = np.zeros((m, len(self.outputs)))
-        laws[np.arange(m), self.output_indices(S, positions)] = 1.0
-        return laws
+        deterministic q, else the ``output_pmf`` row of each distinct
+        subsample."""
+        if self.evaluator is not None:
+            laws = np.zeros((len(positions), len(self.outputs)))
+            laws[np.arange(len(positions)), self.output_indices(S, positions)] = 1.0
+            return laws
+        distinct, which = _distinct_rows(positions)
+        return np.array([self.output_pmf(sub) for sub in S.subsamples(distinct)],
+                        dtype=float).reshape(len(distinct), len(self.outputs))[which]
 
     def answer_indices(self, S: Dataset, positions: np.ndarray,
-                       gen: np.random.Generator, which=slice(None)) -> np.ndarray:
-        """One answer index into ``outputs`` per draw, where draw i is on row
-        ``which[i]`` of an (m, w) position array of S (on row i by default).
-        A deterministic q's answers are its ``output_indices`` and draw no
-        random number; a randomized q draws one uniform per draw and inverts
-        it through its row's output CDF."""
+                       gen: np.random.Generator) -> np.ndarray:
+        """One answer index into ``outputs`` per row of an (m, w) position
+        array of S. A deterministic q's answers are its ``output_indices``
+        and draw no random number; a randomized q draws one uniform per row
+        and inverts it through the row's output CDF."""
         if self.evaluator is not None:
-            return self.output_indices(S, positions)[which]
-        cdf = np.cumsum(self.output_laws(S, positions), axis=1)[which]
+            return self.output_indices(S, positions)
+        cdf = np.cumsum(self.output_laws(S, positions), axis=1)
         u = gen.random(len(cdf))
         return np.minimum((u[:, None] > cdf).sum(axis=1), len(self.outputs) - 1)
 
     def output_indices(self, S: Dataset, positions: np.ndarray) -> np.ndarray:
         """The index into ``outputs`` of a deterministic query's answer on
-        each row of an (m, w) position array of S: one ``batch`` call when
-        it is set, else ``evaluator`` on each row's element tuple."""
+        each row of an (m, w) position array of S: one ``batch`` call on
+        every row when it is set, else ``evaluator`` on each distinct row's
+        element tuple."""
         if self.evaluator is None:
             raise ValueError("output indices need a deterministic evaluator")
         if self.batch is None:
-            return np.fromiter(
-                (self._output_index(self.evaluator(*sub))
-                 for sub in S.subsamples(positions)),
-                dtype=np.intp, count=len(positions))
+            distinct, which = _distinct_rows(positions)
+            return np.array([self._output_index(self.evaluator(*sub))
+                             for sub in S.subsamples(distinct)], dtype=np.intp)[which]
         return _batch_indices(self.batch, S.array[positions], len(self.outputs))
 
     def _output_index(self, y) -> int:
@@ -252,6 +252,19 @@ class Query:
             return self.outputs.index(y)
         except ValueError:
             raise ValueError(f"evaluator output {y!r} is outside the declared range") from None
+
+
+def _distinct_rows(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in lexicographic order, and
+    each row's index among them, as ``np.unique(pos, axis=0,
+    return_inverse=True)`` gives them, by one several times faster lexsort."""
+    order = np.lexsort(pos.T[::-1])
+    ranked = pos[order]
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(pos), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return ranked[first], which
 
 
 def _batch_indices(batch: Callable, elements: np.ndarray, ysize: int) -> np.ndarray:

@@ -130,9 +130,9 @@ def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generat
     gives on a uniform without-replacement w-subset of S's positions.
 
     With ``size`` given, returns an array of that many independent answers:
-    all positions in one draw, then q's answers on each distinct subset
-    (``Query.answer_indices``). Without it, the one answer is that draw of
-    one row. The marginal law of each answer equals
+    all positions in one draw, then q's answers on the drawn rows in one
+    ``Query.answer_indices`` call. Without it, the one answer is that draw
+    of one row. The marginal law of each answer equals
     ``exact_response_pmf(q, S)``.
     """
     n = len(S)
@@ -140,25 +140,10 @@ def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generat
         raise ValueError(f"query arity {q.arity} exceeds sample size {n}")
     gen = rng.generator if isinstance(rng, RandomSource) else rng
     pos = draw_positions(gen, n, q.arity, 1 if size is None else size)
-    distinct, which = _distinct_rows(pos)
-    index = q.answer_indices(S, distinct, gen, which)
+    index = q.answer_indices(S, pos, gen)
     if size is None:
         return q.outputs[index[0]]
     return np.asarray(q.outputs)[index]
-
-
-def _distinct_rows(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array in lexicographic order, and
-    each row's index among them: ``np.unique(pos, axis=0,
-    return_inverse=True)`` by one ``np.lexsort``, which is several times
-    faster on a million rows."""
-    order = np.lexsort(pos.T[::-1])
-    ranked = pos[order]
-    first = np.ones(len(pos), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    which = np.empty(len(pos), dtype=np.intp)
-    which[order] = np.cumsum(first) - 1
-    return ranked[first], which
 
 
 def exact_response_pmf(q: Query, S: Dataset) -> ResponsePMF:

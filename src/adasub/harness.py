@@ -463,19 +463,17 @@ class Analyst:
 class FixedAnalyst(Analyst):
     """Replays a fixed query list, ignoring responses."""
 
-    def __init__(self, queries: Sequence[TestQuery],
-                 tests: Optional[Sequence[TestQuery]] = None):
+    def __init__(self, queries: Sequence[TestQuery]):
         if not queries:
             raise ValueError("fixed analyst needs at least one query")
         self.queries = list(queries)
         self.rounds = len(self.queries)
-        self.tests = list(tests) if tests is not None else list(queries)
 
     def next_query(self, t, responses, rng):
         return self.queries[t - 1]
 
     def final_tests(self, responses, rng):
-        return list(self.tests)
+        return list(self.queries)
 
 
 class RandomCorrelationAnalyst(Analyst):

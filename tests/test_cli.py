@@ -22,7 +22,7 @@ from adasub.cli import (
     run_suite,
 )
 from adasub.engine import RandomSource, ResponsePMF
-from adasub.harness import RUN_MAX_ROUNDS
+from adasub.harness import RUN_MAX_ROUNDS, SAMPLE_MAX
 from adasub.mechanisms import mi_upper_bound, sq_answer_cost, sq_params
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -474,6 +474,34 @@ class TestRunCommand:
                        "to the ledger total\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("shape", ["directory", "under-a-file", "out-dir-env",
+                                       "sidecar-directory"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, monkeypatch,
+                                           shape):
+        # a directory where the CSV or its sidecar goes, or a regular file
+        # where a parent directory goes (through --out or $ADASUB_OUT_DIR)
+        blocker = tmp_path / "blocker"
+        argv = ["run", str(write_config(tmp_path))]
+        if shape == "directory":
+            blocker.mkdir()
+            path = blocker
+        elif shape == "sidecar-directory":
+            (tmp_path / "x.csv.summary.json").mkdir()
+            argv += ["--out", str(tmp_path / "x.csv")]
+            path = tmp_path / "x.csv.summary.json"
+        else:
+            blocker.write_text("")
+            path = blocker / "run-99.csv"
+            if shape == "out-dir-env":
+                monkeypatch.setenv("ADASUB_OUT_DIR", str(blocker))
+        if shape in ("directory", "under-a-file"):
+            argv += ["--out", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_threads_flag_keeps_output(self, tmp_path):
         cfg = write_config(tmp_path, {"trials": 3})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -491,6 +519,10 @@ class TestRunCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.summary.json").read_bytes() == \
             (tmp_path / "b.csv.summary.json").read_bytes()
+
+
+def _raise_no_law(q, S):
+    raise RuntimeError("no law")
 
 
 class TestVerifyCommand:
@@ -567,6 +599,36 @@ class TestVerifyCommand:
     def test_run_suite_api(self):
         res = run_suite("var-contraction", trials=25, seed=3)
         assert res.passed and res.instances == 25
+
+    @pytest.mark.parametrize("suite,attr,fake,needle", [
+        ("chi2-stability", "measure_leave_one_out_chi2",
+         lambda real: _raise_no_law,
+         r"instance \d+: no law; query=randmap\(.*\) tag=None dataset=\[.*\]"),
+        ("chi2-stability", "chi2_stability_bound",
+         lambda real: lambda n, w, y: real(n, w, y) + 1.0,
+         r"instance \d+: w=1 equality off by 1\.0+e\+00; query=randmap\(w=1,"
+         r".*\) tag=None dataset=\[.*\]"),
+        ("var-contraction", "verify_variance_contraction",
+         lambda real: lambda f, n, w: (1.0, 0.0),
+         r"instance \d+: n=\d+ w=\d+ lhs=1\.0 rhs=0\.0 f=\{.*\}"),
+        ("exceeds-mean", "sample_exceeds_mean_probe",
+         lambda real: lambda *args: 0.5, r"constant probe: estimate 0\.5 < 1"),
+        ("exceeds-mean", "sample_exceeds_mean_exact",
+         lambda real: lambda values, n: 0.0,
+         r"(two-value|exact) probe: 0\.0 < 0\.0357"),
+    ], ids=["chi2-raises", "chi2-w1-equality", "var-contraction", "mc-probe",
+            "exact-probes"])
+    def test_forced_failures_exit_3_with_the_instance(self, monkeypatch, capsys,
+                                                      suite, attr, fake, needle):
+        monkeypatch.setattr(dv, attr, fake(getattr(dv, attr)))
+        assert main(["verify", suite, "--trials", "20"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{suite}: FAIL")
+        found = [line for line in lines[1:]
+                 if re.fullmatch(r"  counterexample: " + needle, line)]
+        assert found and len(found) == len(lines) - 1
+        if attr == "sample_exceeds_mean_exact":
+            assert len(found) == 2
 
 
 # The first three counterexamples at seed 20260803 as the block-drawn suites
@@ -688,6 +750,37 @@ class TestParamsCommand:
         assert out == ""
         assert err == (f"config error: --T must be at most {RUN_MAX_ROUNDS}, "
                        f"got {RUN_MAX_ROUNDS + 1}\n")
+
+    @pytest.mark.parametrize("argv,flag,ceiling", [
+        (["--n", "{}", "--T", "10", "--tau", "0.1", "--delta", "0.1"], "n", SAMPLE_MAX),
+        (["--median", "--T", "10", "--rmax", "16", "--delta", "0.1", "--n", "{}"],
+         "n", SAMPLE_MAX),
+        (["--n", "100", "--T", "{}", "--tau", "0.1", "--delta", "0.1"], "T",
+         RUN_MAX_ROUNDS),
+        (["--median", "--T", "10", "--rmax", "16", "--delta", "0.1", "--wmax", "{}"],
+         "wmax", RUN_MAX_ROUNDS),
+    ])
+    @pytest.mark.parametrize("past", ["ceiling+1", "400 digits"])
+    def test_flags_past_their_ceiling_exit_2(self, capsys, argv, flag, ceiling, past):
+        # refused before any arithmetic, where a huge int overflows a float
+        value = str(ceiling + 1) if past == "ceiling+1" else "9" * 400
+        assert main(["params", *(a.format(value) for a in argv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: --{flag} must be at most {ceiling}, got {value}\n"
+
+    @pytest.mark.parametrize("n,verdict", [("5", "BELOW"), ("2000", "above")])
+    def test_median_requested_n_line(self, capsys, n, verdict):
+        assert main(["params", "--median", "--T", "10", "--rmax", "16",
+                     "--delta", "0.1", "--n", n]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"requested n         : {n} ({verdict} advisory)"
+
+    def test_sq_missing_flag_exit_2(self, capsys):
+        assert main(["params", "--n", "100", "--T", "10", "--tau", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: statistical-query params need --delta\n"
 
     def test_median_missing_flag_exit_2(self, capsys):
         assert main(["params", "--median", "--T", "100"]) == 2

@@ -487,7 +487,7 @@ class TestOutputLaws:
         which = np.array([3, 0, 0, 9, 3])
         gen = np.random.default_rng(5)
         state = gen.bit_generator.state
-        assert np.array_equal(q.answer_indices(S, pos, gen, which),
+        assert np.array_equal(q.answer_indices(S, pos[which], gen),
                               q.output_indices(S, pos)[which])
         assert np.array_equal(q.answer_indices(S, pos, gen), q.output_indices(S, pos))
         assert gen.bit_generator.state == state
@@ -499,7 +499,7 @@ class TestOutputLaws:
         S, pos = Dataset([0, 1, 2]), np.array([[0], [1], [2]])
         which = np.array([0, 1, 1, 0, 2] * 40)
         gen, replay = np.random.default_rng(6), np.random.default_rng(6)
-        got = q.answer_indices(S, pos, gen, which)
+        got = q.answer_indices(S, pos[which], gen)
         replay.random(len(which))
         assert gen.bit_generator.state == replay.bit_generator.state
         assert np.array_equal(got[which < 2], np.where(which[which < 2] == 0, 2, 0))

@@ -17,13 +17,13 @@ from adasub.core import (
     GroundTruth,
     Query,
     TestQuery,
+    _distinct_rows,
     query_expectation_on_sample,
 )
 from adasub.divergence import random_query_instance
 from adasub.engine import (
     RandomSource,
     ResponsePMF,
-    _distinct_rows,
     draw_positions,
     exact_response_pmf,
     leave_one_out_pmfs,
@@ -418,6 +418,52 @@ class TestSubsampleAnswer:
         got = subsample_answer(q, S, np.random.default_rng(n + w), size=400)
         pos = draw_positions(np.random.default_rng(n + w), n, w, 400)
         assert got.tolist() == [sum(sub) % 97 for sub in S.subsamples(pos)]
+
+    def test_batch_answers_every_drawn_row_in_one_call(self):
+        calls = []
+
+        def batch(elements):
+            calls.append(len(elements))
+            return elements.sum(axis=1) % 2
+
+        q = Query(2, ("even", "odd"), batch=batch)
+        subsample_answer(q, Dataset([0, 1, 1, 0]), RandomSource(4), size=500)
+        assert calls == [500]
+
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_per_row_forms_are_called_once_per_distinct_row(self, randomized):
+        seen = []
+
+        def spy(x, y):
+            seen.append((x, y))
+            return [0.5, 0.5] if randomized else (x + y) % 2
+
+        q = (Query.randomized(2, (0, 1), spy) if randomized
+             else Query.deterministic(2, (0, 1), spy))
+        S = Dataset(np.arange(5))
+        subsample_answer(q, S, RandomSource(4), size=500)
+        pos = draw_positions(RandomSource(4).generator, len(S), 2, 500)
+        drawn = set(S.subsamples(pos))
+        assert len(seen) == len(drawn) < 500
+        assert set(seen) == drawn
+
+    @pytest.mark.parametrize("form,many", [
+        ("batch", "babacbabcbcacbbbbbbbbbcc"),
+        ("evaluator", "babacbabcbcacbbbbbbbbbcc"),
+        ("uniformized", "bcbbbabbcbcacbbbccbbbbcb"),
+    ])
+    def test_answers_are_pinned_at_fixed_seeds(self, form, many):
+        # recorded before the sampler stopped deduplicating batch rows
+        table = np.array([[0, 2, 1, 1], [2, 0, 0, 1], [1, 1, 2, 0], [0, 2, 2, 1]])
+        evaluator = Query.deterministic(2, ("a", "b", "c"),
+                                        lambda x, y: "abc"[table[x, y]])
+        q = {"batch": Query(2, ("a", "b", "c"),
+                            batch=lambda el: table[el[:, 0], el[:, 1]]),
+             "evaluator": evaluator,
+             "uniformized": uniformize(evaluator, 0.5 / 3)}[form]
+        S = Dataset([3, 0, 2, 2, 1, 0, 3, 1, 2])
+        assert "".join(subsample_answer(q, S, RandomSource(11), size=24)) == many
+        assert subsample_answer(q, S, RandomSource(12)) == "a"
 
     @pytest.mark.parametrize("q", [
         Query.deterministic(1, (0, 1), lambda x: x, name="id"),

@@ -92,6 +92,19 @@ def test_perfbench_traces_live_callables(monkeypatch):
         assert not stale, f"traced functions adasub no longer has: {stale}"
 
 
+def test_perfbench_traces_live_methods(monkeypatch):
+    """perfbench's tracer wraps a traced method only in the classes whose
+    ``__dict__`` holds it, so a deleted method would read 0 calls without
+    an error; here it fails instead. ``core.Query.sample_output`` is gone
+    already and waits for the benchmark's next change to drop its entry."""
+    with _perfbench(monkeypatch) as (tracing, _):
+        stale = [span for span, (base, attr) in tracing.METHODS.items()
+                 if not any(attr in cls.__dict__
+                            for cls in (base, *tracing._subclasses(base)))]
+        assert set(stale) <= {"core.Query.sample_output"}, (
+            f"traced methods adasub no longer has: {stale}")
+
+
 def test_perfbench_reads_live_session_attributes(monkeypatch):
     """perfbench's answer clock and probe-cost count read a live session's
     ``k``, ``groups`` and ``_vote_cost``, and its ledger count reads the
