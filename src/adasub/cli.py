@@ -145,6 +145,25 @@ def _default_out(seed: int) -> Path:
     return base / f"run-{seed}.csv"
 
 
+def _check_writable(path: Path) -> None:
+    """Fail as writing ``path`` would, before any trial runs, and leave no
+    new file: make its directories, open it for appending, and remove it
+    again if it was not there."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    new = not os.path.lexists(path)
+    path.open("a").close()
+    if new:
+        path.unlink()
+
+
+def _output(path: Path, write) -> None:
+    """``write(path)``, an OSError refused as the ConfigError naming path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -152,22 +171,20 @@ def cmd_run(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         out = Path(args.out) if args.out else (
             Path(cfg.out) if cfg.out else _default_out(cfg.seed))
+        sidecar = out.with_suffix(out.suffix + ".summary.json")
+        outputs = ((out, write_csv), (sidecar, write_summary_json))
+        for path, _ in outputs:
+            _output(path, _check_writable)
         report = run_experiment(cfg)
         report.verify_consistency()
+        for path, write in outputs:
+            _output(path, lambda p: write(report, p))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # the config was valid, so the fault is internal
         print(f"run failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    sidecar = out.with_suffix(out.suffix + ".summary.json")
-    for path, write in ((out, write_csv), (sidecar, write_summary_json)):
-        try:
-            write(report, path)
-        except OSError as exc:
-            print(f"config error: cannot write {path}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     print(f"wrote {len(report.rows)} rows to {out}")
     for key in sorted(report.summary):
         print(f"  {key}: {report.summary[key]}")
@@ -189,54 +206,116 @@ class SuiteResult:
         return not self.failures
 
 
+SUITE_CHUNK = 200  # instances of the chi2 and variance suites held at once
+
+
+def _chunks(trials: int):
+    """The instance ranges of SUITE_CHUNK instances each that cover --trials."""
+    return (range(lo, min(lo + SUITE_CHUNK, trials))
+            for lo in range(0, trials, SUITE_CHUNK))
+
+
+def _shape_groups(shapes) -> list[list[int]]:
+    """The indices into ``shapes`` of each distinct shape, in first-seen order."""
+    groups: dict = {}
+    for j, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(j)
+    return list(groups.values())
+
+
 def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     """Average leave-one-out chi-squared never exceeds its closed form; for
     arity-1 deterministic queries it attains it exactly (with the range
-    measured on the realized answer support)."""
+    measured on the realized answer support). Instance i is drawn from
+    RandomSource(seed).child(i); the instances of one chunk that share
+    (n, w, |Y|) are measured in one ``dv.leave_one_out_chi2_rows`` call, and
+    a group that raises is measured again one instance at a time, so each
+    failure names its own instance."""
     res = SuiteResult("chi2-stability", trials)
     max_excess = -math.inf
     max_eq_dev = 0.0
-    for i in range(trials):
-        gen = RandomSource(seed).child(i).generator
-        q, S = dv.random_query_instance(gen)
-        try:
-            report = dv.measure_leave_one_out_chi2(q, S)
-        except RuntimeError as exc:
-            res.failures.append(f"instance {i}: {exc}; {_describe_instance(q, S)}")
-            continue
-        max_excess = max(max_excess, report.measured - report.bound)
-        if q.arity == 1:
-            support = len(report.law.support())
-            eq_bound = dv.chi2_stability_bound(len(S), 1, support)
-            dev = abs(report.measured - eq_bound)
-            max_eq_dev = max(max_eq_dev, dev)
-            if dev > 1e-10:
-                res.failures.append(
-                    f"instance {i}: w=1 equality off by {dev:.3e}; "
-                    f"{_describe_instance(q, S)}")
+    for chunk in _chunks(trials):
+        drawn = [dv.random_query_instance(RandomSource(seed).child(i).generator)
+                 for i in chunk]
+        rows: list = [None] * len(drawn)  # (measured, bound, support) or the error
+        for group in _shape_groups((len(S), q.arity, len(q.outputs)) for q, S in drawn):
+            try:
+                parts = [(group, _chi2_rows(drawn, group))]
+            except RuntimeError:  # again one at a time, to find which raised
+                parts = []
+                for j in group:
+                    try:
+                        parts.append(([j], _chi2_rows(drawn, [j])))
+                    except RuntimeError as exc:
+                        rows[j] = exc
+            for part, (measured, bound, _, laws) in parts:
+                supports = np.count_nonzero(laws > 0.0, axis=1).tolist()
+                for j, m, support in zip(part, measured.tolist(), supports):
+                    rows[j] = (m, bound, support)
+        for i, (q, S), row in zip(chunk, drawn, rows):
+            if isinstance(row, RuntimeError):
+                res.failures.append(f"instance {i}: {row}; {_describe_instance(q, S)}")
+                continue
+            measured, bound, support = row
+            max_excess = max(max_excess, measured - bound)
+            if q.arity == 1:
+                eq_bound = dv.chi2_stability_bound(len(S), 1, support)
+                dev = abs(measured - eq_bound)
+                max_eq_dev = max(max_eq_dev, dev)
+                if dev > 1e-10:
+                    res.failures.append(
+                        f"instance {i}: w=1 equality off by {dev:.3e}; "
+                        f"{_describe_instance(q, S)}")
     res.stats = {"max_excess": max_excess, "max_equality_dev": max_eq_dev}
     return res
+
+
+def _chi2_rows(drawn: list, part: list[int]):
+    return dv.leave_one_out_chi2_rows([drawn[j][0] for j in part],
+                                      [drawn[j][1] for j in part])
 
 
 def _describe_instance(q, S: Dataset) -> str:
     return f"query={q.name} tag={q.tag!r} dataset={list(S)!r}"
 
 
+def _subset_instance(seed: int, i: int) -> tuple[np.random.Generator, int, int]:
+    """Instance i's stream of a variance suite, with its n and w drawn."""
+    gen = RandomSource(seed).child(i).generator
+    n = int(gen.integers(3, 9))
+    w = int(gen.integers(1, min(3, n - 1) + 1))
+    return gen, n, w
+
+
 def _suite_var_contraction(trials: int, seed: int, linear: bool) -> SuiteResult:
+    """The variance-contraction inequality, or with ``linear`` its equality,
+    on random subset functions. Only each instance's values are kept; the
+    instances of one chunk that share (n, w) are checked in one
+    ``dv.variance_contraction_rows`` call, and a failure replays its
+    instance's stream to write f out."""
     name = "var-contraction-linear-equality" if linear else "var-contraction"
     res = SuiteResult(name, trials)
     max_dev = 0.0
-    for i in range(trials):
-        gen = RandomSource(seed).child(i).generator
-        n = int(gen.integers(3, 9))
-        w = int(gen.integers(1, min(3, n - 1) + 1))
-        f = dv.random_subset_function(gen, n, w, linear=linear)
-        lhs, rhs = dv.verify_variance_contraction(f, n, w)
-        dev = abs(lhs - rhs) if linear else lhs - rhs
-        max_dev = max(max_dev, dev)
-        if dev > 1e-10:
-            res.failures.append(
-                f"instance {i}: n={n} w={w} lhs={lhs!r} rhs={rhs!r} f={f!r}")
+    for chunk in _chunks(trials):
+        shapes, vals = [], []
+        for i in chunk:
+            gen, n, w = _subset_instance(seed, i)
+            shapes.append((n, w))
+            vals.append(dv.random_subset_values(gen, n, w, linear=linear))
+        sides: list = [None] * len(vals)
+        for group in _shape_groups(shapes):
+            lhs, rhs = dv.variance_contraction_rows(
+                np.stack([vals[j] for j in group]), *shapes[group[0]])
+            for j, pair in zip(group, zip(lhs.tolist(), rhs.tolist())):
+                sides[j] = pair
+        for i, (lhs, rhs) in zip(chunk, sides):
+            dev = abs(lhs - rhs) if linear else lhs - rhs
+            max_dev = max(max_dev, dev)
+            if dev > 1e-10:
+                gen, n, w = _subset_instance(seed, i)
+                f = dv.random_subset_function(gen, n, w, linear=linear)
+                res.failures.append(
+                    f"instance {i}: n={n} w={w} lhs={lhs!r} rhs={rhs!r} f={f!r}")
     res.stats = {"max_dev": max_dev}
     return res
 

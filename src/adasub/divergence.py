@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Dataset, Query, check_enumeration, position_blocks
-from .engine import RandomSource, ResponsePMF, leave_one_out_pmfs
+from .engine import RandomSource, ResponsePMF, leave_one_out_laws, leave_one_out_pmfs
 
 INEQ_TOL = 1e-10
 
@@ -95,16 +95,32 @@ class StabilityReport:
 
 def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), computed
-    by exact enumeration, checked against the closed-form bound."""
-    full, loo = leave_one_out_pmfs(q, S)
-    per = chi2_divergence_rows(full.masses, loo).tolist()
-    measured = float(np.mean(per))
-    bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
-    if measured > bound + INEQ_TOL:
-        raise RuntimeError(
-            f"leave-one-out chi2 {measured} exceeds closed form {bound}")
-    return StabilityReport(measured=measured, bound=bound, per_index=tuple(per),
-                           law=full)
+    by exact enumeration, checked against the closed-form bound:
+    ``leave_one_out_chi2_rows`` of one instance."""
+    measured, bound, per, laws = leave_one_out_chi2_rows([q], [S])
+    return StabilityReport(measured=float(measured[0]), bound=bound,
+                           per_index=tuple(per[0].tolist()),
+                           law=ResponsePMF(q.outputs, laws[0]))
+
+
+def leave_one_out_chi2_rows(queries: Sequence[Query], datasets: Sequence[Dataset]
+                            ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """For I instances (q_k, S_k) that share n, w and |Y|, from one
+    ``leave_one_out_laws`` walk and one ``chi2_divergence_rows`` call over
+    every (k, i): the (I,) averages over i of chi2(law on S_k || law on S_k
+    minus point i), their shared closed-form bound, the (I, n) per-index
+    divergences and the (I, |Y|) laws on S_k. An average above the bound
+    raises RuntimeError, naming the first such one."""
+    full, loo = leave_one_out_laws(queries, datasets)
+    count, ysize = full.shape
+    per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
+    measured = per.mean(axis=1)
+    bound = chi2_stability_bound(len(datasets[0]), queries[0].arity, ysize)
+    over = np.flatnonzero(measured > bound + INEQ_TOL)
+    if over.size:
+        raise RuntimeError(f"leave-one-out chi2 {float(measured[over[0]])} "
+                           f"exceeds closed form {bound}")
+    return measured, bound, per, full
 
 
 def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
@@ -143,19 +159,44 @@ def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
         Var_i[ E[f(T) | i not in T] ]  <=  w/((n-1)(n-w)) * Var_T[f(T)]
 
     f may be a mapping keyed by ascending index tuples or a callable on
-    them. Returns (lhs, rhs); equality holds for linear f.
+    them. Returns (lhs, rhs); equality holds for linear f. The one-row call
+    of ``variance_contraction_rows``, refused before f is evaluated.
     """
+    _check_contraction(1, n, w)
+    f = f.__getitem__ if isinstance(f, Mapping) else f
+    vals = [float(f(c)) for c in itertools.combinations(range(n), w)]
+    lhs, rhs = variance_contraction_rows([vals], n, w)
+    return float(lhs[0]), float(rhs[0])
+
+
+def variance_contraction_rows(vals, n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the variance-contraction inequality (see
+    ``verify_variance_contraction``) for I functions of the drawn w-subset
+    of [n], one per row of an (I, C(n, w)) value array in
+    ``itertools.combinations`` order: the (I,) lhs and rhs arrays.
+    I n C(n, w) is checked against ``ENUM_CAP`` before anything is built."""
+    _check_contraction(len(vals), n, w)
+    vals = np.asarray(vals, dtype=float)
+    subsets = math.comb(n, w)
+    if vals.shape != (len(vals), subsets):
+        raise ValueError(f"need one row of C({n},{w}) = {subsets} values per function")
+    pos = np.concatenate(list(position_blocks(n, w)))
+    held = np.zeros((n, subsets), dtype=bool)
+    held[pos.T, np.arange(subsets)] = True
+    # row i: the subsets that miss i. vals[:, miss] comes out in another
+    # memory order, and its means would sum in another order than the 1-D
+    # mean of each row's values: copied C-contiguous, they sum alike
+    miss = np.nonzero(~held)[1].reshape(n, -1)
+    cond_means = np.ascontiguousarray(vals[:, miss]).mean(axis=2)
+    lhs = cond_means.var(axis=1)
+    rhs = w / ((n - 1) * (n - w)) * vals.var(axis=1)
+    return lhs, rhs
+
+
+def _check_contraction(count: int, n: int, w: int) -> None:
     if not 1 <= w <= n - 1:
         raise ValueError(f"need 1 <= w <= n-1, got w={w}, n={n}")
-    check_enumeration(n * math.comb(n, w), f"n*C({n},{w})")  # one pass per i
-    # (w, C(n,w)), rows contiguous: the per-i test below reduces over axis 0
-    cols = np.concatenate(list(position_blocks(n, w))).T.copy()
-    f = f.__getitem__ if isinstance(f, Mapping) else f
-    vals = np.array([float(f(c)) for c in zip(*cols.tolist())])
-    cond_means = np.array([vals[(cols != i).all(axis=0)].mean() for i in range(n)])
-    lhs = float(cond_means.var())
-    rhs = w / ((n - 1) * (n - w)) * float(vals.var())
-    return lhs, rhs
+    check_enumeration(count * n * math.comb(n, w), f"{count}*n*C({n},{w})")
 
 
 @dataclass(frozen=True)
@@ -373,13 +414,23 @@ def random_query_instance(gen: np.random.Generator, *,
     return q, S
 
 
+def random_subset_values(gen: np.random.Generator, n: int, w: int,
+                         linear: bool = False) -> np.ndarray:
+    """A random real function on w-subsets of [n], as its C(n, w) values in
+    ``itertools.combinations`` order: one uniform value on [-1, 1) per
+    subset, from one draw call, or, if linear, f(T) = sum of per-index
+    weights over T, added up index by index in T's order."""
+    if not linear:
+        return gen.uniform(-1.0, 1.0, size=math.comb(n, w))
+    alpha = gen.uniform(-1.0, 1.0, size=n)
+    vals = np.zeros(math.comb(n, w))
+    for column in np.concatenate(list(position_blocks(n, w))).T:
+        vals += alpha[column]
+    return vals
+
+
 def random_subset_function(gen: np.random.Generator, n: int, w: int,
                            linear: bool = False) -> dict[tuple[int, ...], float]:
-    """A random real function on w-subsets of [n]: one uniform value on
-    [-1, 1) per subset in ``itertools.combinations`` order, from one draw
-    call, or, if linear, f(T) = sum of per-index weights over T."""
-    combos = itertools.combinations(range(n), w)
-    if linear:
-        alpha = gen.uniform(-1.0, 1.0, size=n)
-        return {c: float(sum(alpha[i] for i in c)) for c in combos}
-    return dict(zip(combos, gen.uniform(-1.0, 1.0, size=math.comb(n, w)).tolist()))
+    """``random_subset_values`` keyed by the ascending index tuples."""
+    return dict(zip(itertools.combinations(range(n), w),
+                    random_subset_values(gen, n, w, linear).tolist()))

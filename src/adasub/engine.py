@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -155,35 +155,60 @@ def exact_response_pmf(q: Query, S: Dataset) -> ResponsePMF:
 
 def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, np.ndarray]:
     """q's exact answer law on S, and a read-only (n, |Y|) array whose row i
-    is the law on S minus position i, from one enumeration of S's subsets:
-    the w-subsets of S minus i are exactly the w-subsets of S that miss
-    position i. Row i sums them as the sum over all subsets less the sum
-    over the subsets that hold i, which each block adds up per position
-    column (``np.bincount``); the memory is O(SUBSET_BLOCK (w + |Y|) + n |Y|).
+    is the law on S minus position i: ``leave_one_out_laws`` of one
+    instance."""
+    full, loo = leave_one_out_laws([q], [S])
+    return ResponsePMF(q.outputs, full[0]), loo
+
+
+def leave_one_out_laws(queries: Sequence[Query],
+                       datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """For I instances (q_k, S_k) that share the sample size n, the arity w
+    and the range size |Y|: an (I, |Y|) array whose row k is q_k's exact
+    answer law on S_k, and a read-only (I n, |Y|) array whose row k n + i is
+    the law on S_k minus position i.
+
+    One walk of ``position_blocks(n, w)`` serves every instance: each block
+    stacks the queries' ``output_laws`` on the shared position rows. The
+    w-subsets of S minus i are exactly the w-subsets of S that miss position
+    i, so the law on S minus i sums them as the sum over all subsets less
+    the sum over the subsets that hold i, which each block adds up per
+    position column (``np.bincount``); the memory is
+    O(I (SUBSET_BLOCK (w + |Y|) + n |Y|)), and I C(n, w) |Y| is checked
+    against ``ENUM_CAP`` before any of it is built.
 
     A deterministic q's laws are one-hot, so both sums are integer counts
     and the difference is exact. A randomized q's law on S minus i is zero
     exactly where no subset that misses i gives that output positive mass,
     which the same difference of counts of positive-mass rows decides, so
     a zero mass is exactly zero."""
-    n, w, ysize = len(S), q.arity, len(q.outputs)
+    count, n, w, ysize = len(queries), len(datasets[0]), queries[0].arity, \
+        len(queries[0].outputs)
+    if len(datasets) != count or any(
+            (len(S), q.arity, len(q.outputs)) != (n, w, ysize)
+            for q, S in zip(queries, datasets)):
+        raise ValueError("instances must pair up and share n, w and |Y|")
     if w > n - 1:
         raise ValueError(f"query arity {w} exceeds leave-one-out sample size {n - 1}")
-    full = np.zeros(2 * ysize)
-    held = np.zeros(n * 2 * ysize)
-    cells = np.arange(2 * ysize)
-    for pos, laws in _subset_laws(q, S):
-        both = np.concatenate([laws, laws > 0.0], axis=1)
-        full += both.sum(axis=0)
+    check_enumeration(count * math.comb(n, w) * ysize, f"{count}*C({n},{w})*|Y|")
+    full = np.zeros((count, 2 * ysize))
+    held = np.zeros(count * n * 2 * ysize)
+    # the bin of (instance k, position p, cell c) is (k n + p) 2|Y| + c
+    cells = np.arange(count)[:, None, None] * (n * 2 * ysize) + np.arange(2 * ysize)
+    for pos in position_blocks(n, w):
+        laws = np.stack([q.output_laws(S, pos) for q, S in zip(queries, datasets)])
+        both = np.concatenate([laws, laws > 0.0], axis=2)
+        full += both.sum(axis=1)
         for column in pos.T:
             held += np.bincount((column[:, None] * (2 * ysize) + cells).ravel(),
                                 weights=both.ravel(), minlength=held.size)
-    rest = full - held.reshape(n, 2 * ysize)
-    masses, positive = rest[:, :ysize], rest[:, ysize:] > 0.0
-    loo = np.where(positive, np.maximum(masses, 0.0), 0.0) / math.comb(n - 1, w)
+    rest = full[:, None, :] - held.reshape(count, n, 2 * ysize)
+    masses, positive = rest[..., :ysize], rest[..., ysize:] > 0.0
+    loo = (np.where(positive, np.maximum(masses, 0.0), 0.0)
+           / math.comb(n - 1, w)).reshape(count * n, ysize)
     check_mass_rows(loo)
     loo.setflags(write=False)
-    return ResponsePMF(q.outputs, full[:ysize] / math.comb(n, w)), loo
+    return full[:, :ysize] / math.comb(n, w), loo
 
 
 def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:

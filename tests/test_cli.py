@@ -502,6 +502,28 @@ class TestRunCommand:
         assert err.startswith(f"config error: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape", ["directory", "sidecar-directory"])
+    def test_unwritable_output_path_is_refused_before_the_run(self, tmp_path, capsys,
+                                                              monkeypatch, shape):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", runs.append)
+        out, sidecar = tmp_path / "x.csv", tmp_path / "x.csv.summary.json"
+        if shape == "directory":
+            out.mkdir()
+        else:
+            out.write_text("an earlier run's CSV\n")
+            sidecar.mkdir()
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        blocked = out if shape == "directory" else sidecar
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {blocked}: ")
+        assert runs == []
+        # the check leaves every path as it found it
+        if shape == "directory":
+            assert out.is_dir() and not sidecar.exists()
+        else:
+            assert out.read_text() == "an earlier run's CSV\n" and sidecar.is_dir()
+
     def test_threads_flag_keeps_output(self, tmp_path):
         cfg = write_config(tmp_path, {"trials": 3})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -521,7 +543,7 @@ class TestRunCommand:
             (tmp_path / "b.csv.summary.json").read_bytes()
 
 
-def _raise_no_law(q, S):
+def _raise_no_law(queries, datasets):
     raise RuntimeError("no law")
 
 
@@ -601,15 +623,15 @@ class TestVerifyCommand:
         assert res.passed and res.instances == 25
 
     @pytest.mark.parametrize("suite,attr,fake,needle", [
-        ("chi2-stability", "measure_leave_one_out_chi2",
+        ("chi2-stability", "leave_one_out_chi2_rows",
          lambda real: _raise_no_law,
          r"instance \d+: no law; query=randmap\(.*\) tag=None dataset=\[.*\]"),
         ("chi2-stability", "chi2_stability_bound",
          lambda real: lambda n, w, y: real(n, w, y) + 1.0,
          r"instance \d+: w=1 equality off by 1\.0+e\+00; query=randmap\(w=1,"
          r".*\) tag=None dataset=\[.*\]"),
-        ("var-contraction", "verify_variance_contraction",
-         lambda real: lambda f, n, w: (1.0, 0.0),
+        ("var-contraction", "variance_contraction_rows",
+         lambda real: lambda vals, n, w: (np.ones(len(vals)), np.zeros(len(vals))),
          r"instance \d+: n=\d+ w=\d+ lhs=1\.0 rhs=0\.0 f=\{.*\}"),
         ("exceeds-mean", "sample_exceeds_mean_probe",
          lambda real: lambda *args: 0.5, r"constant probe: estimate 0\.5 < 1"),
@@ -629,6 +651,31 @@ class TestVerifyCommand:
         assert found and len(found) == len(lines) - 1
         if attr == "sample_exceeds_mean_exact":
             assert len(found) == 2
+
+    def test_a_raising_group_names_only_the_instance_that_raises(self, monkeypatch):
+        # instance 10 shares its shape with 3 others among 60; its group is
+        # measured again one instance at a time
+        drawn = [dv.random_query_instance(RandomSource(1).child(i).generator)
+                 for i in range(60)]
+
+        def shape(q, S):
+            return len(S), q.arity, len(q.outputs)
+
+        bad = drawn[10][1].array.tolist()
+        assert sum(shape(*inst) == shape(*drawn[10]) for inst in drawn) == 4
+        real = dv.leave_one_out_chi2_rows
+
+        def rows(queries, datasets):
+            if any(S.array.tolist() == bad for S in datasets):
+                raise RuntimeError("no law")
+            return real(queries, datasets)
+
+        monkeypatch.setattr(dv, "leave_one_out_chi2_rows", rows)
+        res = run_suite("chi2-stability", trials=60, seed=1)
+        assert res.failures == [
+            f"instance {i}: no law; {cli._describe_instance(q, S)}"
+            for i, (q, S) in enumerate(drawn) if S.array.tolist() == bad]
+        assert res.failures[0].startswith("instance 10: ")
 
 
 # The first three counterexamples at seed 20260803 as the block-drawn suites

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adasub.core as core
 import adasub.divergence as dv
+import adasub.engine as engine
 from adasub.cli import run_suite
 from adasub.core import Dataset, EnumerationCapExceeded, Query
 from adasub.divergence import (
@@ -406,6 +408,111 @@ class TestVarianceContraction:
         # 1,000,000 entries are within the cap; a linear f gives equality
         lhs, rhs = verify_variance_contraction(lambda c: float(c[0]), 1000, 1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestShapeBlocks:
+    """The chi2 and variance suites check each chunk's instances of one shape
+    in one rows call; every row must equal the one-row call on its instance,
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 20260801])
+    def test_suite_rows_equal_the_one_row_calls(self, monkeypatch, seed):
+        calls = {"chi2": [], "var": []}
+        chi2_rows, var_rows = dv.leave_one_out_chi2_rows, dv.variance_contraction_rows
+
+        def spy_chi2(queries, datasets):
+            out = chi2_rows(queries, datasets)
+            calls["chi2"].append((queries, datasets, out))
+            return out
+
+        def spy_var(vals, n, w):
+            out = var_rows(vals, n, w)
+            calls["var"].append((vals, n, w, out))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(dv, "leave_one_out_chi2_rows", spy_chi2)
+            m.setattr(dv, "variance_contraction_rows", spy_var)
+            for suite in ("chi2-stability", "var-contraction",
+                          "var-contraction-linear-equality"):
+                assert run_suite(suite, seed=seed).passed
+        assert sum(len(q) for q, _, _ in calls["chi2"]) == 1000
+        assert max(len(q) for q, _, _ in calls["chi2"]) > 1
+        for queries, datasets, (measured, bound, per, laws) in calls["chi2"]:
+            for k, (q, S) in enumerate(zip(queries, datasets)):
+                report = measure_leave_one_out_chi2(q, S)
+                assert float(measured[k]) == report.measured
+                assert bound == report.bound
+                assert tuple(per[k].tolist()) == report.per_index
+                assert np.array_equal(laws[k], report.law.masses)
+        # each instance's values, keyed by their bytes, to its one-row sides
+        want = {}
+        for linear, trials in ((False, 1000), (True, 200)):
+            for i in range(trials):
+                gen = RandomSource(seed).child(i).generator
+                n = int(gen.integers(3, 9))
+                w = int(gen.integers(1, min(3, n - 1) + 1))
+                f = random_subset_function(gen, n, w, linear=linear)
+                want[np.array(list(f.values())).tobytes()] = \
+                    verify_variance_contraction(f, n, w)
+        got = {}
+        for vals, n, w, (lhs, rhs) in calls["var"]:
+            for row, pair in zip(vals, zip(lhs.tolist(), rhs.tolist())):
+                got[row.tobytes()] = pair
+        assert max(len(vals) for vals, _, _, _ in calls["var"]) > 1
+        assert got == want
+
+    def test_chi2_rows_raise_on_the_first_row_past_the_bound(self, monkeypatch):
+        instances = [random_query_instance(RandomSource(5).child(i).generator)
+                     for i in range(40)]
+        shape = (len(instances[0][1]), instances[0][0].arity,
+                 len(instances[0][0].outputs))
+        group = [(q, S) for q, S in instances
+                 if (len(S), q.arity, len(q.outputs)) == shape]
+        measured, bound, _, _ = dv.leave_one_out_chi2_rows(*zip(*group))
+        assert len(group) > 1 and len(set(measured.tolist())) > 1
+        # a bound just under the second-largest average fails two rows
+        low = sorted(measured.tolist())[-2]
+        monkeypatch.setattr(dv, "chi2_stability_bound",
+                            lambda n, w, y: low - 2 * dv.INEQ_TOL)
+        first = min(np.flatnonzero(measured >= low))
+        with pytest.raises(RuntimeError, match=(
+                f"leave-one-out chi2 {float(measured[first])} exceeds closed form")):
+            dv.leave_one_out_chi2_rows(*zip(*group))
+
+    def test_rows_forms_check_the_cap_on_every_row(self, monkeypatch):
+        # 2 instances: 2 * C(10,2) * |Y| = 180 chi2 rows, and 2 * 10 * C(10,2)
+        # = 900 variance entries, each refused before anything is built
+        q = Query(2, (0, 1), name="sum-odd", batch=lambda e: e.sum(axis=1) % 2)
+        S = Dataset(np.arange(10))
+        vals = np.ones((2, 45))
+
+        def no_blocks(*args):
+            raise AssertionError("enumerated past the cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(dv, "position_blocks", no_blocks)
+            m.setattr(engine, "position_blocks", no_blocks)
+            m.setattr(core, "ENUM_CAP", 179)
+            with pytest.raises(EnumerationCapExceeded, match=r"2\*C\(10,2\)\*\|Y\|"):
+                dv.leave_one_out_chi2_rows([q, q], [S, S])
+            m.setattr(core, "ENUM_CAP", 899)
+            with pytest.raises(EnumerationCapExceeded, match=r"2\*n\*C\(10,2\)"):
+                dv.variance_contraction_rows(vals, 10, 2)
+        monkeypatch.setattr(core, "ENUM_CAP", 180)
+        assert dv.leave_one_out_chi2_rows([q, q], [S, S])[2].shape == (2, 10)
+        monkeypatch.setattr(core, "ENUM_CAP", 900)
+        assert dv.variance_contraction_rows(vals, 10, 2)[0].tolist() == [0.0, 0.0]
+
+    def test_rows_need_one_shape(self):
+        q2 = Query(1, (0, 1), name="odd", batch=lambda e: e[:, 0] % 2)
+        q3 = Query(1, (0, 1, 2), name="mod3", batch=lambda e: e[:, 0] % 3)
+        with pytest.raises(ValueError, match="share n, w and"):
+            dv.leave_one_out_chi2_rows([q2, q3], [Dataset([0, 1, 2])] * 2)
+        with pytest.raises(ValueError, match="share n, w and"):
+            dv.leave_one_out_chi2_rows([q2, q2], [Dataset([0, 1, 2]), Dataset([0, 1])])
+        with pytest.raises(ValueError, match="C\\(4,2\\) = 6 values"):
+            dv.variance_contraction_rows(np.ones((3, 5)), 4, 2)
 
 
 class TestKlChi2Inequality:

@@ -250,6 +250,38 @@ class TestLeaveOneOutPmfs:
         assert len(leave_one_out_pmfs(q, Dataset(np.arange(10)))[1]) == 10
 
 
+class TestLeaveOneOutLaws:
+    """Many instances of one shape from one walk of the shared position rows,
+    against each instance's own walk and exact_response_pmf on each
+    leave-one-out dataset."""
+
+    def test_a_uniformized_group_keeps_exact_zero_masses(self):
+        # six instances of shape (n, w, |Y|) = (6, 2, 3); a floor of 0 keeps
+        # the map's one-hot laws, so laws on S minus i have exact zeros
+        instances = []
+        for i in itertools.count():
+            q, S = random_query_instance(RandomSource(31).child(i).generator)
+            if (len(S), q.arity, len(q.outputs)) == (6, 2, 3):
+                instances.append((uniformize(q, (0.0, 0.05)[len(instances) % 2]), S))
+            if len(instances) == 6:
+                break
+        with mock.patch.object(core, "SUBSET_BLOCK", 4):  # 4 blocks of C(6,2)
+            full, loo = engine.leave_one_out_laws(*zip(*instances))
+            ones = [leave_one_out_pmfs(q, S) for q, S in instances]
+        assert full.shape == (6, 3) and loo.shape == (6 * 6, 3)
+        assert not loo.flags.writeable
+        for k, ((q, S), (one_full, one_loo)) in enumerate(zip(instances, ones)):
+            assert np.array_equal(full[k], one_full.masses)
+            assert np.array_equal(loo[6 * k:6 * k + 6], one_loo)
+            for i in range(6):
+                want = exact_response_pmf(q, S.leave_one_out(i)).masses
+                got = loo[6 * k + i]
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert np.array_equal(got == 0.0, want == 0.0)
+        zeros = (loo == 0.0).reshape(6, 6, 3).any(axis=(1, 2))
+        assert zeros[0::2].any() and not zeros[1::2].any()
+
+
 class TestPopulationResponsePMF:
     def test_point_mass(self):
         D = GroundTruth((3,), np.array([1.0]))
