@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -206,15 +207,6 @@ class SuiteResult:
         return not self.failures
 
 
-SUITE_CHUNK = 200  # instances of the chi2 and variance suites held at once
-
-
-def _chunks(trials: int):
-    """The instance ranges of SUITE_CHUNK instances each that cover --trials."""
-    return (range(lo, min(lo + SUITE_CHUNK, trials))
-            for lo in range(0, trials, SUITE_CHUNK))
-
-
 def _shape_groups(shapes) -> list[list[int]]:
     """The indices into ``shapes`` of each distinct shape, in first-seen order."""
     groups: dict = {}
@@ -226,17 +218,17 @@ def _shape_groups(shapes) -> list[list[int]]:
 def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     """Average leave-one-out chi-squared never exceeds its closed form; for
     arity-1 deterministic queries it attains it exactly (with the range
-    measured on the realized answer support). Instance i is drawn from
-    RandomSource(seed).child(i); the instances of one chunk that share
-    (n, w, |Y|) are measured in one ``dv.leave_one_out_chi2_rows`` call, and
-    a group that raises is measured again one instance at a time, so each
-    failure names its own instance."""
+    measured on the realized answer support). Block b is
+    dv.random_query_rows(seed, b), the last one cut to --trials, so instance
+    i's index replays it at any --trials; the instances of one block that
+    share (n, w, |Y|) are measured in one ``dv.leave_one_out_chi2_rows``
+    call, and a group that raises is measured again one instance at a time,
+    so each failure names its own instance."""
     res = SuiteResult("chi2-stability", trials)
     max_excess = -math.inf
     max_eq_dev = 0.0
-    for chunk in _chunks(trials):
-        drawn = [dv.random_query_instance(RandomSource(seed).child(i).generator)
-                 for i in chunk]
+    for block, lo in enumerate(range(0, trials, dv.SUITE_BLOCK)):
+        drawn = dv.random_query_rows(seed, block)[:trials - lo]
         rows: list = [None] * len(drawn)  # (measured, bound, support) or the error
         for group in _shape_groups((len(S), q.arity, len(q.outputs)) for q, S in drawn):
             try:
@@ -252,7 +244,7 @@ def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
                 supports = np.count_nonzero(laws > 0.0, axis=1).tolist()
                 for j, m, support in zip(part, measured.tolist(), supports):
                     rows[j] = (m, bound, support)
-        for i, (q, S), row in zip(chunk, drawn, rows):
+        for i, (q, S), row in zip(itertools.count(lo), drawn, rows):
             if isinstance(row, RuntimeError):
                 res.failures.append(f"instance {i}: {row}; {_describe_instance(q, S)}")
                 continue
@@ -279,43 +271,31 @@ def _describe_instance(q, S: Dataset) -> str:
     return f"query={q.name} tag={q.tag!r} dataset={list(S)!r}"
 
 
-def _subset_instance(seed: int, i: int) -> tuple[np.random.Generator, int, int]:
-    """Instance i's stream of a variance suite, with its n and w drawn."""
-    gen = RandomSource(seed).child(i).generator
-    n = int(gen.integers(3, 9))
-    w = int(gen.integers(1, min(3, n - 1) + 1))
-    return gen, n, w
-
-
 def _suite_var_contraction(trials: int, seed: int, linear: bool) -> SuiteResult:
     """The variance-contraction inequality, or with ``linear`` its equality,
-    on random subset functions. Only each instance's values are kept; the
-    instances of one chunk that share (n, w) are checked in one
-    ``dv.variance_contraction_rows`` call, and a failure replays its
-    instance's stream to write f out."""
+    on random subset functions. Block b is dv.random_subset_rows(seed, b,
+    linear), the last one cut to --trials; the instances of one block that
+    share (n, w) are checked in one ``dv.variance_contraction_rows`` call,
+    and a failure writes f out from its block row."""
     name = "var-contraction-linear-equality" if linear else "var-contraction"
     res = SuiteResult(name, trials)
     max_dev = 0.0
-    for chunk in _chunks(trials):
-        shapes, vals = [], []
-        for i in chunk:
-            gen, n, w = _subset_instance(seed, i)
-            shapes.append((n, w))
-            vals.append(dv.random_subset_values(gen, n, w, linear=linear))
-        sides: list = [None] * len(vals)
+    for block, lo in enumerate(range(0, trials, dv.SUITE_BLOCK)):
+        ns, ws, vals = dv.random_subset_rows(seed, block, linear)
+        shapes = list(zip(ns.tolist(), ws.tolist()))[:trials - lo]
+        sides: list = [None] * len(shapes)
         for group in _shape_groups(shapes):
             lhs, rhs = dv.variance_contraction_rows(
                 np.stack([vals[j] for j in group]), *shapes[group[0]])
             for j, pair in zip(group, zip(lhs.tolist(), rhs.tolist())):
                 sides[j] = pair
-        for i, (lhs, rhs) in zip(chunk, sides):
+        for j, ((n, w), (lhs, rhs)) in enumerate(zip(shapes, sides)):
             dev = abs(lhs - rhs) if linear else lhs - rhs
             max_dev = max(max_dev, dev)
             if dev > 1e-10:
-                gen, n, w = _subset_instance(seed, i)
-                f = dv.random_subset_function(gen, n, w, linear=linear)
+                f = dict(zip(itertools.combinations(range(n), w), vals[j].tolist()))
                 res.failures.append(
-                    f"instance {i}: n={n} w={w} lhs={lhs!r} rhs={rhs!r} f={f!r}")
+                    f"instance {lo + j}: n={n} w={w} lhs={lhs!r} rhs={rhs!r} f={f!r}")
     res.stats = {"max_dev": max_dev}
     return res
 

@@ -110,7 +110,8 @@ def leave_one_out_chi2_rows(queries: Sequence[Query], datasets: Sequence[Dataset
     every (k, i): the (I,) averages over i of chi2(law on S_k || law on S_k
     minus point i), their shared closed-form bound, the (I, n) per-index
     divergences and the (I, |Y|) laws on S_k. An average above the bound
-    raises RuntimeError, naming the first such one."""
+    raises RuntimeError, naming the first such one; no instance at all is a
+    ValueError."""
     full, loo = leave_one_out_laws(queries, datasets)
     count, ysize = full.shape
     per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
@@ -174,12 +175,15 @@ def variance_contraction_rows(vals, n: int, w: int) -> tuple[np.ndarray, np.ndar
     ``verify_variance_contraction``) for I functions of the drawn w-subset
     of [n], one per row of an (I, C(n, w)) value array in
     ``itertools.combinations`` order: the (I,) lhs and rhs arrays.
-    I n C(n, w) is checked against ``ENUM_CAP`` before anything is built."""
+    I n C(n, w) is checked against ``ENUM_CAP`` before anything is built; a
+    value that is not finite is refused, since NaN sides pass no check."""
     _check_contraction(len(vals), n, w)
     vals = np.asarray(vals, dtype=float)
     subsets = math.comb(n, w)
     if vals.shape != (len(vals), subsets):
         raise ValueError(f"need one row of C({n},{w}) = {subsets} values per function")
+    if not np.isfinite(vals).all():
+        raise ValueError("subset function values must be finite")
     pos = np.concatenate(list(position_blocks(n, w)))
     held = np.zeros((n, subsets), dtype=bool)
     held[pos.T, np.arange(subsets)] = True
@@ -370,6 +374,9 @@ def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
 
 PMF_SIZE_RANGE = (2, 6)  # range sizes of a pair-of-laws instance, inclusive
 PMF_BLOCK = 1 << 12  # pair-of-laws instances drawn from one stream
+SUITE_BLOCK = 1000  # query and subset-function instances drawn from one stream
+QUERY_N_RANGE = (3, 8)  # sample sizes of a random instance, inclusive
+QUERY_W_RANGE = (1, 3)  # its arities, inclusive and at most n - 1
 QUERY_Y_RANGE = (2, 4)  # range sizes of a random query instance, inclusive
 QUERY_ALPHABET_RANGE = (2, 5)  # its alphabet sizes, inclusive
 
@@ -391,46 +398,105 @@ def random_pmf_rows(seed: int,
 
 
 def random_query_instance(gen: np.random.Generator, *,
-                          n_range: tuple[int, int] = (3, 8),
-                          w_range: tuple[int, int] = (1, 3),
+                          n_range: tuple[int, int] = QUERY_N_RANGE,
+                          w_range: tuple[int, int] = QUERY_W_RANGE,
                           ) -> tuple[Query, Dataset]:
     """A random deterministic query (a uniform random map from ordered
     w-tuples of a small alphabet to 0..|Y|-1) plus a random dataset over
     that alphabet, with |Y| from ``QUERY_Y_RANGE`` and the alphabet size
-    from ``QUERY_ALPHABET_RANGE``. Datasets may contain duplicates.
+    from ``QUERY_ALPHABET_RANGE``. Datasets may contain duplicates. Ranges
+    that hold no instance are refused before anything is drawn.
 
     The map is one ``integers(0, |Y|, size=(a,) * w)`` draw, which reads the
     stream as one scalar draw per key in ``itertools.product`` order does,
     and the query answers a block of rows by looking them up in it
     (``Query.batch``)."""
+    _check_ranges(n_range, w_range)
     n = int(gen.integers(n_range[0], n_range[1] + 1))
     w = int(gen.integers(w_range[0], min(w_range[1], n - 1) + 1))
     ysize = int(gen.integers(QUERY_Y_RANGE[0], QUERY_Y_RANGE[1] + 1))
     a = int(gen.integers(QUERY_ALPHABET_RANGE[0], QUERY_ALPHABET_RANGE[1] + 1))
     table = gen.integers(0, ysize, size=(a,) * w)
-    q = Query(w, tuple(range(ysize)), name=f"randmap(w={w},|Y|={ysize},a={a})",
-              batch=lambda elements: table[tuple(elements.T)])
-    S = Dataset(gen.integers(0, a, size=n))
-    return q, S
+    return _table_query(table, ysize), Dataset(gen.integers(0, a, size=n))
 
 
-def random_subset_values(gen: np.random.Generator, n: int, w: int,
-                         linear: bool = False) -> np.ndarray:
-    """A random real function on w-subsets of [n], as its C(n, w) values in
-    ``itertools.combinations`` order: one uniform value on [-1, 1) per
-    subset, from one draw call, or, if linear, f(T) = sum of per-index
-    weights over T, added up index by index in T's order."""
+def random_query_rows(seed: int, block: int, *,
+                      n_range: tuple[int, int] = QUERY_N_RANGE,
+                      w_range: tuple[int, int] = QUERY_W_RANGE,
+                      ) -> list[tuple[Query, Dataset]]:
+    """Instances b*SUITE_BLOCK onward of the chi2 suite (b = ``block``), as
+    (query, dataset) pairs with ``random_query_instance``'s law, drawn from
+    RandomSource(seed).child(b) for the whole block at once: one draw each
+    of the SUITE_BLOCK sizes n, arities w, range sizes |Y| and alphabet
+    sizes a, then one ``integers`` draw of every instance's a**w table cells
+    in turn and one of every dataset's n entries. An instance's table and
+    dataset are its exact-size slices of those two draws."""
+    _check_ranges(n_range, w_range)
+    gen = RandomSource(seed).child(block).generator
+    n, w = _draw_shapes(gen, n_range, w_range)
+    ysize, a = (gen.integers(lo, hi + 1, size=SUITE_BLOCK)
+                for lo, hi in (QUERY_Y_RANGE, QUERY_ALPHABET_RANGE))
+    cells = a ** w
+    tables = np.split(gen.integers(0, np.repeat(ysize, cells)), np.cumsum(cells)[:-1])
+    data = np.split(gen.integers(0, np.repeat(a, n)), np.cumsum(n)[:-1])
+    return [(_table_query(table.reshape((ak,) * wk), yk), Dataset(row))
+            for table, row, wk, yk, ak in zip(tables, data, w.tolist(),
+                                              ysize.tolist(), a.tolist())]
+
+
+def random_subset_rows(seed: int, block: int, linear: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Instances b*SUITE_BLOCK onward of a variance suite (b = ``block``),
+    from RandomSource(seed).child(b): the sizes n and arities w, drawn as
+    ``random_query_rows`` draws them, and each instance's random real
+    function on the w-subsets of [n], as its C(n, w) values in
+    ``itertools.combinations`` order. The values are exact-size slices of
+    one uniform [-1, 1) draw, one value per subset; or, if linear, f(T) is
+    the sum of per-index weights over T, added up index by index in T's
+    order, with each instance's n weights a slice of one uniform [-1, 1)
+    draw."""
+    gen = RandomSource(seed).child(block).generator
+    n, w = _draw_shapes(gen, QUERY_N_RANGE, QUERY_W_RANGE)
     if not linear:
-        return gen.uniform(-1.0, 1.0, size=math.comb(n, w))
-    alpha = gen.uniform(-1.0, 1.0, size=n)
-    vals = np.zeros(math.comb(n, w))
-    for column in np.concatenate(list(position_blocks(n, w))).T:
-        vals += alpha[column]
-    return vals
+        sizes = np.array([math.comb(nk, wk) for nk, wk in zip(n.tolist(), w.tolist())])
+        return n, w, np.split(gen.uniform(-1.0, 1.0, size=sizes.sum()),
+                              np.cumsum(sizes)[:-1])
+    alpha, starts = gen.uniform(-1.0, 1.0, size=n.sum()), np.cumsum(n) - n
+    vals: list = [None] * SUITE_BLOCK
+    for nk, wk in set(zip(n.tolist(), w.tolist())):
+        group = np.flatnonzero((n == nk) & (w == wk))
+        weights = alpha[starts[group, None] + np.arange(nk)]
+        pos = np.concatenate(list(position_blocks(nk, wk)))
+        total = weights[:, pos[:, 0]]
+        for column in pos.T[1:]:
+            total += weights[:, column]
+        for k, row in zip(group.tolist(), total):
+            vals[k] = row
+    return n, w, vals
 
 
-def random_subset_function(gen: np.random.Generator, n: int, w: int,
-                           linear: bool = False) -> dict[tuple[int, ...], float]:
-    """``random_subset_values`` keyed by the ascending index tuples."""
-    return dict(zip(itertools.combinations(range(n), w),
-                    random_subset_values(gen, n, w, linear).tolist()))
+def _check_ranges(n_range: tuple[int, int], w_range: tuple[int, int]) -> None:
+    """Refuse (n, w) ranges that hold no instance: n_range must not be
+    empty, and w_range must hold some 1 <= w <= n - 1 at its smallest n."""
+    if n_range[0] > n_range[1]:
+        raise ValueError(f"n_range {tuple(n_range)} is empty")
+    if not 1 <= w_range[0] <= min(w_range[1], n_range[0] - 1):
+        raise ValueError(f"w_range {tuple(w_range)} needs 1 <= {w_range[0]} <= "
+                         f"min({w_range[1]}, n - 1) at n = {n_range[0]}")
+
+
+def _draw_shapes(gen: np.random.Generator, n_range: tuple[int, int],
+                 w_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """SUITE_BLOCK sizes n uniform on n_range, then an arity w per n,
+    uniform on w_range cut to at most n - 1."""
+    n = gen.integers(n_range[0], n_range[1] + 1, size=SUITE_BLOCK)
+    return n, gen.integers(w_range[0], np.minimum(w_range[1], n - 1) + 1)
+
+
+def _table_query(table: np.ndarray, ysize: int) -> Query:
+    """The deterministic query that maps an ordered w-tuple x over the
+    alphabet 0..a-1 of an (a,) * w table to table[x] in 0..|Y|-1, answering
+    a block of rows by looking them up (``Query.batch``)."""
+    w, a = table.ndim, table.shape[0]
+    return Query(w, tuple(range(ysize)), name=f"randmap(w={w},|Y|={ysize},a={a})",
+                 batch=lambda elements: table[tuple(elements.T)])

@@ -163,10 +163,10 @@ def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, np.ndarray]:
 
 def leave_one_out_laws(queries: Sequence[Query],
                        datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """For I instances (q_k, S_k) that share the sample size n, the arity w
-    and the range size |Y|: an (I, |Y|) array whose row k is q_k's exact
-    answer law on S_k, and a read-only (I n, |Y|) array whose row k n + i is
-    the law on S_k minus position i.
+    """For I >= 1 instances (q_k, S_k) that share the sample size n, the
+    arity w and the range size |Y|: an (I, |Y|) array whose row k is q_k's
+    exact answer law on S_k, and a read-only (I n, |Y|) array whose row
+    k n + i is the law on S_k minus position i.
 
     One walk of ``position_blocks(n, w)`` serves every instance: each block
     stacks the queries' ``output_laws`` on the shared position rows. The
@@ -182,6 +182,8 @@ def leave_one_out_laws(queries: Sequence[Query],
     exactly where no subset that misses i gives that output positive mass,
     which the same difference of counts of positive-mass rows decides, so
     a zero mass is exactly zero."""
+    if not queries or not datasets:
+        raise ValueError("need at least one instance")
     count, n, w, ysize = len(queries), len(datasets[0]), queries[0].arity, \
         len(queries[0].outputs)
     if len(datasets) != count or any(

@@ -571,6 +571,21 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == (FIXTURES / "verify_all.txt").read_text()
         assert elapsed < 5.0, f"verify all took {elapsed:.1f}s, budget 5s"
 
+    def test_verify_all_draws_one_stream_per_block(self, monkeypatch, capsys):
+        # chi2-stability and the variance suites 1 block each, the KL suites
+        # 3 each (10,000 rows in blocks of 2^12) and exceeds-mean 1
+        real = RandomSource.generator
+        built = []
+
+        def generator(source):
+            if source._generator is None:
+                built.append(source.path)
+            return real.fget(source)
+
+        monkeypatch.setattr(RandomSource, "generator", property(generator))
+        assert main(["verify", "all"]) == 0
+        assert len(built) <= 10, built
+
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["verify", "nonsense"]) == 2
         assert "nonsense" in capsys.readouterr().err
@@ -653,16 +668,15 @@ class TestVerifyCommand:
             assert len(found) == 2
 
     def test_a_raising_group_names_only_the_instance_that_raises(self, monkeypatch):
-        # instance 10 shares its shape with 3 others among 60; its group is
+        # instance 10 shares its shape with 5 others among 60; its group is
         # measured again one instance at a time
-        drawn = [dv.random_query_instance(RandomSource(1).child(i).generator)
-                 for i in range(60)]
+        drawn = dv.random_query_rows(1, 0)[:60]
 
         def shape(q, S):
             return len(S), q.arity, len(q.outputs)
 
         bad = drawn[10][1].array.tolist()
-        assert sum(shape(*inst) == shape(*drawn[10]) for inst in drawn) == 4
+        assert sum(shape(*inst) == shape(*drawn[10]) for inst in drawn) == 6
         real = dv.leave_one_out_chi2_rows
 
         def rows(queries, datasets):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from adasub.cli import run_suite
 from adasub.core import Dataset, EnumerationCapExceeded, Query
 from adasub.divergence import (
     PMF_BLOCK,
+    SUITE_BLOCK,
     alkl_bound_general,
     alkl_bound_uniform,
     chi2_divergence,
@@ -26,7 +28,8 @@ from adasub.divergence import (
     measure_leave_one_out_kl,
     random_pmf_rows,
     random_query_instance,
-    random_subset_function,
+    random_query_rows,
+    random_subset_rows,
     sample_exceeds_mean_exact,
     sample_exceeds_mean_probe,
     verify_kl_chi2_inequality,
@@ -40,6 +43,18 @@ IDENT = Query.deterministic(1, (0, 1), lambda x: x, name="id")
 
 def pmf(*masses):
     return ResponsePMF(tuple(range(len(masses))), np.array(masses))
+
+
+def subset_functions(seed, linear=False):
+    """Block 0 of random_subset_rows as (n, w, f), f keyed by the ascending
+    index tuples in ``itertools.combinations`` order."""
+    ns, ws, vals = random_subset_rows(seed, 0, linear)
+    for n, w, row in zip(ns.tolist(), ws.tolist(), vals):
+        yield n, w, dict(zip(itertools.combinations(range(n), w), row.tolist()))
+
+
+def within_4se(hits, count, p):
+    assert abs(hits / count - p) <= 4 * math.sqrt(p * (1 - p) / count)
 
 
 def pmf_pairs(seed, count):
@@ -200,10 +215,6 @@ class TestPmfRows:
         sizes = np.concatenate([b[0] for b in blocks])
         d1, e1 = (np.concatenate([b[r][:, 0] for b in blocks]) for r in (1, 2))
         m = sizes.size
-
-        def within_4se(hits, count, p):
-            assert abs(hits / count - p) <= 4 * math.sqrt(p * (1 - p) / count)
-
         # uniform sizes on 2..6
         for k in range(2, 7):
             within_4se(np.count_nonzero(sizes == k), m, 1 / 5)
@@ -356,21 +367,13 @@ class TestVarianceContraction:
         assert rhs == pytest.approx(1 / 18, abs=1e-15)
 
     def test_random_functions_contract(self):
-        for i in range(200):
-            gen = RandomSource(55).child(i).generator
-            n = int(gen.integers(3, 9))
-            w = int(gen.integers(1, min(3, n - 1) + 1))
-            lhs, rhs = verify_variance_contraction(
-                random_subset_function(gen, n, w), n, w)
+        for n, w, f in itertools.islice(subset_functions(55), 200):
+            lhs, rhs = verify_variance_contraction(f, n, w)
             assert lhs <= rhs + 1e-10
 
     def test_linear_equality(self):
-        for i in range(100):
-            gen = RandomSource(56).child(i).generator
-            n = int(gen.integers(3, 9))
-            w = int(gen.integers(1, min(3, n - 1) + 1))
-            lhs, rhs = verify_variance_contraction(
-                random_subset_function(gen, n, w, linear=True), n, w)
+        for n, w, f in itertools.islice(subset_functions(56, linear=True), 100):
+            lhs, rhs = verify_variance_contraction(f, n, w)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_domain(self):
@@ -380,11 +383,9 @@ class TestVarianceContraction:
     def test_matches_the_mask_loop(self):
         # the combination-by-combination mask loop as the reference, on
         # mapping and callable f
-        for i in range(60):
-            gen = RandomSource(59).child(i).generator
-            n = int(gen.integers(3, 9))
-            w = int(gen.integers(1, min(3, n - 1) + 1))
-            f = random_subset_function(gen, n, w, linear=bool(i % 2))
+        instances = zip(subset_functions(59), subset_functions(59, linear=True))
+        for i, pair in enumerate(itertools.islice(instances, 60)):
+            n, w, f = pair[i % 2]
             combos = list(itertools.combinations(range(n), w))
             vals = np.array([f[c] for c in combos])
             mask = np.zeros((n, len(combos)), dtype=bool)
@@ -394,6 +395,17 @@ class TestVarianceContraction:
             rhs = w / ((n - 1) * (n - w)) * float(vals.var())
             assert verify_variance_contraction(f, n, w) == (lhs, rhs)
             assert verify_variance_contraction(f.__getitem__, n, w) == (lhs, rhs)
+
+    def test_values_that_are_not_finite_are_refused(self):
+        # a NaN side would pass the suite's dev > 1e-10 check
+        for bad in (math.nan, math.inf, -math.inf):
+            vals = np.ones((3, 6))
+            vals[1, 4] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                dv.variance_contraction_rows(vals, 4, 2)
+            with pytest.raises(ValueError, match="must be finite"):
+                verify_variance_contraction(
+                    lambda c, bad=bad: bad if c == (1, 3) else 0.5, 4, 2)
 
     def test_cap_counts_one_pass_per_point(self):
         # n x C(n, w) = 9,000,000 mask entries: refused before any is built
@@ -411,7 +423,7 @@ class TestVarianceContraction:
 
 
 class TestShapeBlocks:
-    """The chi2 and variance suites check each chunk's instances of one shape
+    """The chi2 and variance suites check each block's instances of one shape
     in one rows call; every row must equal the one-row call on its instance,
     bit for bit."""
 
@@ -448,11 +460,7 @@ class TestShapeBlocks:
         # each instance's values, keyed by their bytes, to its one-row sides
         want = {}
         for linear, trials in ((False, 1000), (True, 200)):
-            for i in range(trials):
-                gen = RandomSource(seed).child(i).generator
-                n = int(gen.integers(3, 9))
-                w = int(gen.integers(1, min(3, n - 1) + 1))
-                f = random_subset_function(gen, n, w, linear=linear)
+            for n, w, f in itertools.islice(subset_functions(seed, linear), trials):
                 want[np.array(list(f.values())).tobytes()] = \
                     verify_variance_contraction(f, n, w)
         got = {}
@@ -513,6 +521,10 @@ class TestShapeBlocks:
             dv.leave_one_out_chi2_rows([q2, q2], [Dataset([0, 1, 2]), Dataset([0, 1])])
         with pytest.raises(ValueError, match="C\\(4,2\\) = 6 values"):
             dv.variance_contraction_rows(np.ones((3, 5)), 4, 2)
+
+    def test_chi2_rows_need_an_instance(self):
+        with pytest.raises(ValueError, match="need at least one instance"):
+            dv.leave_one_out_chi2_rows([], [])
 
 
 class TestKlChi2Inequality:
@@ -688,19 +700,151 @@ class TestInstanceStreams:
             assert q.batch(keys).tolist() == list(table.values())
             assert [q.evaluator(*key) for key in table] == list(table.values())
 
+    def test_query_rows_read_the_per_key_draws(self):
+        # block 1 of random_query_rows: n, w, |Y| and a one scalar draw per
+        # instance each, every table's cells one scalar draw per key in
+        # itertools.product order, then every dataset's entries
+        drawn = random_query_rows(31, 1)
+        ref = RandomSource(31).child(1).generator
+        n = [int(ref.integers(3, 9)) for _ in range(SUITE_BLOCK)]
+        w = [int(ref.integers(1, min(3, k - 1) + 1)) for k in n]
+        ysize = [int(ref.integers(2, 5)) for _ in n]
+        a = [int(ref.integers(2, 6)) for _ in n]
+        tables = [{key: int(ref.integers(0, y))
+                   for key in itertools.product(range(ak), repeat=wk)}
+                  for wk, y, ak in zip(w, ysize, a)]
+        data = [[int(ref.integers(0, ak)) for _ in range(nk)] for nk, ak in zip(n, a)]
+        assert len(drawn) == SUITE_BLOCK
+        for (q, S), nk, wk, y, ak, table, row in zip(drawn, n, w, ysize, a,
+                                                      tables, data):
+            assert (len(S), q.arity, q.outputs) == (nk, wk, tuple(range(y)))
+            assert q.name == f"randmap(w={wk},|Y|={y},a={ak})"
+            assert S.array.tolist() == row
+            keys = np.array(list(table), dtype=np.int64).reshape(-1, wk)
+            assert q.batch(keys).tolist() == list(table.values())
+            assert [q.evaluator(*key) for key in table] == list(table.values())
+
     @pytest.mark.parametrize("linear", [False, True])
     def test_subset_function_reads_the_per_subset_draws(self, linear):
-        for i, make in enumerate(_instance_generators()):
-            gen, ref = make(), make()
-            n = 3 + i % 6
-            w = 1 + i // 6 % min(3, n - 1)
-            f = random_subset_function(gen, n, w, linear=linear)
-            combos = itertools.combinations(range(n), w)
+        # block 1 of random_subset_rows: n and w one scalar draw per instance
+        # each, then per instance one uniform per subset in
+        # itertools.combinations order or, if linear, n weights summed over
+        # each subset in its order
+        ns, ws, vals = random_subset_rows(31, 1, linear)
+        ref = RandomSource(31).child(1).generator
+        n = [int(ref.integers(3, 9)) for _ in range(SUITE_BLOCK)]
+        w = [int(ref.integers(1, min(3, k - 1) + 1)) for k in n]
+        assert (ns.tolist(), ws.tolist()) == (n, w)
+        assert len(vals) == SUITE_BLOCK
+        for nk, wk, row in zip(n, w, vals):
+            combos = itertools.combinations(range(nk), wk)
             if linear:
-                alpha = ref.uniform(-1.0, 1.0, size=n)
-                want = {c: float(sum(alpha[j] for j in c)) for c in combos}
+                alpha = [ref.uniform(-1.0, 1.0) for _ in range(nk)]
+                want = [float(sum(alpha[j] for j in c)) for c in combos]
             else:
-                want = {c: float(ref.uniform(-1.0, 1.0)) for c in combos}
-            assert f == want
-            assert list(f) == list(want)
-            assert gen.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+                want = [float(ref.uniform(-1.0, 1.0)) for c in combos]
+            assert row.tolist() == want
+
+    @pytest.mark.parametrize("n_range,w_range,bad", [
+        ((2, 2), (2, 2), "w_range"),
+        ((8, 3), (1, 3), "n_range"),
+        ((3, 8), (0, 2), "w_range"),
+        ((3, 8), (2, 1), "w_range"),
+        ((1, 4), (1, 3), "w_range"),
+    ])
+    def test_infeasible_ranges_are_refused_before_any_draw(self, n_range, w_range,
+                                                           bad):
+        named = re.escape(f"{bad} {dict(n_range=n_range, w_range=w_range)[bad]}")
+        gen = RandomSource(3).generator
+        with pytest.raises(ValueError, match=named):
+            random_query_instance(gen, n_range=n_range, w_range=w_range)
+        assert gen.integers(0, 2 ** 62) == RandomSource(3).generator.integers(0, 2 ** 62)
+        with pytest.raises(ValueError, match=named):
+            random_query_rows(3, 0, n_range=n_range, w_range=w_range)
+
+    def test_tight_ranges_draw(self):
+        q, S = random_query_instance(RandomSource(3).generator, n_range=(2, 2),
+                                     w_range=(1, 1))
+        assert (len(S), q.arity) == (2, 1)
+        assert {(len(S), q.arity) for q, S in random_query_rows(
+            3, 0, n_range=(2, 3), w_range=(1, 2))} == {(2, 1), (3, 1), (3, 2)}
+
+
+def _table(q: Query) -> list[int]:
+    """A random_query_rows query's table, in itertools.product key order."""
+    a = int(q.name.split("a=")[1].rstrip(")"))
+    return q.batch(np.array(list(itertools.product(range(a), repeat=q.arity)))).tolist()
+
+
+class TestSuiteRows:
+    """The chi2 and variance streams: instance i is row i % SUITE_BLOCK of
+    block i // SUITE_BLOCK, drawn from RandomSource(seed).child(i // SUITE_BLOCK)."""
+
+    @pytest.mark.parametrize("suite", ["chi2-stability", "var-contraction",
+                                       "var-contraction-linear-equality"])
+    def test_instances_do_not_depend_on_the_trial_count(self, monkeypatch, suite):
+        # every instance fails and writes itself out whole: the chi2 fake
+        # raises with the query's table, and the variance fake's lhs is 100
+        # plus the sum of the values it is handed
+        def raise_table(queries, datasets):
+            raise RuntimeError(f"table={_table(queries[0])}")
+
+        monkeypatch.setattr(dv, "leave_one_out_chi2_rows", raise_table)
+        monkeypatch.setattr(dv, "variance_contraction_rows", lambda vals, n, w: (
+            100.0 + vals.sum(axis=1), np.zeros(len(vals))))
+        full = run_suite(suite, trials=SUITE_BLOCK + 1, seed=13).failures
+        assert [int(f.split(":")[0].split()[1]) for f in full] == \
+            list(range(SUITE_BLOCK + 1))
+        for t in (20, SUITE_BLOCK):
+            assert run_suite(suite, trials=t, seed=13).failures == full[:t]
+        for i in (0, 19, SUITE_BLOCK - 1, SUITE_BLOCK):
+            block, j = divmod(i, SUITE_BLOCK)
+            if suite == "chi2-stability":
+                q, S = random_query_rows(13, block)[j]
+                assert full[i] == (f"instance {i}: table={_table(q)}; query={q.name} "
+                                   f"tag=None dataset={list(S)!r}")
+                continue
+            ns, ws, vals = random_subset_rows(13, block, suite.endswith("equality"))
+            n, w = int(ns[j]), int(ws[j])
+            f = dict(zip(itertools.combinations(range(n), w), vals[j].tolist()))
+            lhs = float(100.0 + vals[j].sum())
+            assert full[i] == f"instance {i}: n={n} w={w} lhs={lhs!r} rhs=0.0 f={f!r}"
+
+    def test_rows_follow_the_instance_law(self):
+        # random_query_instance's law: n uniform on 3..8, w uniform on
+        # 1..min(3, n-1), |Y| uniform on 2..4 and a on 2..5, independent of
+        # each other, and iid uniform table cells on 0..|Y|-1 and dataset
+        # entries on 0..a-1; random_subset_rows draws the same n and w
+        drawn = []
+        for b in range(8):
+            drawn += random_query_rows(2027, b)
+            ns, ws, vals = random_subset_rows(2027, b)
+            assert [(len(S), q.arity) for q, S in drawn[-SUITE_BLOCK:]] == \
+                list(zip(ns.tolist(), ws.tolist()))
+        m = len(drawn)
+        n, w, ysize = (np.array(col) for col in zip(*[
+            (len(S), q.arity, len(q.outputs)) for q, S in drawn]))
+        a = np.array([int(q.name.split("a=")[1].rstrip(")")) for q, _ in drawn])
+        for nk in range(3, 9):
+            for wk in range(1, min(3, nk - 1) + 1):
+                within_4se(np.count_nonzero((n == nk) & (w == wk)), m,
+                           1 / 6 / min(3, nk - 1))
+        for y in range(2, 5):
+            for ak in range(2, 6):
+                within_4se(np.count_nonzero((ysize == y) & (a == ak)), m, 1 / 12)
+            for wk in range(1, 4):
+                p_w = sum(1 / 6 / min(3, nk - 1) for nk in range(max(3, wk + 1), 9))
+                within_4se(np.count_nonzero((ysize == y) & (w == wk)), m, p_w / 3)
+        cells = {y: np.concatenate([_table(q) for q, _ in drawn if len(q.outputs) == y])
+                 for y in range(2, 5)}
+        entries = {ak: np.concatenate([S.array for (_, S), k in zip(drawn, a) if k == ak])
+                   for ak in range(2, 6)}
+        for size, flat in (*cells.items(), *entries.items()):
+            for v in range(size):
+                within_4se(np.count_nonzero(flat == v), flat.size, 1 / size)
+        # the subset values are uniform on [-1, 1): a quarter in each quarter
+        flat = np.concatenate(vals)
+        for lo in (-1.0, -0.5, 0.0, 0.5):
+            within_4se(np.count_nonzero((lo <= flat) & (flat < lo + 0.5)),
+                       flat.size, 1 / 4)
+        assert flat.min() >= -1.0 and flat.max() < 1.0

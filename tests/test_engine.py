@@ -281,6 +281,12 @@ class TestLeaveOneOutLaws:
         zeros = (loo == 0.0).reshape(6, 6, 3).any(axis=(1, 2))
         assert zeros[0::2].any() and not zeros[1::2].any()
 
+    def test_no_instance_is_refused_before_any_indexing(self):
+        q = Query(1, (0, 1), name="odd", batch=lambda e: e[:, 0] % 2)
+        for queries, datasets in (([], []), ([q], []), ([], [Dataset([0, 1])])):
+            with pytest.raises(ValueError, match="need at least one instance"):
+                engine.leave_one_out_laws(queries, datasets)
+
 
 class TestPopulationResponsePMF:
     def test_point_mass(self):
