@@ -420,10 +420,7 @@ def random_query_instance(gen: np.random.Generator, *,
     return _table_query(table, ysize), Dataset(gen.integers(0, a, size=n))
 
 
-def random_query_rows(seed: int, block: int, *,
-                      n_range: tuple[int, int] = QUERY_N_RANGE,
-                      w_range: tuple[int, int] = QUERY_W_RANGE,
-                      ) -> list[tuple[Query, Dataset]]:
+def random_query_rows(seed: int, block: int) -> list[tuple[Query, Dataset]]:
     """Instances b*SUITE_BLOCK onward of the chi2 suite (b = ``block``), as
     (query, dataset) pairs with ``random_query_instance``'s law, drawn from
     RandomSource(seed).child(b) for the whole block at once: one draw each
@@ -431,9 +428,8 @@ def random_query_rows(seed: int, block: int, *,
     sizes a, then one ``integers`` draw of every instance's a**w table cells
     in turn and one of every dataset's n entries. An instance's table and
     dataset are its exact-size slices of those two draws."""
-    _check_ranges(n_range, w_range)
     gen = RandomSource(seed).child(block).generator
-    n, w = _draw_shapes(gen, n_range, w_range)
+    n, w = _draw_shapes(gen)
     ysize, a = (gen.integers(lo, hi + 1, size=SUITE_BLOCK)
                 for lo, hi in (QUERY_Y_RANGE, QUERY_ALPHABET_RANGE))
     cells = a ** w
@@ -456,7 +452,7 @@ def random_subset_rows(seed: int, block: int, linear: bool = False
     order, with each instance's n weights a slice of one uniform [-1, 1)
     draw."""
     gen = RandomSource(seed).child(block).generator
-    n, w = _draw_shapes(gen, QUERY_N_RANGE, QUERY_W_RANGE)
+    n, w = _draw_shapes(gen)
     if not linear:
         sizes = np.array([math.comb(nk, wk) for nk, wk in zip(n.tolist(), w.tolist())])
         return n, w, np.split(gen.uniform(-1.0, 1.0, size=sizes.sum()),
@@ -485,12 +481,12 @@ def _check_ranges(n_range: tuple[int, int], w_range: tuple[int, int]) -> None:
                          f"min({w_range[1]}, n - 1) at n = {n_range[0]}")
 
 
-def _draw_shapes(gen: np.random.Generator, n_range: tuple[int, int],
-                 w_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """SUITE_BLOCK sizes n uniform on n_range, then an arity w per n,
-    uniform on w_range cut to at most n - 1."""
-    n = gen.integers(n_range[0], n_range[1] + 1, size=SUITE_BLOCK)
-    return n, gen.integers(w_range[0], np.minimum(w_range[1], n - 1) + 1)
+def _draw_shapes(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """SUITE_BLOCK sizes n uniform on QUERY_N_RANGE, then an arity w per n,
+    uniform on QUERY_W_RANGE cut to at most n - 1."""
+    (n_lo, n_hi), (w_lo, w_hi) = QUERY_N_RANGE, QUERY_W_RANGE
+    n = gen.integers(n_lo, n_hi + 1, size=SUITE_BLOCK)
+    return n, gen.integers(w_lo, np.minimum(w_hi, n - 1) + 1)
 
 
 def _table_query(table: np.ndarray, ysize: int) -> Query:

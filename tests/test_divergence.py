@@ -759,15 +759,11 @@ class TestInstanceStreams:
         with pytest.raises(ValueError, match=named):
             random_query_instance(gen, n_range=n_range, w_range=w_range)
         assert gen.integers(0, 2 ** 62) == RandomSource(3).generator.integers(0, 2 ** 62)
-        with pytest.raises(ValueError, match=named):
-            random_query_rows(3, 0, n_range=n_range, w_range=w_range)
 
     def test_tight_ranges_draw(self):
         q, S = random_query_instance(RandomSource(3).generator, n_range=(2, 2),
                                      w_range=(1, 1))
         assert (len(S), q.arity) == (2, 1)
-        assert {(len(S), q.arity) for q, S in random_query_rows(
-            3, 0, n_range=(2, 3), w_range=(1, 2))} == {(2, 1), (3, 1), (3, 2)}
 
 
 def _table(q: Query) -> list[int]:
