@@ -207,64 +207,59 @@ class SuiteResult:
         return not self.failures
 
 
-def _shape_groups(shapes) -> list[list[int]]:
-    """The indices into ``shapes`` of each distinct shape, in first-seen order."""
-    groups: dict = {}
-    for j, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(j)
-    return list(groups.values())
+def _key_groups(*keys: np.ndarray) -> list[np.ndarray]:
+    """The ascending indices of each distinct key across the equal-length
+    arrays ``keys``, one group per distinct key, in key order."""
+    order = np.lexsort(keys[::-1])  # stable: ascending indices within a key
+    ranked = np.stack(keys)[:, order]
+    starts = np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1
+    return np.split(order, starts)
 
 
 def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     """Average leave-one-out chi-squared never exceeds its closed form; for
     arity-1 deterministic queries it attains it exactly (with the range
     measured on the realized answer support). Block b is
-    dv.random_query_rows(seed, b), the last one cut to --trials, so instance
-    i's index replays it at any --trials; the instances of one block that
-    share (n, w, |Y|) are measured in one ``dv.leave_one_out_chi2_rows``
+    dv.random_query_block(seed, b), the last one cut to --trials, so
+    instance i's index replays it at any --trials; the instances of one
+    block that share (n, w, |Y|) are measured in one ``dv.table_chi2_rows``
     call, and a group that raises is measured again one instance at a time,
-    so each failure names its own instance."""
+    so each failure names its own instance. Only an instance that fails is
+    built as a query and a dataset, to be written out."""
     res = SuiteResult("chi2-stability", trials)
     max_excess = -math.inf
     max_eq_dev = 0.0
     for block, lo in enumerate(range(0, trials, dv.SUITE_BLOCK)):
-        drawn = dv.random_query_rows(seed, block)[:trials - lo]
-        rows: list = [None] * len(drawn)  # (measured, bound, support) or the error
-        for group in _shape_groups((len(S), q.arity, len(q.outputs)) for q, S in drawn):
+        rows = dv.random_query_block(seed, block)
+        count = min(trials - lo, dv.SUITE_BLOCK)
+        failed: list[tuple[int, str]] = []  # (row, what failed)
+        for group in _key_groups(rows.n[:count], rows.w[:count], rows.ysize[:count]):
             try:
-                parts = [(group, _chi2_rows(drawn, group))]
+                parts = [(group, dv.table_chi2_rows(rows, group))]
             except RuntimeError:  # again one at a time, to find which raised
                 parts = []
-                for j in group:
+                for j in group.tolist():
                     try:
-                        parts.append(([j], _chi2_rows(drawn, [j])))
+                        parts.append(([j], dv.table_chi2_rows(rows, [j])))
                     except RuntimeError as exc:
-                        rows[j] = exc
+                        failed.append((j, str(exc)))
+            n, w = int(rows.n[group[0]]), int(rows.w[group[0]])
             for part, (measured, bound, _, laws) in parts:
-                supports = np.count_nonzero(laws > 0.0, axis=1).tolist()
-                for j, m, support in zip(part, measured.tolist(), supports):
-                    rows[j] = (m, bound, support)
-        for i, (q, S), row in zip(itertools.count(lo), drawn, rows):
-            if isinstance(row, RuntimeError):
-                res.failures.append(f"instance {i}: {row}; {_describe_instance(q, S)}")
-                continue
-            measured, bound, support = row
-            max_excess = max(max_excess, measured - bound)
-            if q.arity == 1:
-                eq_bound = dv.chi2_stability_bound(len(S), 1, support)
-                dev = abs(measured - eq_bound)
-                max_eq_dev = max(max_eq_dev, dev)
-                if dev > 1e-10:
-                    res.failures.append(
-                        f"instance {i}: w=1 equality off by {dev:.3e}; "
-                        f"{_describe_instance(q, S)}")
+                max_excess = max(max_excess, float((measured - bound).max()))
+                if w != 1:
+                    continue
+                # the closed form at each realized support size 1..|Y|
+                eq_bounds = np.array([dv.chi2_stability_bound(n, 1, s)
+                                      for s in range(1, laws.shape[1] + 1)])
+                dev = np.abs(measured - eq_bounds[np.count_nonzero(laws > 0.0, axis=1) - 1])
+                max_eq_dev = max(max_eq_dev, float(dev.max()))
+                failed += [(j, f"w=1 equality off by {d:.3e}")
+                           for j, d in zip(part, dev.tolist()) if d > 1e-10]
+        for j, what in sorted(failed):
+            res.failures.append(f"instance {lo + j}: {what}; "
+                                f"{_describe_instance(*rows.instance(j))}")
     res.stats = {"max_excess": max_excess, "max_equality_dev": max_eq_dev}
     return res
-
-
-def _chi2_rows(drawn: list, part: list[int]):
-    return dv.leave_one_out_chi2_rows([drawn[j][0] for j in part],
-                                      [drawn[j][1] for j in part])
 
 
 def _describe_instance(q, S: Dataset) -> str:
@@ -282,20 +277,18 @@ def _suite_var_contraction(trials: int, seed: int, linear: bool) -> SuiteResult:
     max_dev = 0.0
     for block, lo in enumerate(range(0, trials, dv.SUITE_BLOCK)):
         ns, ws, vals = dv.random_subset_rows(seed, block, linear)
-        shapes = list(zip(ns.tolist(), ws.tolist()))[:trials - lo]
-        sides: list = [None] * len(shapes)
-        for group in _shape_groups(shapes):
-            lhs, rhs = dv.variance_contraction_rows(
-                np.stack([vals[j] for j in group]), *shapes[group[0]])
-            for j, pair in zip(group, zip(lhs.tolist(), rhs.tolist())):
-                sides[j] = pair
-        for j, ((n, w), (lhs, rhs)) in enumerate(zip(shapes, sides)):
-            dev = abs(lhs - rhs) if linear else lhs - rhs
-            max_dev = max(max_dev, dev)
-            if dev > 1e-10:
-                f = dict(zip(itertools.combinations(range(n), w), vals[j].tolist()))
-                res.failures.append(
-                    f"instance {lo + j}: n={n} w={w} lhs={lhs!r} rhs={rhs!r} f={f!r}")
+        count = min(trials - lo, dv.SUITE_BLOCK)
+        lhs, rhs = np.empty(count), np.empty(count)
+        for group in _key_groups(ns[:count], ws[:count]):
+            lhs[group], rhs[group] = dv.variance_contraction_rows(
+                np.stack([vals[j] for j in group]), int(ns[group[0]]), int(ws[group[0]]))
+        dev = np.abs(lhs - rhs) if linear else lhs - rhs
+        max_dev = max(max_dev, float(dev.max()))
+        for j in np.flatnonzero(dev > 1e-10).tolist():
+            n, w = int(ns[j]), int(ws[j])
+            f = dict(zip(itertools.combinations(range(n), w), vals[j].tolist()))
+            res.failures.append(f"instance {lo + j}: n={n} w={w} "
+                                f"lhs={float(lhs[j])!r} rhs={float(rhs[j])!r} f={f!r}")
     res.stats = {"max_dev": max_dev}
     return res
 

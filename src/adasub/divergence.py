@@ -28,7 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Dataset, Query, check_enumeration, position_blocks
-from .engine import RandomSource, ResponsePMF, leave_one_out_laws, leave_one_out_pmfs
+from .engine import (RandomSource, ResponsePMF, leave_one_out_block_laws,
+                     leave_one_out_laws, leave_one_out_pmfs)
 
 INEQ_TOL = 1e-10
 
@@ -113,10 +114,46 @@ def leave_one_out_chi2_rows(queries: Sequence[Query], datasets: Sequence[Dataset
     raises RuntimeError, naming the first such one; no instance at all is a
     ValueError."""
     full, loo = leave_one_out_laws(queries, datasets)
+    return _chi2_rows(full, loo, len(datasets[0]), queries[0].arity)
+
+
+def table_chi2_rows(rows: QueryBlock, group
+                    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """``leave_one_out_chi2_rows`` of the instances ``group`` (indices into
+    the block) of a query block, which share n, w and |Y|, read from the
+    block's arrays with no Query built. On each block of position rows
+    ``pos``, instance k's answers are one gather from the flat table cells,
+    cells[t0_k + sum_j D_k[pos[:, j]] a_k^(w-1-j)] for its dataset D_k,
+    alphabet size a_k and table offset t0_k, which is table[tuple(x)] of
+    its (a_k,) * w table; their one-hot rows are its output laws there."""
+    group = np.asarray(group, dtype=np.intp)
+    if group.size == 0:
+        raise ValueError("need at least one instance")
+    shapes = np.stack([rows.n[group], rows.w[group], rows.ysize[group]])
+    if (shapes != shapes[:, :1]).any():
+        raise ValueError("instances must share n, w and |Y|")
+    n, w, ysize = shapes[:, 0].tolist()
+    data = rows.data[rows.data_starts[group, None] + np.arange(n)]
+    place = rows.a[group, None, None] ** np.arange(w - 1, -1, -1)
+    starts = rows.cell_starts[group, None]
+    one_hot = np.eye(ysize)
+
+    def block_laws(pos: np.ndarray) -> np.ndarray:
+        keys = (data[:, pos] * place).sum(axis=2)
+        return one_hot[rows.cells[starts + keys]]
+
+    full, loo = leave_one_out_block_laws(block_laws, group.size, n, w, ysize)
+    return _chi2_rows(full, loo, n, w)
+
+
+def _chi2_rows(full: np.ndarray, loo: np.ndarray, n: int, w: int
+               ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """The chi2 rows of I instances from their (I, |Y|) laws and (I n, |Y|)
+    leave-one-out laws, the bound checked (see ``leave_one_out_chi2_rows``)."""
     count, ysize = full.shape
     per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
     measured = per.mean(axis=1)
-    bound = chi2_stability_bound(len(datasets[0]), queries[0].arity, ysize)
+    bound = chi2_stability_bound(n, w, ysize)
     over = np.flatnonzero(measured > bound + INEQ_TOL)
     if over.size:
         raise RuntimeError(f"leave-one-out chi2 {float(measured[over[0]])} "
@@ -267,8 +304,12 @@ def sample_exceeds_mean_probe(S: Sequence[float], n: int, trials: int,
 
     A trial draws how many copies of each distinct value the n-subset holds,
     from their multivariate hypergeometric law, which is exactly the law of
-    the sum of a uniform n-subset of S."""
+    the sum of a uniform n-subset of S. ``trials`` and ``chunk`` below 1
+    are refused before any draw."""
     vals = _probe_values(S, n)
+    for name, count in (("trials", trials), ("chunk", chunk)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     gen = rng.generator if isinstance(rng, RandomSource) else rng
     target = n * vals.mean() - 1.0
     levels, colors = np.unique(vals, return_counts=True)
@@ -362,7 +403,7 @@ def _probe_values(S: Sequence[float], n: int) -> np.ndarray:
     vals = np.asarray(S, dtype=float)
     if vals.ndim != 1 or not 1 <= n < vals.size:
         raise ValueError("need a flat value list and 1 <= n < |S|")
-    if vals.min() < 0.0 or vals.max() > 1.0:
+    if not np.isfinite(vals).all() or vals.min() < 0.0 or vals.max() > 1.0:
         raise ValueError("probe values must lie in [0, 1]")
     return vals
 
@@ -420,31 +461,64 @@ def random_query_instance(gen: np.random.Generator, *,
     return _table_query(table, ysize), Dataset(gen.integers(0, a, size=n))
 
 
-def random_query_rows(seed: int, block: int) -> list[tuple[Query, Dataset]]:
-    """Instances b*SUITE_BLOCK onward of the chi2 suite (b = ``block``), as
-    (query, dataset) pairs with ``random_query_instance``'s law, drawn from
-    RandomSource(seed).child(b) for the whole block at once: one draw each
-    of the SUITE_BLOCK sizes n, arities w, range sizes |Y| and alphabet
-    sizes a, then one ``integers`` draw of every instance's a**w table cells
-    in turn and one of every dataset's n entries. An instance's table and
-    dataset are its exact-size slices of those two draws."""
+@dataclass(frozen=True)
+class QueryBlock:
+    """SUITE_BLOCK random lookup-table query instances as arrays. Instance k
+    has sample size n[k], arity w[k], range size ysize[k] and alphabet size
+    a[k]; its (a,) * w table is the a**w flat cells from cell_starts[k] in C
+    order, and its dataset the n entries of data from data_starts[k]."""
+
+    n: np.ndarray
+    w: np.ndarray
+    ysize: np.ndarray
+    a: np.ndarray
+    cells: np.ndarray
+    cell_starts: np.ndarray
+    data: np.ndarray
+    data_starts: np.ndarray
+
+    def instance(self, k: int) -> tuple[Query, Dataset]:
+        """Instance k as a (query, dataset) pair (``random_query_instance``'s
+        form)."""
+        n, w, a = int(self.n[k]), int(self.w[k]), int(self.a[k])
+        cell, entry = int(self.cell_starts[k]), int(self.data_starts[k])
+        table = self.cells[cell:cell + a ** w].reshape((a,) * w)
+        return (_table_query(table, int(self.ysize[k])),
+                Dataset(self.data[entry:entry + n]))
+
+
+def random_query_block(seed: int, block: int) -> QueryBlock:
+    """Instances b*SUITE_BLOCK onward of the chi2 suite (b = ``block``), with
+    ``random_query_instance``'s law, drawn from RandomSource(seed).child(b)
+    for the whole block at once: one draw each of the SUITE_BLOCK sizes n,
+    arities w, range sizes |Y| and alphabet sizes a, then one ``integers``
+    draw of every instance's a**w table cells in turn and one of every
+    dataset's n entries. An instance's table and dataset are its exact-size
+    slices of those two draws."""
     gen = RandomSource(seed).child(block).generator
     n, w = _draw_shapes(gen)
     ysize, a = (gen.integers(lo, hi + 1, size=SUITE_BLOCK)
                 for lo, hi in (QUERY_Y_RANGE, QUERY_ALPHABET_RANGE))
-    cells = a ** w
-    tables = np.split(gen.integers(0, np.repeat(ysize, cells)), np.cumsum(cells)[:-1])
-    data = np.split(gen.integers(0, np.repeat(a, n)), np.cumsum(n)[:-1])
-    return [(_table_query(table.reshape((ak,) * wk), yk), Dataset(row))
-            for table, row, wk, yk, ak in zip(tables, data, w.tolist(),
-                                              ysize.tolist(), a.tolist())]
+    sizes = a ** w
+    cells = gen.integers(0, np.repeat(ysize, sizes))
+    data = gen.integers(0, np.repeat(a, n))
+    return QueryBlock(n, w, ysize, a, cells, np.cumsum(sizes) - sizes,
+                      data, np.cumsum(n) - n)
+
+
+def random_query_rows(seed: int, block: int) -> list[tuple[Query, Dataset]]:
+    """Block b of the chi2 suite (``random_query_block``) as SUITE_BLOCK
+    (query, dataset) pairs: instance i is random_query_rows(seed, i //
+    SUITE_BLOCK)[i % SUITE_BLOCK]."""
+    rows = random_query_block(seed, block)
+    return [rows.instance(k) for k in range(SUITE_BLOCK)]
 
 
 def random_subset_rows(seed: int, block: int, linear: bool = False
                        ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Instances b*SUITE_BLOCK onward of a variance suite (b = ``block``),
     from RandomSource(seed).child(b): the sizes n and arities w, drawn as
-    ``random_query_rows`` draws them, and each instance's random real
+    ``random_query_block`` draws them, and each instance's random real
     function on the w-subsets of [n], as its C(n, w) values in
     ``itertools.combinations`` order. The values are exact-size slices of
     one uniform [-1, 1) draw, one value per subset; or, if linear, f(T) is

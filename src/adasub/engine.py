@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -164,24 +164,8 @@ def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, np.ndarray]:
 def leave_one_out_laws(queries: Sequence[Query],
                        datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """For I >= 1 instances (q_k, S_k) that share the sample size n, the
-    arity w and the range size |Y|: an (I, |Y|) array whose row k is q_k's
-    exact answer law on S_k, and a read-only (I n, |Y|) array whose row
-    k n + i is the law on S_k minus position i.
-
-    One walk of ``position_blocks(n, w)`` serves every instance: each block
-    stacks the queries' ``output_laws`` on the shared position rows. The
-    w-subsets of S minus i are exactly the w-subsets of S that miss position
-    i, so the law on S minus i sums them as the sum over all subsets less
-    the sum over the subsets that hold i, which each block adds up per
-    position column (``np.bincount``); the memory is
-    O(I (SUBSET_BLOCK (w + |Y|) + n |Y|)), and I C(n, w) |Y| is checked
-    against ``ENUM_CAP`` before any of it is built.
-
-    A deterministic q's laws are one-hot, so both sums are integer counts
-    and the difference is exact. A randomized q's law on S minus i is zero
-    exactly where no subset that misses i gives that output positive mass,
-    which the same difference of counts of positive-mass rows decides, so
-    a zero mass is exactly zero."""
+    arity w and the range size |Y|: ``leave_one_out_block_laws`` with the
+    queries' ``output_laws`` stacked on each block of position rows."""
     if not queries or not datasets:
         raise ValueError("need at least one instance")
     count, n, w, ysize = len(queries), len(datasets[0]), queries[0].arity, \
@@ -190,6 +174,33 @@ def leave_one_out_laws(queries: Sequence[Query],
             (len(S), q.arity, len(q.outputs)) != (n, w, ysize)
             for q, S in zip(queries, datasets)):
         raise ValueError("instances must pair up and share n, w and |Y|")
+    return leave_one_out_block_laws(
+        lambda pos: np.stack([q.output_laws(S, pos) for q, S in zip(queries, datasets)]),
+        count, n, w, ysize)
+
+
+def leave_one_out_block_laws(block_laws: Callable[[np.ndarray], np.ndarray],
+                             count: int, n: int, w: int,
+                             ysize: int) -> tuple[np.ndarray, np.ndarray]:
+    """For I = ``count`` instances of sample size n, arity w and range size
+    |Y|, whose (I, m, |Y|) output laws on an (m, w) block of position rows
+    ``block_laws`` gives: an (I, |Y|) array whose row k is instance k's
+    exact answer law on its sample S_k, and a read-only (I n, |Y|) array
+    whose row k n + i is the law on S_k minus position i.
+
+    One walk of ``position_blocks(n, w)`` serves every instance. The
+    w-subsets of S minus i are exactly the w-subsets of S that miss position
+    i, so the law on S minus i sums them as the sum over all subsets less
+    the sum over the subsets that hold i, which each block adds up per
+    position column (``np.bincount``); the memory is
+    O(I (SUBSET_BLOCK (w + |Y|) + n |Y|)), and I C(n, w) |Y| is checked
+    against ``ENUM_CAP`` before any of it is built.
+
+    A deterministic instance's laws are one-hot, so both sums are integer
+    counts and the difference is exact. A randomized one's law on S minus i
+    is zero exactly where no subset that misses i gives that output positive
+    mass, which the same difference of counts of positive-mass rows decides,
+    so a zero mass is exactly zero."""
     if w > n - 1:
         raise ValueError(f"query arity {w} exceeds leave-one-out sample size {n - 1}")
     check_enumeration(count * math.comb(n, w) * ysize, f"{count}*C({n},{w})*|Y|")
@@ -198,7 +209,7 @@ def leave_one_out_laws(queries: Sequence[Query],
     # the bin of (instance k, position p, cell c) is (k n + p) 2|Y| + c
     cells = np.arange(count)[:, None, None] * (n * 2 * ysize) + np.arange(2 * ysize)
     for pos in position_blocks(n, w):
-        laws = np.stack([q.output_laws(S, pos) for q, S in zip(queries, datasets)])
+        laws = block_laws(pos)
         both = np.concatenate([laws, laws > 0.0], axis=2)
         full += both.sum(axis=1)
         for column in pos.T:
@@ -241,7 +252,7 @@ def uniformize(q: Query, p: float) -> Query:
     at least p on every input: with probability p*|Y| the answer is a uniform
     draw from Y, otherwise q's own answer."""
     ysize = len(q.outputs)
-    if p < 0 or p * ysize > 1 + MASS_TOL:
+    if not math.isfinite(p) or p < 0 or p * ysize > 1 + MASS_TOL:
         raise ValueError(f"need 0 <= p*|Y| <= 1, got p={p}, |Y|={ysize}")
     mix = p * ysize
     name = f"uniformize({q.name or 'query'},{p:g})"

@@ -543,7 +543,7 @@ class TestRunCommand:
             (tmp_path / "b.csv.summary.json").read_bytes()
 
 
-def _raise_no_law(queries, datasets):
+def _raise_no_law(rows, group):
     raise RuntimeError("no law")
 
 
@@ -638,7 +638,7 @@ class TestVerifyCommand:
         assert res.passed and res.instances == 25
 
     @pytest.mark.parametrize("suite,attr,fake,needle", [
-        ("chi2-stability", "leave_one_out_chi2_rows",
+        ("chi2-stability", "table_chi2_rows",
          lambda real: _raise_no_law,
          r"instance \d+: no law; query=randmap\(.*\) tag=None dataset=\[.*\]"),
         ("chi2-stability", "chi2_stability_bound",
@@ -677,14 +677,14 @@ class TestVerifyCommand:
 
         bad = drawn[10][1].array.tolist()
         assert sum(shape(*inst) == shape(*drawn[10]) for inst in drawn) == 6
-        real = dv.leave_one_out_chi2_rows
+        real = dv.table_chi2_rows
 
-        def rows(queries, datasets):
-            if any(S.array.tolist() == bad for S in datasets):
+        def rows(block, group):
+            if any(block.instance(j)[1].array.tolist() == bad for j in group):
                 raise RuntimeError("no law")
-            return real(queries, datasets)
+            return real(block, group)
 
-        monkeypatch.setattr(dv, "leave_one_out_chi2_rows", rows)
+        monkeypatch.setattr(dv, "table_chi2_rows", rows)
         res = run_suite("chi2-stability", trials=60, seed=1)
         assert res.failures == [
             f"instance {i}: no law; {cli._describe_instance(q, S)}"

@@ -430,11 +430,11 @@ class TestShapeBlocks:
     @pytest.mark.parametrize("seed", [1, 20260801])
     def test_suite_rows_equal_the_one_row_calls(self, monkeypatch, seed):
         calls = {"chi2": [], "var": []}
-        chi2_rows, var_rows = dv.leave_one_out_chi2_rows, dv.variance_contraction_rows
+        chi2_rows, var_rows = dv.table_chi2_rows, dv.variance_contraction_rows
 
-        def spy_chi2(queries, datasets):
-            out = chi2_rows(queries, datasets)
-            calls["chi2"].append((queries, datasets, out))
+        def spy_chi2(rows, group):
+            out = chi2_rows(rows, group)
+            calls["chi2"].append((group, out))
             return out
 
         def spy_var(vals, n, w):
@@ -443,16 +443,18 @@ class TestShapeBlocks:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(dv, "leave_one_out_chi2_rows", spy_chi2)
+            m.setattr(dv, "table_chi2_rows", spy_chi2)
             m.setattr(dv, "variance_contraction_rows", spy_var)
             for suite in ("chi2-stability", "var-contraction",
                           "var-contraction-linear-equality"):
                 assert run_suite(suite, seed=seed).passed
-        assert sum(len(q) for q, _, _ in calls["chi2"]) == 1000
-        assert max(len(q) for q, _, _ in calls["chi2"]) > 1
-        for queries, datasets, (measured, bound, per, laws) in calls["chi2"]:
-            for k, (q, S) in enumerate(zip(queries, datasets)):
-                report = measure_leave_one_out_chi2(q, S)
+        # every default instance once, each against its own query's walk
+        assert sorted(j for group, _ in calls["chi2"] for j in group) == list(range(1000))
+        assert max(len(group) for group, _ in calls["chi2"]) > 1
+        drawn = random_query_rows(seed, 0)
+        for group, (measured, bound, per, laws) in calls["chi2"]:
+            for k, j in enumerate(group):
+                report = measure_leave_one_out_chi2(*drawn[j])
                 assert float(measured[k]) == report.measured
                 assert bound == report.bound
                 assert tuple(per[k].tolist()) == report.per_index
@@ -469,6 +471,39 @@ class TestShapeBlocks:
                 got[row.tobytes()] = pair
         assert max(len(vals) for vals, _, _, _ in calls["var"]) > 1
         assert got == want
+
+    def test_chi2_suite_builds_no_query_laws(self, monkeypatch):
+        calls = []
+        output_laws = Query.output_laws
+
+        def spy(q, S, pos):
+            calls.append(q.name)
+            return output_laws(q, S, pos)
+
+        monkeypatch.setattr(Query, "output_laws", spy)
+        assert run_suite("chi2-stability").passed
+        assert calls == []
+
+    def test_table_rows_equal_the_query_rows_across_position_blocks(self, monkeypatch):
+        # blocks of 4 position rows split every walk of C(n, w) > 4 subsets
+        rows = dv.random_query_block(5, 0)
+        monkeypatch.setattr(core, "SUBSET_BLOCK", 4)
+        shapes = list(zip(rows.n.tolist(), rows.w.tolist(), rows.ysize.tolist()))
+        for shape in ((8, 3, 4), (5, 2, 2), (3, 1, 3), (4, 3, 2)):
+            group = [j for j, s in enumerate(shapes) if s == shape][:7]
+            want = dv.leave_one_out_chi2_rows(*zip(*(rows.instance(j) for j in group)))
+            got = dv.table_chi2_rows(rows, group)
+            assert len(group) > 1 and got[1] == want[1]  # the bound
+            for k in (0, 2, 3):  # measured, per-index divergences, laws
+                assert np.array_equal(got[k], want[k])
+
+    def test_table_rows_need_one_shape_and_an_instance(self):
+        rows = dv.random_query_block(5, 0)
+        other = int(np.flatnonzero(rows.n != rows.n[0])[0])
+        with pytest.raises(ValueError, match="share n, w and"):
+            dv.table_chi2_rows(rows, [0, other])
+        with pytest.raises(ValueError, match="need at least one instance"):
+            dv.table_chi2_rows(rows, [])
 
     def test_chi2_rows_raise_on_the_first_row_past_the_bound(self, monkeypatch):
         instances = [random_query_instance(RandomSource(5).child(i).generator)
@@ -665,6 +700,34 @@ class TestExceedsMeanProbe:
         with pytest.raises(ValueError):
             sample_exceeds_mean_exact([0.5, 0.5], 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_refused(self, bad):
+        # a NaN passes both range comparisons; it would read as a tail of 0
+        values = [0.0, bad, 1.0, 0.5]
+        with pytest.raises(ValueError, match=re.escape("[0, 1]")):
+            sample_exceeds_mean_exact(values, 1)
+        with pytest.raises(ValueError, match=re.escape("[0, 1]")):
+            sample_exceeds_mean_probe(values, 1, 10, _NoDraws())
+
+    @pytest.mark.parametrize("trials,chunk,bad", [
+        (0, 4096, "trials"), (-3, 4096, "trials"), (10, 0, "chunk"), (10, -1, "chunk")])
+    def test_counts_below_one_are_refused_before_any_draw(self, trials, chunk, bad):
+        # a draw fails the test: with chunk 0 the loop would draw size-0
+        # batches forever, so it must be refused before the loop
+        with pytest.raises(ValueError, match=f"{bad} must be at least 1, got "):
+            sample_exceeds_mean_probe([0.0, 1.0, 0.5], 1, trials, _NoDraws(),
+                                      chunk=chunk)
+
+
+class _NoDraws(np.random.Generator):
+    """A generator whose every draw fails the calling test."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        raise AssertionError("drew before refusing the call")
+
 
 def _per_key_query_instance(gen):
     """random_query_instance as one scalar draw per key of its map."""
@@ -782,10 +845,10 @@ class TestSuiteRows:
         # every instance fails and writes itself out whole: the chi2 fake
         # raises with the query's table, and the variance fake's lhs is 100
         # plus the sum of the values it is handed
-        def raise_table(queries, datasets):
-            raise RuntimeError(f"table={_table(queries[0])}")
+        def raise_table(rows, group):
+            raise RuntimeError(f"table={_table(rows.instance(group[0])[0])}")
 
-        monkeypatch.setattr(dv, "leave_one_out_chi2_rows", raise_table)
+        monkeypatch.setattr(dv, "table_chi2_rows", raise_table)
         monkeypatch.setattr(dv, "variance_contraction_rows", lambda vals, n, w: (
             100.0 + vals.sum(axis=1), np.zeros(len(vals))))
         full = run_suite(suite, trials=SUITE_BLOCK + 1, seed=13).failures

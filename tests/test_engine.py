@@ -621,6 +621,12 @@ class TestUniformize:
         with pytest.raises(ValueError):
             uniformize(IDENT, 0.6)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_p_that_is_not_finite_is_refused(self, p):
+        # a NaN p fails both range comparisons and would give NaN laws
+        with pytest.raises(ValueError, match=f"p={p}"):
+            uniformize(IDENT, p)
+
     def test_uniformized_query_passes(self):
         # the floor holds on every subset, by construction
         pair_sum = Query.deterministic(2, (0, 1, 2, 3, 4), lambda a, b: a + b)
