@@ -14,9 +14,9 @@ range and uniformity floor eps, and the ledger is charged k of them.
 The approximate-median mechanism splits the sample into k groups and binary
 searches the query's ordered range; each probe takes one subsample vote per
 group, flips it with probability w/|group| (making the vote
-(w/|group|)-uniform), and follows the majority. Given the sample, the k
-votes of a probe are independent, so the session draws all k subsets in one
-batched step.
+(w/|group|)-uniform), and follows the majority. Given the sample, every
+vote is independent of the others and of the search path, so the session
+draws all of an answer's probes before its search starts, in one step.
 
 Charged costs follow the per-query schedules:
 
@@ -331,10 +331,11 @@ class MedianSession:
     in the one sample array. ``noise=False`` disables the per-vote flip; that
     mode is exposed for comparison runs and carries no accuracy claim.
 
-    Each answer charges ``search_rounds(|Y|)`` = ceil(log2 |Y|) probes up
-    front, even when the search isolates a value in fewer: with |Y| = 5 it
-    makes 2 or 3 probes and charges 3. The charge does not depend on the
-    data, so the over-charge keeps the mutual-information bound sound.
+    Each answer charges and draws ``search_rounds(|Y|)`` = ceil(log2 |Y|)
+    probes up front, even when the search isolates a value in fewer: with
+    |Y| = 5 it draws and charges 3 probes and reads 2 or 3. The charge does
+    not depend on the data, so the over-charge keeps the mutual-information
+    bound sound, and an unread probe is independent of the read ones.
     """
 
     def __init__(self, dataset: Dataset, num_groups: int, rng: RandomSource,
@@ -362,22 +363,45 @@ class MedianSession:
         """Binary search q's ordered range; each probe takes one noisy
         subsample vote per group and follows the majority. Returns the
         single range value the search isolates."""
-        outputs = [float(y) for y in q.outputs]
-        if any(b <= a for a, b in zip(outputs, outputs[1:])):
+        outputs = np.asarray(q.outputs, dtype=float)
+        if outputs.ndim != 1 or not (np.diff(outputs) > 0).all():  # NaN fails too
             raise ValueError("median queries need a strictly increasing real range")
         min_group = len(self.groups[-1])  # group sizes never increase
         if q.arity >= min_group:
             raise ValueError(
                 f"query arity {q.arity} is not below the smallest group size {min_group}")
-        self.ledger.charge(search_rounds(len(outputs)) * self._probe_charge(q.arity))
-        lo, hi = 0, len(outputs) - 1
+        rounds = search_rounds(len(outputs))
+        self.ledger.charge(rounds * self._probe_charge(q.arity))
+        idx, flips = self._draw_probes(q, rounds)
+        lo, hi, p = 0, len(outputs) - 1, 0
         while lo < hi:
             probe = (lo + hi + 1) // 2
-            if 2 * self._vote_round(q, outputs[probe]) >= self.k:
+            # Y strictly increases: answer >= outputs[probe] iff index >= probe
+            if 2 * np.count_nonzero((idx[p] >= probe) ^ flips[p]) >= self.k:
                 lo = probe
             else:
                 hi = probe - 1
-        return outputs[lo]
+            p += 1
+        return float(outputs[lo])
+
+    def _draw_probes(self, q: Query, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """All ``rounds`` probes of one answer, drawn before the search reads
+        any: (rounds, k) arrays of each group's answer index into q.outputs
+        and of its vote flip (all False without noise). The probes come in
+        blocks of at most n positions; each block is one ``draw_positions``
+        call, one ``Query.answer_indices`` call and one draw of its flips."""
+        idx = np.empty((rounds, self.k), dtype=np.intp)
+        flips = np.zeros((rounds, self.k), dtype=bool)
+        step = len(self.dataset) // (self.k * q.arity)  # k w < n, so step >= 1
+        for first in range(0, rounds, step):
+            m = min(step, rounds - first)
+            pos = draw_positions(self._gen, np.tile(self._sizes, m), q.arity, m * self.k)
+            pos += np.tile(self._starts, m)[:, None]
+            idx[first:first + m] = q.answer_indices(
+                self.dataset, pos, self._gen).reshape(m, self.k)
+            if self.noise:
+                flips[first:first + m] = self._gen.random((m, self.k)) < q.arity / self._sizes
+        return idx, flips
 
     def _probe_charge(self, w: int) -> float:
         """The cost of one probe at arity w: one vote per group, summed over
@@ -391,17 +415,3 @@ class MedianSession:
     def _vote_cost(self, w: int, group_size: int) -> float:
         p = w / group_size if self.noise else 0.0
         return cost_uniform(group_size, w, 2, p)
-
-    def _vote_round(self, q: Query, r: float) -> int:
-        """One probe: the number of groups voting that q's answer is at least
-        r. Each group's w-subset comes from one batched draw, then q answers
-        on all groups in one ``Query.answer_indices`` call, then (with noise)
-        the vote flips with probability w/|group|."""
-        pos = draw_positions(self._gen, self._sizes, q.arity, self.k)
-        pos += self._starts[:, None]
-        answers = np.asarray(q.outputs, dtype=float)[
-            q.answer_indices(self.dataset, pos, self._gen)]
-        votes = answers >= r
-        if self.noise:
-            votes ^= self._gen.random(self.k) < q.arity / self._sizes
-        return int(np.count_nonzero(votes))

@@ -168,8 +168,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("name", ["desk", "nondyadic"])
     def test_median_csv_bytes_match_pins(self, tmp_path, name):
-        # the bytes the per-group scalar votes wrote: the median path's
-        # answers and random stream must not move
+        # the bytes written since each answer draws all of its probes in one
+        # step: the median path's answers and random stream must not move
         pinned = json.loads(
             (FIXTURES / "median_runs.json").read_text())["runs"][name]
         cfg = tmp_path / "cfg.yaml"

@@ -47,6 +47,85 @@ def record_charges(ledger: BudgetLedger) -> list[float]:
     return amounts
 
 
+def record_draws(monkeypatch) -> list[tuple[int, int]]:
+    """Spy on the median session's ``draw_positions``: the returned list
+    gets the (rows, w) shape of every position array it draws, in order."""
+    import adasub.mechanisms as mech
+    shapes, draw = [], mech.draw_positions
+
+    def spy(gen, n, w, m=1):
+        pos = draw(gen, n, w, m)
+        shapes.append(pos.shape)
+        return pos
+
+    monkeypatch.setattr(mech, "draw_positions", spy)
+    return shapes
+
+
+def median_answer_law(s: MedianSession, q: Query) -> np.ndarray:
+    """The exact law of ``s.answer(q)`` over q.outputs, by walking the
+    search tree. At a probe of threshold index t, group g votes 1 with
+    probability (1 - f_g) P_g + f_g (1 - P_g), where P_g is the mass of q's
+    answer law on the group at or above outputs[t] and f_g = w/|g| is the
+    flip probability (0 without noise); the k votes are independent, so the
+    count is Poisson-binomial, and the search moves up when 2 count >= k."""
+    group_laws = [exact_response_pmf(q, Dataset([s.dataset[i] for i in g])).masses
+                  for g in s.groups]
+    flips = [q.arity / len(g) if s.noise else 0.0 for g in s.groups]
+    law = np.zeros(len(q.outputs))
+
+    def walk(lo, hi, mass):
+        if lo == hi:
+            law[lo] += mass
+            return
+        probe = (lo + hi + 1) // 2
+        count = np.array([1.0])
+        for masses, f in zip(group_laws, flips):
+            above = masses[probe:].sum()
+            vote = (1.0 - f) * above + f * (1.0 - above)
+            count = np.convolve(count, [1.0 - vote, vote])
+        up = count[(s.k + 1) // 2:].sum()
+        walk(probe, hi, mass * up)
+        walk(lo, probe - 1, mass * (1.0 - up))
+
+    walk(0, len(q.outputs) - 1, 1.0)
+    return law
+
+
+def assert_frequencies_match(samples, values, law):
+    """Each value's frequency among ``samples`` lies within 4 standard
+    errors of its mass in ``law``; a value of mass 0 never occurs."""
+    samples, reps = np.asarray(samples), len(samples)
+    counts = np.array([np.count_nonzero(samples == v) for v in values])
+    assert counts.sum() == reps
+    for c, m in zip(counts, law):
+        se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
+        assert abs(c / reps - m) <= 4 * se
+
+
+# 13 values: the median session's 3 groups hold 5, 4 and 4 of them
+MIXED_SAMPLE = Dataset([0.0, 2.0, 1.0, 3.0, 4.0, 2.0, 0.0, 3.0, 4.0, 1.0, 0.0, 2.0, 3.0])
+
+
+def max_query(w: int, ysize: int) -> Query:
+    """The largest of w elements, capped at the top of the range
+    0, 1, ..., |Y| - 1; batched."""
+    return Query(w, tuple(float(v) for v in range(ysize)), name="max",
+                 batch=lambda a: np.minimum(a.max(axis=1), ysize - 1).astype(np.intp))
+
+
+def spread_query(w: int, ysize: int) -> Query:
+    """A randomized query whose law on 0, 1, ..., |Y| - 1 falls off as
+    exp(-(y - mean)^2) around the subsample mean."""
+    grid = np.arange(ysize, dtype=float)
+
+    def dist(*xs):
+        weights = np.exp(-(grid - sum(xs) / len(xs)) ** 2)
+        return weights / weights.sum()
+
+    return Query.randomized(w, tuple(grid.tolist()), dist, name="spread")
+
+
 def const(c):
     return TestQuery(1, lambda x, _c=c: _c, name=f"c{c}",
                      batch=lambda a, _c=c: np.full(a.shape[0], float(_c)))
@@ -408,13 +487,13 @@ class TestSearchRounds:
         assert search_rounds(5) == 3
         assert search_rounds(1024) == 10
 
-    def test_median_charges_all_rounds_when_search_stops_early(self):
-        # on a 5-value range a low answer takes 2 probes; 3 are charged
-        counter = {"calls": 0}
-        q = counting_grid_query(1, (0.0, 1.0, 2.0, 3.0, 4.0), counter)
+    def test_median_charges_all_rounds_when_search_stops_early(self, monkeypatch):
+        # on a 5-value range a low answer reads 2 probes; 3 are drawn and charged
+        shapes = record_draws(monkeypatch)
+        q = max_query(1, 5)
         s = MedianSession(Dataset(np.zeros(12)), 4, RandomSource(3), noise=False)
         assert s.answer(q) == 0.0
-        assert counter["calls"] == 2 * 4
+        assert shapes == [(search_rounds(5) * s.k, 1)] == [(3 * 4, 1)]
         assert s.ledger.total == pytest.approx(
             3 * sum(s._vote_cost(1, len(g)) for g in s.groups), rel=1e-12)
 
@@ -442,16 +521,6 @@ class TestMedianParams:
             median_params(1, [1], [2], 1.5)
 
 
-def counting_grid_query(w, grid, counter):
-    def ev(*xs):
-        counter["calls"] += 1
-        v = sum(xs) / len(xs)
-        idx = int(np.clip(round((v - grid[0]) / (grid[1] - grid[0])), 0,
-                          len(grid) - 1))
-        return grid[idx]
-    return Query.deterministic(w, grid, ev, name="gridmean")
-
-
 class TestMedianSession:
     def test_singleton_range_returns_it_without_rounds(self):
         q = Query.deterministic(1, (5.0,), lambda x: 5.0, name="c")
@@ -467,14 +536,16 @@ class TestMedianSession:
                               noise=False)
             assert s.answer(q) == c
 
-    def test_round_count_is_log2_of_range(self):
-        counter = {"calls": 0}
-        grid = tuple(float(v) for v in range(10))
-        q = counting_grid_query(1, grid, counter)
-        s = MedianSession(Dataset(np.full(12, 4.4)), 6, RandomSource(3),
+    def test_round_count_is_log2_of_range(self, monkeypatch):
+        # one draw per answer holds every charged probe: ceil(log2 10) = 4
+        shapes = record_draws(monkeypatch)
+        q = max_query(1, 10)
+        s = MedianSession(Dataset(np.full(60, 4.4)), 6, RandomSource(3),
                           noise=False)
-        s.answer(q)
-        assert counter["calls"] == math.ceil(math.log2(10)) * 6
+        charged = record_charges(s.ledger)
+        assert s.answer(q) == 4.0
+        assert shapes == [(search_rounds(10) * s.k, 1)] == [(4 * 6, 1)]
+        assert charged == [4 * s._probe_charge(1)]
 
     def test_with_noise_constant_query_mostly_correct(self):
         # k = 12 groups of 20, flip probability 1/20 = 0.05
@@ -497,7 +568,9 @@ class TestMedianSession:
 
     @pytest.mark.parametrize("noise,randomized", [(True, False), (False, True)])
     def test_probe_vote_count_law_is_poisson_binomial(self, noise, randomized):
-        # groups of 5, 4 and 4: the batched draw mixes two group sizes
+        # groups of 5, 4 and 4: the one draw mixes two group sizes; each
+        # probe row of an answer's draw has the Poisson-binomial count law,
+        # and the two rows are independent
         S = Dataset([0.0, 2.0, 1.0, 3.0, 1.0, 2.0, 0.0, 3.0, 3.0, 1.0, 0.0, 2.0, 2.0])
         grid = (0.0, 1.0, 2.0, 3.0)
         if randomized:
@@ -505,20 +578,62 @@ class TestMedianSession:
                                  if a + b >= 3 else [0.6, 0.3, 0.05, 0.05], name="r")
         else:
             q = Query.deterministic(2, grid, lambda a, b: max(a, b), name="max")
-        r, reps = 2.0, 10_000
+        r, reps = 2, 10_000  # the threshold outputs[2] = 2.0
         s = MedianSession(S, 3, RandomSource(31), noise=noise)
         law = np.array([1.0])
         for g in s.groups:
-            above = exact_response_pmf(q, Dataset([S[i] for i in g])).prob_ge(r)
+            above = exact_response_pmf(q, Dataset([S[i] for i in g])).prob_ge(grid[r])
             flip = q.arity / len(g) if noise else 0.0
             p = above * (1.0 - flip) + (1.0 - above) * flip
             law = np.convolve(law, [1.0 - p, p])
-        counts = np.bincount([s._vote_round(q, r) for _ in range(reps)],
-                             minlength=s.k + 1)
-        assert counts.size == s.k + 1
-        for c, m in zip(counts, law):
-            se = math.sqrt(max(m * (1.0 - m), 1e-9) / reps)
-            assert abs(c / reps - m) <= 4 * se
+        counts = []
+        for _ in range(reps):
+            idx, flips = s._draw_probes(q, search_rounds(len(grid)))
+            assert idx.shape == flips.shape == (2, s.k)
+            assert noise or not flips.any()
+            counts.append(np.count_nonzero((idx >= r) ^ flips, axis=1))
+        counts = np.array(counts)
+        for row in counts.T:
+            assert_frequencies_match(row, range(s.k + 1), law)
+        assert_frequencies_match(counts[:, 0] * (s.k + 1) + counts[:, 1],
+                                 range((s.k + 1) ** 2), np.outer(law, law).ravel())
+
+    @pytest.mark.parametrize("kind,noise,ysize,w,draws", [
+        ("max", True, 5, 2, [(6, 2), (3, 2)]),  # n = 13 holds 2 probes of 6
+        ("max", False, 4, 2, [(6, 2)]),
+        ("spread", True, 4, 1, [(6, 1)]),
+    ])
+    def test_answer_law_is_the_search_tree_law(self, monkeypatch, kind, noise,
+                                               ysize, w, draws):
+        q = (max_query if kind == "max" else spread_query)(w, ysize)
+        s = MedianSession(MIXED_SAMPLE, 3, RandomSource(41), noise=noise)
+        assert sorted(len(g) for g in s.groups) == [4, 4, 5]
+        law = median_answer_law(s, q)
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(law > 0.01) >= 2  # the check sees a spread law
+        shapes = record_draws(monkeypatch)
+        reps = 20_000
+        assert_frequencies_match([s.answer(q) for _ in range(reps)], q.outputs, law)
+        assert shapes == draws * reps
+        assert s.ledger.total == pytest.approx(
+            reps * search_rounds(ysize) * s._probe_charge(w), rel=1e-9)
+
+    def test_no_draw_holds_more_than_n_positions(self, monkeypatch):
+        # 8 groups of 5 and w = 4: one probe holds 32 of the n = 40
+        # positions, so the 3 probes of |Y| = 8 come in 3 draws
+        S = Dataset(np.resize([0.0, 3.0, 5.0, 1.0, 7.0, 2.0, 6.0], 40))
+        q = max_query(4, 8)
+        s = MedianSession(S, 8, RandomSource(43))
+        rounds = search_rounds(8)
+        assert rounds * s.k * q.arity > len(S)
+        law = median_answer_law(s, q)
+        assert np.count_nonzero(law > 0.01) >= 2
+        shapes = record_draws(monkeypatch)
+        reps = 5_000
+        answers = [s.answer(q) for _ in range(reps)]
+        assert shapes == [(s.k, q.arity)] * (rounds * reps)
+        assert max(rows * w for rows, w in shapes) <= len(S)
+        assert_frequencies_match(answers, q.outputs, law)
 
     @pytest.mark.parametrize("noise", [True, False])
     def test_batch_keeps_transcript_and_stream(self, noise):
@@ -598,6 +713,26 @@ class TestMedianSession:
         fresh = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(7))
         s.ledger.limit = math.inf
         assert s.answer(q) == fresh.answer(q)
+
+    @pytest.mark.parametrize("outputs", [
+        (math.nan, 1.0, 2.0), (0.0, math.nan, 2.0), (0.0, 1.0, math.nan)])
+    def test_nan_in_range_rejected_before_the_charge(self, outputs):
+        q = Query.deterministic(1, outputs, lambda x: 0.0, name="nan")
+        s = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(9))
+        state = s._gen.bit_generator.state
+        with pytest.raises(ValueError, match="strictly increasing"):
+            s.answer(q)
+        assert s.ledger.total == 0.0 and s.ledger.last == 0.0
+        np.testing.assert_equal(s._gen.bit_generator.state, state)
+
+    def test_vector_range_rejected_before_the_charge(self):
+        # a range of pairs increases in each coordinate but is not real
+        q = Query.deterministic(1, ((0.0, 1.0), (1.0, 2.0)), lambda x: (0.0, 1.0),
+                                name="pairs")
+        s = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(9))
+        with pytest.raises(ValueError, match="strictly increasing real range"):
+            s.answer(q)
+        assert s.ledger.total == 0.0
 
     def test_unsorted_range_rejected(self):
         q = Query.deterministic(1, (2.0, 1.0), lambda x: 1.0, name="c")
