@@ -123,15 +123,24 @@ def format_number(v) -> str:
     return format(float(v), ".12g")
 
 
+def _cell(v) -> str:
+    """One CSV cell: a str (or a str subclass) as itself, any other value as
+    ``format_number`` gives it; an exact str or float is dispatched first."""
+    kind = type(v)
+    if kind is str:
+        return v
+    if kind is float:
+        return format(v, ".12g")
+    return v if isinstance(v, str) else format_number(v)
+
+
 def write_csv(report: ExperimentReport, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ROW_COLUMNS)
-        for row in report.rows:
-            writer.writerow([row[c] if isinstance(row[c], str) else format_number(row[c])
-                             for c in ROW_COLUMNS])
+        writer.writerows([_cell(row[c]) for c in ROW_COLUMNS] for row in report.rows)
 
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:

@@ -203,9 +203,7 @@ class Query:
             pmf = np.zeros(len(self.outputs))
             pmf[self._output_index(self.evaluator(*subsample))] = 1.0
             return pmf
-        pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
-        if pmf.shape != (len(self.outputs),):
-            raise ValueError(f"output distribution has shape {pmf.shape}")
+        pmf = self._dist_row(subsample)
         check_mass_rows(pmf)
         return np.clip(pmf, 0.0, None)
 
@@ -213,14 +211,24 @@ class Query:
         """The (m, |Y|) output law of q on each row of an (m, w) position
         array of S: one-hot rows through ``output_indices`` for a
         deterministic q, else the ``output_pmf`` row of each distinct
-        subsample."""
+        subsample, its rows stacked and then checked and clipped at once."""
         if self.evaluator is not None:
             laws = np.zeros((len(positions), len(self.outputs)))
             laws[np.arange(len(positions)), self.output_indices(S, positions)] = 1.0
             return laws
         distinct, which = _distinct_rows(positions)
-        return np.array([self.output_pmf(sub) for sub in S.subsamples(distinct)],
-                        dtype=float).reshape(len(distinct), len(self.outputs))[which]
+        laws = np.array([self._dist_row(sub) for sub in S.subsamples(distinct)],
+                        dtype=float).reshape(len(distinct), len(self.outputs))
+        check_mass_rows(laws)
+        return np.clip(laws, 0.0, None, out=laws)[which]
+
+    def _dist_row(self, subsample: tuple) -> np.ndarray:
+        """A randomized q's output distribution on one subsample, as given,
+        checked only for its shape."""
+        pmf = np.asarray(self.dist_evaluator(*subsample), dtype=float)
+        if pmf.shape != (len(self.outputs),):
+            raise ValueError(f"output distribution has shape {pmf.shape}")
+        return pmf
 
     def answer_indices(self, S: Dataset, positions: np.ndarray,
                        gen: np.random.Generator) -> np.ndarray:

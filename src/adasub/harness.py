@@ -207,15 +207,14 @@ def sign_sum_test(signs: Sequence[int]) -> TestQuery:
     signs = tuple(int(s) for s in signs)
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be ±1")
-    s_arr = np.asarray(signs, dtype=np.int64)
+    # every partial sum lies in [-d, d], so it is exact in int16 below 2**15
+    s_arr = np.asarray(signs, dtype=np.int16 if len(signs) < 2 ** 15 else np.int32)
 
     def batch(arr, _s=s_arr):
-        # exact int32 sums (|sum| <= d < 2**31), one column at a time: a cube
-        # sample is stored column-major, and casting it whole would hold 4nd bytes
-        acc = np.zeros(arr.shape[0], dtype=np.int32)
-        for j, s in enumerate(_s):
-            (np.add if s > 0 else np.subtract)(acc, arr[:, j], out=acc)
-        return acc > 0
+        # one reduction; einsum casts through small buffers, never the whole
+        # sample. same_kind admits the evaluator's one-row int64 array, whose
+        # ±1 entries fit any integer type.
+        return np.einsum("ij,j->i", arr, _s, dtype=_s.dtype, casting="same_kind") > 0
 
     return TestQuery(1, name="test:sign-sum", batch=batch, tag=("sign_sum", signs))
 
@@ -362,8 +361,9 @@ class CubePopulation(Population):
 
     A drawn sample is stored column-major (an F-contiguous (n, d) int8
     array), since the queries against it scan one coordinate at a time.
-    Entry (i, j) is the top bit of byte j*n + i of the stream's uint32 words
-    (low byte first) mapped to ±1: the bits ``integers(0, 2, (d, n), int8)`` reads.
+    Entry (i, j) is the top bit of byte j*n + i of the stream's raw 64-bit
+    words (low byte first) mapped to ±1: the bytes of the stream's uint32
+    words, and the bits ``integers(0, 2, (d, n), int8)`` reads.
     """
 
     def __init__(self, d: int):
@@ -373,10 +373,11 @@ class CubePopulation(Population):
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
-        # mapped in place on the words' own bytes: the draw holds n x d bytes
-        words = rng.generator.integers(0, 2 ** 32, size=-(-n * self.d // 4),
-                                       dtype=np.uint32)
-        cols = words.astype("<u4", copy=False).view(np.int8)[:n * self.d]
+        # mapped in place on the words' own bytes: the draw holds n x d bytes.
+        # The raw 64-bit words, low byte first, are the bytes of the uint32
+        # words (low half first) that integers(0, 2**32, uint32) would give.
+        words = rng.generator.bit_generator.random_raw(-(-n * self.d // 8))
+        cols = words.astype("<u8", copy=False).view(np.int8)[:n * self.d]
         cols >>= 7  # the top bit: 1 reads -1, 0 reads 0
         np.invert(cols, out=cols)
         cols |= 1  # 1 becomes +1, 0 becomes -1

@@ -220,7 +220,8 @@ class SqSession:
     Single-writer: one in-flight query at a time. ``delta`` parameterizes
     the per-vote high-probability cost charged to the ledger.
     ``sample_value`` is the exact sample mean phi(S) of the last query
-    answered (NaN before the first).
+    answered, a Python float (NaN before the first). One answer's charge,
+    ``sq_answer_cost``, is fixed by the session's n, k, epsilon and delta.
     """
 
     def __init__(self, dataset: Dataset, epsilon: float, k: int,
@@ -239,6 +240,7 @@ class SqSession:
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.sample_value = math.nan
         self._gen = rng.generator
+        self._cost = sq_answer_cost(len(dataset), self.k, self.epsilon, self.delta)
 
     def answer(self, phi: TestQuery) -> float:
         """Answer one statistical query: the mean of k Bernoulli votes, each
@@ -251,11 +253,10 @@ class SqSession:
         phi(S) of the same values."""
         if phi.arity != 1:
             raise ValueError("the SQ mechanism answers arity-1 queries")
-        self.ledger.charge(sq_answer_cost(len(self.dataset), self.k, self.epsilon,
-                                          self.delta))
+        self.ledger.charge(self._cost)
         values = phi.values_on(self.dataset)
         if values.dtype == bool:  # the count/n is the float mean, exactly
-            self.sample_value = np.count_nonzero(values) / len(values)
+            self.sample_value = int(np.count_nonzero(values)) / len(values)
             p = self.epsilon + (1.0 - 2.0 * self.epsilon) * self.sample_value
         else:
             self.sample_value = float(values.mean())

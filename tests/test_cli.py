@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -22,7 +23,8 @@ from adasub.cli import (
     run_suite,
 )
 from adasub.engine import RandomSource, ResponsePMF
-from adasub.harness import RUN_MAX_ROUNDS, SAMPLE_MAX
+from adasub.harness import (
+    ROW_COLUMNS, RUN_MAX_ROUNDS, SAMPLE_MAX, ExperimentReport, run_experiment)
 from adasub.mechanisms import mi_upper_bound, sq_answer_cost, sq_params
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -545,6 +547,69 @@ class TestRunCommand:
 
 def _raise_no_law(rows, group):
     raise RuntimeError("no law")
+
+
+def reference_csv(report, path):
+    """The CSV writer by definition: ``format_number`` on every cell that is
+    not a str, one ``writerow`` a row."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ROW_COLUMNS)
+        for row in report.rows:
+            writer.writerow([row[c] if isinstance(row[c], str) else format_number(row[c])
+                             for c in ROW_COLUMNS])
+
+
+def same_csv_bytes(tmp_path, rows) -> bytes:
+    """The bytes ``write_csv`` writes for these rows, checked equal to the
+    reference writer's."""
+    report = ExperimentReport(rows=rows, summary={})
+    cli.write_csv(report, tmp_path / "got.csv")
+    reference_csv(report, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got
+
+
+_CELLS = [0, 7, -12, 2 ** 70, np.int64(-5), np.intp(9), True, 0.5, 0.1, 1 / 3,
+          np.float64(0.25), np.float64(-0.0), math.nan, np.float64(math.nan),
+          math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.5e300,
+          "coord:3", "a,b", 'say "hi"', '"', ",", "", " lead", "x\ny", np.str_("n,p")]
+
+
+class TestCsvCells:
+    """``write_csv`` formats each cell by its exact type; its bytes are the
+    reference writer's."""
+
+    def test_mixed_columns(self, tmp_path):
+        # every column holds every kind of cell, each at its own offset
+        rows = [{c: _CELLS[(i + 3 * j) % len(_CELLS)] for j, c in enumerate(ROW_COLUMNS)}
+                for i in range(2 * len(_CELLS))]
+        same_csv_bytes(tmp_path, rows)
+
+    def test_one_kind_a_column(self, tmp_path):
+        # floats with repeats, signed zeros and NaNs; ints, strs and numpy
+        # scalars
+        floats = [0.0, -0.0, 0.5, math.nan, float("nan"), -0.0, 0.1 + 0.2, 0.3,
+                  math.inf, -math.inf, 1e-300, 0.0, 0.5, 2 / 3]
+        kinds = {"trial": [3, 0, -1, 10 ** 20], "t": [np.int64(4), np.intp(-2)],
+                 "query_id": ["test:sign-sum", "q,1", '"x"'], "mechanism": ["sq"],
+                 "within_bound": [True, False], "cost": [np.float64(v) for v in floats]}
+        rows = [{c: kinds.get(c, floats)[i % len(kinds.get(c, floats))]
+                 for c in ROW_COLUMNS} for i in range(3 * len(floats))]
+        table = list(csv.reader(same_csv_bytes(tmp_path, rows).decode().splitlines()))
+        assert table[1][4:6] == ["0", "0"] and table[2][4:6] == ["-0", "-0"]
+        assert table[2][2] == "q,1" and table[3][2] == '"x"'
+
+    def test_no_rows(self, tmp_path):
+        assert same_csv_bytes(tmp_path, []) == (",".join(ROW_COLUMNS) + "\n").encode()
+
+    def test_run_csv_matches_the_reference(self, tmp_path):
+        cfg = write_config(tmp_path, {"population": {"name": "uniform_pm1_cube", "d": 30},
+                                      "analyst": {"name": "random-correlation", "T": 30}})
+        report = run_experiment(load_config(cfg))
+        assert {type(r["sample_value"]) for r in report.rows} == {float}
+        same_csv_bytes(tmp_path, report.rows)
 
 
 class TestVerifyCommand:

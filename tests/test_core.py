@@ -504,3 +504,34 @@ class TestOutputLaws:
         assert gen.bit_generator.state == replay.bit_generator.state
         assert np.array_equal(got[which < 2], np.where(which[which < 2] == 0, 2, 0))
         assert set(got[which == 2].tolist()) == {1, 2}
+
+    def test_randomized_laws_are_checked_once_a_call(self, monkeypatch):
+        # many distinct rows, one of them a law with a mass just below 0
+        # that clipping lifts to 0 in both paths
+        q = Query.randomized(2, (0, 1, 2), lambda a, b: [-5e-13, 0.5, 0.5 + 5e-13]
+                             if a + b == 3 else [(a + b) / 8, 1 - (a + b) / 8, 0.0])
+        S = Dataset([0, 1, 2, 3, 1, 2])
+        pos = np.array(list(itertools.combinations(range(len(S)), 2)) * 2)
+        want = np.vstack([q.output_pmf(sub) for sub in S.subsamples(pos)])
+        calls = []
+        check = core.check_mass_rows
+        monkeypatch.setattr(core, "check_mass_rows",
+                            lambda masses: calls.append(masses.shape) or check(masses))
+        laws = q.output_laws(S, pos)
+        assert calls == [(15, 3)]  # the 15 distinct rows of 30, stacked
+        assert np.array_equal(laws, want)
+        assert laws[S.array[pos].sum(axis=1) == 3].tolist() == [[0.0, 0.5, 0.5 + 5e-13]] * 10
+        q.output_laws(S, pos[:0])
+        assert calls == [(15, 3), (0, 3)]
+
+    @pytest.mark.parametrize("bad,message", [
+        ([0.3, 0.3, 0.3], "sum to"), ([math.nan, 0.5, 0.5], "finite"),
+        ([0.5, 0.5], r"output distribution has shape \(2,\)")])
+    def test_each_randomized_row_is_still_checked(self, bad, message):
+        # one bad row among good ones, found whichever row it is
+        for bad_x in (0, 2, 4):
+            q = Query.randomized(1, (0, 1, 2), lambda x, _b=bad_x: bad if x == _b
+                                 else [0.2, 0.3, 0.5])
+            S = Dataset([0, 1, 2, 3, 4])
+            with pytest.raises(ValueError, match=message):
+                q.output_laws(S, np.array([[0], [1], [2], [3], [4], [1]]))

@@ -53,6 +53,20 @@ class TestRandomSource:
         assert rs.path == (3, 4, 5)
         assert rs.seed == 7
 
+    @pytest.mark.parametrize("seed,path,labels", [
+        (7, (), (3,)), (7, (1, 2), (0,)), (2 ** 40, (5,), (2, 9)),
+        (11, (np.int64(4),), (np.int64(1), 2)), (0, (), (np.int64(2 ** 33), np.intp(6)))])
+    def test_child_is_the_source_at_the_longer_path(self, seed, path, labels):
+        parent = RandomSource(seed, path)
+        parent.generator.random(3)  # a used parent: its state is not the child's
+        child, want = parent.child(*labels), RandomSource(seed, path + labels)
+        assert (child.seed, child.path) == (want.seed, want.path)
+        assert all(type(p) is int for p in child.path)
+        assert np.array_equal(child.generator.bit_generator.random_raw(8),
+                              want.generator.bit_generator.random_raw(8))
+        assert np.array_equal(child.generator.random(16), want.generator.random(16))
+        assert parent.path == tuple(int(p) for p in path)
+
 
 class TestResponsePMF:
     def test_validation(self):

@@ -128,6 +128,41 @@ class TestPopulations:
         assert sign_sum_test(np.ones(d, dtype=int)).batch(arr)[:3].tolist() \
             == [1.0, 0.0, 1.0]
 
+    def test_sign_sum_batch_exact_past_int16_in_both_orders(self):
+        # d = 2**15 + 1: sums of ±d would wrap in int16, and ±1 sits by 0
+        d = 2 ** 15 + 1
+        plus = np.r_[np.ones(d // 2 + 1), -np.ones(d // 2)]  # sums to +1
+        rows = np.vstack([np.ones(d), -np.ones(d), plus, -plus]).astype(np.int8)
+        signs = RandomSource(d).generator.choice([-1, 1], size=d)
+        for s, want in ((np.ones(d, dtype=int), [True, False, True, False]),
+                        (-np.ones(d, dtype=int), [False, True, False, True])):
+            psi = sign_sum_test(s)
+            for arr in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+                assert psi.batch(arr).tolist() == want
+            assert [psi.evaluator(tuple(x.tolist())) for x in rows] == want
+        # the same rows under mixed signs: x * s has the sums above
+        psi = sign_sum_test(signs)
+        mixed = np.asfortranarray(rows * signs.astype(np.int8))
+        assert psi.batch(mixed).tolist() == [True, False, True, False]
+        assert [psi.evaluator(tuple(x.tolist())) for x in mixed] \
+            == [True, False, True, False]
+
+    def test_sign_sum_batch_never_copies_the_sample(self):
+        import tracemalloc
+        n, d = 4000, 1000
+        arr = CubePopulation(d).draw(n, RandomSource(1)).array
+        psi = sign_sum_test(RandomSource(2).generator.choice([-1, 1], size=d))
+        psi.batch(arr[:5])  # one-time set-up, untraced
+        tracemalloc.start()
+        try:
+            got = psi.batch(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n + 64 * 1024  # the sums, the bools and einsum's buffers
+        sums = (arr.astype(np.int64) * psi.tag[1]).sum(axis=1)
+        assert np.array_equal(got, sums > 0)
+
     def test_cube_sign_sum_truth_exact(self):
         assert _prob_sign_sum_positive(2) == pytest.approx(0.25, abs=1e-15)
         assert _prob_sign_sum_positive(3) == pytest.approx(0.5, abs=1e-15)

@@ -355,6 +355,24 @@ class TestSqSession:
         a.ledger.limit = math.inf
         assert a.answer(IDENT) == third
 
+    @pytest.mark.parametrize("n,k,eps,delta", [
+        (15000, 8478, 1.5e-4, 0.1), (4, 9, 0.02, 0.2), (7, 1, 0.0, 0.5),
+        (1, 3, 0.49, 1e-9)])
+    def test_each_answer_charges_sq_answer_cost_and_keeps_a_float_mean(
+            self, n, k, eps, delta):
+        # a bool-valued test (one count) and a float-valued one
+        S = population_generators("uniform_pm1_cube", {"d": 3}).draw(n, RandomSource(n))
+        coord = TestQuery(1, name="coord", batch=lambda arr: arr[:, 1] == 1)
+        half = TestQuery(1, name="half", batch=lambda arr: (arr[:, 0] + 1) / 4.0)
+        s = SqSession(S, eps, k, RandomSource(3), delta)
+        charged = record_charges(s.ledger)
+        for q in (coord, half, coord):
+            s.answer(q)
+            assert s.ledger.last == sq_answer_cost(n, k, eps, delta)
+            assert type(s.sample_value) is float
+            assert s.sample_value == float(q.values_on(S).mean())
+        assert charged == [sq_answer_cost(n, k, eps, delta)] * 3
+
 
 def binomial_pmf(k, p):
     return [math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(k + 1)]
