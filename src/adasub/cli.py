@@ -79,31 +79,45 @@ class _UnreadInt:
                 f" it reads at most {sys.get_int_max_str_digits()} digits)")
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    def construct_yaml_int(self, node):
-        try:
-            return super().construct_yaml_int(node)
-        except ValueError:
-            return _UnreadInt(node.value)
+def _config_loader(base: type) -> type:
+    """A safe loader on ``base`` that yields ``_UnreadInt`` for an int
+    Python does not read and reads floats as YAML 1.2 does."""
+
+    class Loader(base):
+        def construct_yaml_int(self, node):
+            try:
+                return super().construct_yaml_int(node)
+            except ValueError:
+                return _UnreadInt(node.value)
+
+    Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
+    # YAML 1.1 reads a float whose exponent has no sign or whose mantissa has
+    # no dot, such as 1e-1 or 1.0e5, as a string; YAML 1.2 and Python read a float
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return Loader
 
 
-_ConfigLoader.add_constructor("tag:yaml.org,2002:int",
-                              _ConfigLoader.construct_yaml_int)
-# YAML 1.1 reads a float whose exponent has no sign or whose mantissa has no
-# dot, such as 1e-1 or 1.0e5, as a string; YAML 1.2 and Python read a float
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+# configs parse with libyaml where PyYAML has it; the pure-Python parser
+# words the errors, as libyaml words them its own way
+_ConfigLoader = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_PyConfigLoader = _config_loader(yaml.SafeLoader)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML experiment config and read it against the config schema
     (``harness.CONFIG_KEYS``); a bad key or value is a ConfigError naming it."""
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=_ConfigLoader)
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    try:
+        try:
+            raw = yaml.load(text, Loader=_ConfigLoader)
+        except yaml.YAMLError:  # parse again for the pure-Python error
+            raw = yaml.load(text, Loader=_PyConfigLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)  # counts from 0
         if mark is None or exc.problem is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -84,13 +85,16 @@ class ResponsePMF:
     def support(self) -> tuple:
         return tuple(y for y, m in zip(self.outputs, self.masses) if m > 0.0)
 
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The outputs as floats, built on the first tail sum."""
+        return np.asarray(self.outputs, dtype=float)
+
     def prob_le(self, y) -> float:
-        vals = np.asarray(self.outputs, dtype=float)
-        return float(self.masses[vals <= float(y)].sum())
+        return float(self.masses[self._values <= float(y)].sum())
 
     def prob_ge(self, y) -> float:
-        vals = np.asarray(self.outputs, dtype=float)
-        return float(self.masses[vals >= float(y)].sum())
+        return float(self.masses[self._values >= float(y)].sum())
 
 
 def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
@@ -106,22 +110,44 @@ def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
     ``gen.integers`` call in row-major order, so with w = 1 the draw is the
     stream of ``gen.integers(0, n, size=m)``. Rows are sorted, so a query
     sees the drawn multiset in dataset order regardless of draw order.
+
+    The Floyd steps run on contiguous per-step columns, and the rows are
+    sorted by a compare-exchange network for w <= 4 and by a row-wise sort
+    above that; either way the rows hold distinct ints, so the result is
+    the same.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.ndim > 1 or n.size not in (1, m):
         raise ValueError(f"need one population size or one per row, got shape {n.shape}")
-    if w < 1 or np.any(n < w):
+    if w < 1 or (n.size and n.min() < w):
         raise ValueError(f"cannot draw {w} distinct positions from [0, {n})")
     high = n.reshape(-1, 1) + np.arange(1 - w, 1)
     if high.shape[0] != m:  # one size for every row
         high = np.broadcast_to(high, (m, w))
     pos = gen.integers(0, high)
+    if w == 1:
+        return pos
+    cols = pos.T.copy()  # row s is step s of every draw
     for s in range(1, w):
-        taken = (pos[:, :s] == pos[:, s, None]).any(axis=1)
-        pos[:, s] = np.where(taken, high[:, s] - 1, pos[:, s])
-    if w > 1:
+        col = cols[s]
+        taken = cols[0] == col
+        for r in range(1, s):
+            taken |= cols[r] == col
+        np.copyto(col, n + (s - w), where=taken)  # j = n - w + s
+    if w > len(_SORT_NETWORKS):
+        pos = cols.T.copy()
         pos.sort(axis=1)
-    return pos
+        return pos
+    for a, b in _SORT_NETWORKS[w - 1]:
+        low = np.minimum(cols[a], cols[b])
+        np.maximum(cols[a], cols[b], out=cols[b])
+        cols[a] = low
+    return cols.T.copy()
+
+
+# compare-exchange networks that sort 1 to 4 values, as (a, b) index pairs
+_SORT_NETWORKS = ((), ((0, 1),), ((1, 2), (0, 2), (0, 1)),
+                  ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
 
 
 def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generator,

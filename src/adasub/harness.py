@@ -233,7 +233,7 @@ def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
     """Query rounding the mean of w real elements (plus a shift) onto an
     ordered uniform grid of output values. The rows' sums are exact: equal
     to ``math.fsum`` of each row."""
-    centers = tuple(float(c) for c in centers)
+    centers = tuple(map(float, centers))
 
     def batch(arr, _w=w, _s=shift):
         # math.fsum of each row: when no partial sum of the left-to-right

@@ -348,33 +348,30 @@ class MedianSession:
         self.ledger = ledger if ledger is not None else BudgetLedger()
         self.noise = noise
         self._gen = rng.generator
+        self.k = num_groups
         base, extra = divmod(n, num_groups)
         self._sizes = np.full(num_groups, base, dtype=np.int64)
         self._sizes[:extra] += 1
         self._starts = np.cumsum(self._sizes) - self._sizes
         self.groups = [range(start, start + size) for start, size
                        in zip(self._starts.tolist(), self._sizes.tolist())]
+        self._tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # m -> sizes, starts
+        self._ranges: set[tuple] = set()  # the ranges that passed the check
         self._probe_charges: dict[int, float] = {}  # arity -> cost of one probe
-
-    @property
-    def k(self) -> int:
-        return len(self.groups)
 
     def answer(self, q: Query) -> float:
         """Binary search q's ordered range; each probe takes one noisy
         subsample vote per group and follows the majority. Returns the
         single range value the search isolates."""
-        outputs = np.asarray(q.outputs, dtype=float)
-        if outputs.ndim != 1 or not (np.diff(outputs) > 0).all():  # NaN fails too
-            raise ValueError("median queries need a strictly increasing real range")
+        self._check_range(q.outputs)
         min_group = len(self.groups[-1])  # group sizes never increase
         if q.arity >= min_group:
             raise ValueError(
                 f"query arity {q.arity} is not below the smallest group size {min_group}")
-        rounds = search_rounds(len(outputs))
+        rounds = search_rounds(len(q.outputs))
         self.ledger.charge(rounds * self._probe_charge(q.arity))
         idx, flips = self._draw_probes(q, rounds)
-        lo, hi, p = 0, len(outputs) - 1, 0
+        lo, hi, p = 0, len(q.outputs) - 1, 0
         while lo < hi:
             probe = (lo + hi + 1) // 2
             # Y strictly increases: answer >= outputs[probe] iff index >= probe
@@ -383,7 +380,24 @@ class MedianSession:
             else:
                 hi = probe - 1
             p += 1
-        return float(outputs[lo])
+        return float(q.outputs[lo])
+
+    def _check_range(self, outputs: tuple) -> None:
+        """Raise ValueError unless q's range is a 1-D strictly increasing
+        real range (a NaN fails too). A range that passes is kept, so each
+        distinct range is checked once; one that fails is refused on every
+        call, and an unhashable one is checked on every call."""
+        try:
+            known = outputs in self._ranges
+        except TypeError:
+            known = None
+        if known:
+            return
+        values = np.asarray(outputs, dtype=float)
+        if values.ndim != 1 or not (np.diff(values) > 0).all():
+            raise ValueError("median queries need a strictly increasing real range")
+        if known is False:
+            self._ranges.add(outputs)
 
     def _draw_probes(self, q: Query, rounds: int) -> tuple[np.ndarray, np.ndarray]:
         """All ``rounds`` probes of one answer, drawn before the search reads
@@ -396,21 +410,35 @@ class MedianSession:
         step = len(self.dataset) // (self.k * q.arity)  # k w < n, so step >= 1
         for first in range(0, rounds, step):
             m = min(step, rounds - first)
-            pos = draw_positions(self._gen, np.tile(self._sizes, m), q.arity, m * self.k)
-            pos += np.tile(self._starts, m)[:, None]
+            sizes, starts = self._tile(m)
+            pos = draw_positions(self._gen, sizes, q.arity, m * self.k)
+            pos += starts
             idx[first:first + m] = q.answer_indices(
                 self.dataset, pos, self._gen).reshape(m, self.k)
             if self.noise:
                 flips[first:first + m] = self._gen.random((m, self.k)) < q.arity / self._sizes
         return idx, flips
 
+    def _tile(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The group sizes m times over, and the group starts m times over
+        as a column, for a block of m probes; built once per m."""
+        tile = self._tiles.get(m)
+        if tile is None:
+            sizes, starts = np.tile(self._sizes, m), np.tile(self._starts, m)[:, None]
+            sizes.setflags(write=False)
+            starts.setflags(write=False)
+            tile = self._tiles[m] = sizes, starts
+        return tile
+
     def _probe_charge(self, w: int) -> float:
         """The cost of one probe at arity w: one vote per group, summed over
-        the groups in order, computed once per arity."""
+        the groups in order, computed once per arity from the vote cost of
+        each distinct group size."""
         charge = self._probe_charges.get(w)
         if charge is None:
-            charge = sum(self._vote_cost(w, len(g)) for g in self.groups)
-            self._probe_charges[w] = charge
+            sizes = self._sizes.tolist()
+            costs = {size: self._vote_cost(w, size) for size in set(sizes)}
+            charge = self._probe_charges[w] = sum(costs[size] for size in sizes)
         return charge
 
     def _vote_cost(self, w: int, group_size: int) -> float:

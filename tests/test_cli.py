@@ -266,6 +266,61 @@ class TestRunCommand:
             f"config error: {cfg}:2:7: expected ',' or ']', but got ':'\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        "seed: [1, 2\ntrials: 1\n", "seed: {a: 1\n", "seed: 'open\n",
+        'seed: "\\q"\n', "seed: 1\n  trials: 2\n", "a: b: c\n", "- a\nb: c\n",
+        "seed: *nowhere\n", "seed: &a 1\nn: &a 2\nx: *a\n", "seed:\t1\n\t- 2\n",
+        "seed: !!python/name:os.system x\n", "seed: \x01\n", "seed: 1\n---\nn: 2\n",
+        "%YAML 9.9\n--- {}\n", "? [a\n", "seed: @x\n", "seed: `x\n", "[1]]\n",
+    ])
+    def test_yaml_errors_are_worded_as_the_pure_python_parser_words_them(
+            self, tmp_path, text):
+        cfg = tmp_path / "broken.yaml"
+        cfg.write_text(text)
+        try:
+            raw = yaml.load(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            want = (f"config does not parse as YAML: {exc}"
+                    if mark is None or exc.problem is None
+                    else f"{cfg}:{mark.line + 1}:{mark.column + 1}: {exc.problem}")
+        else:  # parses, but is not a config mapping
+            assert not isinstance(raw, dict)
+            want = "config must be a mapping"
+        with pytest.raises(ConfigError) as caught:
+            load_config(cfg)
+        assert str(caught.value) == want
+
+    def test_libyaml_and_pure_python_loaders_read_configs_alike(self):
+        from test_config_schema import BASES, CEILING, HOSTILE, _rows, _with
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        texts = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(texts) >= 4
+        texts += ["x: 1e-1\ny: -2E+3\nz: 1_0e1\nw: .5e1\nv: 1e\nu: 0x1F\n",
+                  "x: " + "9" * 5000 + "\n"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # so that a case can write a longer int
+        try:
+            for config in BASES.values():
+                texts.append(json.dumps(config, indent=1))  # flow style
+                for path, ceiling, _ in _rows(config):
+                    for value in HOSTILE:
+                        if value is CEILING:
+                            if ceiling is None:
+                                continue
+                            value = ceiling + 1
+                        texts.append(yaml.safe_dump(_with(config, path, value)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert cli._ConfigLoader.__mro__[1] is getattr(yaml, "CSafeLoader",
+                                                       yaml.SafeLoader)
+        for text in texts:
+            fast = yaml.load(text, Loader=cli._ConfigLoader)
+            pure = yaml.load(text, Loader=cli._PyConfigLoader)
+            # repr tells 1 from 1.0 and True, reads NaN as NaN, and shows
+            # an unread int by its text
+            assert repr(fast) == repr(pure), text
+
     def test_bad_out_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"out": 5})
         assert main(["run", str(cfg)]) == 2

@@ -359,6 +359,19 @@ class ReplayGenerator:
         return self.draws.astype(np.int64)
 
 
+def floyd_loop(gen, n, w, m):
+    """The row-wise Floyd draw, step by step: the reference that
+    ``draw_positions`` must equal draw for draw."""
+    n = np.asarray(n, dtype=np.int64)
+    high = np.broadcast_to(n.reshape(-1, 1) + np.arange(1 - w, 1), (m, w))
+    pos = gen.integers(0, high)
+    for s in range(1, w):
+        taken = (pos[:, :s] == pos[:, s, None]).any(axis=1)
+        pos[:, s] = np.where(taken, high[:, s] - 1, pos[:, s])
+    pos.sort(axis=1)
+    return pos
+
+
 class TestDrawPositions:
     @pytest.mark.parametrize("sizes,w", [
         ((1,), 1), ((4,), 1), ((4,), 2), ((5,), 3), ((5,), 5), ((6,), 4),
@@ -414,6 +427,19 @@ class TestDrawPositions:
             draw_positions(gen, [5, 2], 3, 2)
         with pytest.raises(ValueError):
             draw_positions(gen, [5, 6, 7], 2, 2)
+
+    @pytest.mark.parametrize("w", range(1, 7))
+    @pytest.mark.parametrize("m", [0, 1, 420, 5000])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_equals_the_row_wise_floyd_loop(self, w, m, per_row):
+        seed = 1000 * w + m + per_row
+        n = (np.random.default_rng(seed).integers(w, w + 12, size=m) if per_row
+             else w + 5)
+        got = draw_positions(np.random.default_rng(seed), n, w, m)
+        want = floyd_loop(np.random.default_rng(seed), n, w, m)
+        assert np.array_equal(got, want)
+        assert got.shape == (m, w) and got.dtype == np.int64
+        assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("n,w,m", [(9, 2, 400), (9, 3, 400),
                                        (2 ** 16, 4, 400), (9, 2, 0)])

@@ -712,7 +712,8 @@ class TestMedianSession:
         charged = record_charges(s.ledger)
         for w in (1, 2, 1, 2, 2):
             s.answer(Query.deterministic(w, grid, lambda *xs: 3.0, name=f"w{w}"))
-        assert len(calls) == 2 * s.k  # one pass over the groups per arity
+        # one call per distinct group size (5 and 4) per arity
+        assert len(calls) == 2 * len({len(g) for g in s.groups}) == 4
         assert len(charged) == 5
         for w, amount in zip((1, 2, 1, 2, 2), charged):
             # bit-identical to summing the groups' vote costs afresh
@@ -757,6 +758,48 @@ class TestMedianSession:
         s = MedianSession(Dataset(np.zeros(4)), 2, RandomSource(8))
         with pytest.raises(ValueError):
             s.answer(q)
+
+    def test_refused_range_is_refused_on_every_call(self):
+        # a range that fails its check is never kept as checked
+        q = Query.deterministic(1, (0.0, math.nan, 2.0), lambda x: 0.0, name="nan")
+        s = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(9))
+        state = s._gen.bit_generator.state
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly increasing real range"):
+                s.answer(q)
+            assert s.ledger.total == 0.0 and s.ledger.last == 0.0
+            np.testing.assert_equal(s._gen.bit_generator.state, state)
+
+    def test_range_of_arrays_is_a_value_error(self):
+        # an unhashable range is checked on every call, not looked up
+        pairs = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        q = Query.deterministic(1, pairs, lambda x: pairs[0], name="arrays")
+        s = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(9))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly increasing real range"):
+                s.answer(q)
+        assert s.ledger.total == 0.0
+
+    def test_new_range_after_a_checked_one_is_checked_anew(self):
+        s = MedianSession(Dataset(np.zeros(12)), 3, RandomSource(9), noise=False)
+        good = Query.deterministic(1, (0.0, 1.0, 2.0), lambda x: 0.0, name="good")
+        assert s.answer(good) == 0.0
+        charged = s.ledger.total
+        for outputs in ((2.0, 1.0, 0.0), (0.0, 1.0, math.nan), (0.0, 1.0, 1.0)):
+            q = Query.deterministic(1, outputs, lambda x: 0.0, name="bad")
+            with pytest.raises(ValueError, match="strictly increasing real range"):
+                s.answer(q)
+        assert s.ledger.total == charged
+        assert s.answer(good) == 0.0  # the checked range still answers
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_probe_charge_is_the_per_group_sum(self, noise):
+        # groups of 11, 11, 11, 10 and 10: two distinct sizes
+        s = MedianSession(Dataset(np.zeros(53)), 5, RandomSource(9), noise=noise)
+        assert s.k == len(s.groups) == 5
+        assert {len(g) for g in s.groups} == {10, 11}
+        for w in range(1, 5):
+            assert s._probe_charge(w) == sum(s._vote_cost(w, len(g)) for g in s.groups)
 
 
 class TestThreshold:
