@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import Dataset, Query, check_enumeration, position_blocks
 from .engine import (RandomSource, ResponsePMF, leave_one_out_block_laws,
-                     leave_one_out_laws, leave_one_out_pmfs)
+                     leave_one_out_pmfs)
 
 INEQ_TOL = 1e-10
 
@@ -95,37 +95,24 @@ class StabilityReport:
 
 
 def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
-    """Average over i of chi2(law on S || law on S minus point i), computed
-    by exact enumeration, checked against the closed-form bound:
-    ``leave_one_out_chi2_rows`` of one instance."""
-    measured, bound, per, laws = leave_one_out_chi2_rows([q], [S])
+    """Average over i of chi2(law on S || law on S minus point i), by exact
+    enumeration; a value above the closed-form bound raises RuntimeError."""
+    law, loo = leave_one_out_pmfs(q, S)
+    measured, bound, per, _ = _chi2_rows(law.masses[None], loo, len(S), q.arity)
     return StabilityReport(measured=float(measured[0]), bound=bound,
-                           per_index=tuple(per[0].tolist()),
-                           law=ResponsePMF(q.outputs, laws[0]))
-
-
-def leave_one_out_chi2_rows(queries: Sequence[Query], datasets: Sequence[Dataset]
-                            ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """For I instances (q_k, S_k) that share n, w and |Y|, from one
-    ``leave_one_out_laws`` walk and one ``chi2_divergence_rows`` call over
-    every (k, i): the (I,) averages over i of chi2(law on S_k || law on S_k
-    minus point i), their shared closed-form bound, the (I, n) per-index
-    divergences and the (I, |Y|) laws on S_k. An average above the bound
-    raises RuntimeError, naming the first such one; no instance at all is a
-    ValueError."""
-    full, loo = leave_one_out_laws(queries, datasets)
-    return _chi2_rows(full, loo, len(datasets[0]), queries[0].arity)
+                           per_index=tuple(per[0].tolist()), law=law)
 
 
 def table_chi2_rows(rows: QueryBlock, group
                     ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """``leave_one_out_chi2_rows`` of the instances ``group`` (indices into
-    the block) of a query block, which share n, w and |Y|, read from the
-    block's arrays with no Query built. On each block of position rows
-    ``pos``, instance k's answers are one gather from the flat table cells,
-    cells[t0_k + sum_j D_k[pos[:, j]] a_k^(w-1-j)] for its dataset D_k,
-    alphabet size a_k and table offset t0_k, which is table[tuple(x)] of
-    its (a_k,) * w table; their one-hot rows are its output laws there."""
+    """``_chi2_rows`` of the instances ``group`` (indices into the block) of
+    a query block, which share n, w and |Y|, read from the block's arrays
+    with no Query built; no instance at all is a ValueError. On each block
+    of position rows ``pos``, instance k's answers are one gather from the
+    flat table cells, cells[t0_k + sum_j D_k[pos[:, j]] a_k^(w-1-j)] for
+    its dataset D_k, alphabet size a_k and table offset t0_k, which is
+    table[tuple(x)] of its (a_k,) * w table; their one-hot rows are its
+    output laws there."""
     group = np.asarray(group, dtype=np.intp)
     if group.size == 0:
         raise ValueError("need at least one instance")
@@ -148,8 +135,11 @@ def table_chi2_rows(rows: QueryBlock, group
 
 def _chi2_rows(full: np.ndarray, loo: np.ndarray, n: int, w: int
                ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """The chi2 rows of I instances from their (I, |Y|) laws and (I n, |Y|)
-    leave-one-out laws, the bound checked (see ``leave_one_out_chi2_rows``)."""
+    """From I instances' (I, |Y|) laws on S_k and (I n, |Y|) leave-one-out
+    laws: the (I,) averages over i of chi2(law on S_k || law on S_k minus
+    point i), their shared closed-form bound, the (I, n) per-index
+    divergences and the laws. An average above the bound raises
+    RuntimeError, naming the first such one."""
     count, ysize = full.shape
     per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
     measured = per.mean(axis=1)
@@ -177,16 +167,16 @@ def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
 def alkl_bound_general(eps: float, ysize: int) -> float:
     """Average leave-one-out KL stability implied by eps chi-squared
     stability with uniform smoothing: eps * (3 + 2 ln(|Y|/eps))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return eps * (3.0 + 2.0 * math.log(ysize / eps))
 
 
 def alkl_bound_uniform(eps: float, w: int, n: int, p: float) -> float:
     """ALKL stability for a p-uniform query via the mass-ratio route:
     eps * (1 + ln(1 + w/(n p)))."""
-    if p <= 0:
-        raise ValueError("uniformity floor p must be positive")
+    if not (0 < eps < math.inf and 0 < p < math.inf):  # NaN too
+        raise ValueError(f"need finite eps, p > 0, got eps={eps}, p={p}")
     return eps * (1.0 + math.log(1.0 + w / (n * p)))
 
 
@@ -504,14 +494,6 @@ def random_query_block(seed: int, block: int) -> QueryBlock:
     data = gen.integers(0, np.repeat(a, n))
     return QueryBlock(n, w, ysize, a, cells, np.cumsum(sizes) - sizes,
                       data, np.cumsum(n) - n)
-
-
-def random_query_rows(seed: int, block: int) -> list[tuple[Query, Dataset]]:
-    """Block b of the chi2 suite (``random_query_block``) as SUITE_BLOCK
-    (query, dataset) pairs: instance i is random_query_rows(seed, i //
-    SUITE_BLOCK)[i % SUITE_BLOCK]."""
-    rows = random_query_block(seed, block)
-    return [rows.instance(k) for k in range(SUITE_BLOCK)]
 
 
 def random_subset_rows(seed: int, block: int, linear: bool = False

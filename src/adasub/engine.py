@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,6 +116,8 @@ def draw_positions(gen: np.random.Generator, n: int | np.ndarray, w: int,
     above that; either way the rows hold distinct ints, so the result is
     the same.
     """
+    if m < 0:
+        raise ValueError(f"cannot draw {m} subsets: need m >= 0")
     n = np.asarray(n, dtype=np.int64)
     if n.ndim > 1 or n.size not in (1, m):
         raise ValueError(f"need one population size or one per row, got shape {n.shape}")
@@ -174,35 +176,23 @@ def subsample_answer(q: Query, S: Dataset, rng: RandomSource | np.random.Generat
 
 def exact_response_pmf(q: Query, S: Dataset) -> ResponsePMF:
     """The exact answer law of q on S: the average over all C(n, w) position
-    subsets of q's output distribution on that subset."""
-    masses = sum(laws.sum(axis=0) for _, laws in _subset_laws(q, S))
-    return ResponsePMF(q.outputs, masses / math.comb(len(S), q.arity))
+    subsets of q's output distribution on that subset. A deterministic q's
+    laws are one-hot, so summing them counts outputs exactly."""
+    n, w = len(S), q.arity
+    if w > n:
+        raise ValueError(f"query arity {w} exceeds sample size {n}")
+    check_enumeration(math.comb(n, w) * len(q.outputs), f"C({n},{w})*|Y|")
+    masses = sum(q.output_laws(S, pos).sum(axis=0) for pos in position_blocks(n, w))
+    return ResponsePMF(q.outputs, masses / math.comb(n, w))
 
 
 def leave_one_out_pmfs(q: Query, S: Dataset) -> tuple[ResponsePMF, np.ndarray]:
     """q's exact answer law on S, and a read-only (n, |Y|) array whose row i
-    is the law on S minus position i: ``leave_one_out_laws`` of one
+    is the law on S minus position i: ``leave_one_out_block_laws`` of one
     instance."""
-    full, loo = leave_one_out_laws([q], [S])
+    full, loo = leave_one_out_block_laws(lambda pos: q.output_laws(S, pos)[None], 1,
+                                         len(S), q.arity, len(q.outputs))
     return ResponsePMF(q.outputs, full[0]), loo
-
-
-def leave_one_out_laws(queries: Sequence[Query],
-                       datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """For I >= 1 instances (q_k, S_k) that share the sample size n, the
-    arity w and the range size |Y|: ``leave_one_out_block_laws`` with the
-    queries' ``output_laws`` stacked on each block of position rows."""
-    if not queries or not datasets:
-        raise ValueError("need at least one instance")
-    count, n, w, ysize = len(queries), len(datasets[0]), queries[0].arity, \
-        len(queries[0].outputs)
-    if len(datasets) != count or any(
-            (len(S), q.arity, len(q.outputs)) != (n, w, ysize)
-            for q, S in zip(queries, datasets)):
-        raise ValueError("instances must pair up and share n, w and |Y|")
-    return leave_one_out_block_laws(
-        lambda pos: np.stack([q.output_laws(S, pos) for q, S in zip(queries, datasets)]),
-        count, n, w, ysize)
 
 
 def leave_one_out_block_laws(block_laws: Callable[[np.ndarray], np.ndarray],
@@ -248,18 +238,6 @@ def leave_one_out_block_laws(block_laws: Callable[[np.ndarray], np.ndarray],
     check_mass_rows(loo)
     loo.setflags(write=False)
     return full[:, :ysize] / math.comb(n, w), loo
-
-
-def _subset_laws(q: Query, S: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, laws) per block of S's w-subsets: row j of ``laws`` is q's
-    output law on the subset in row j of ``positions``, one-hot for a
-    deterministic q, so that summing rows counts outputs exactly."""
-    n, w = len(S), q.arity
-    if w > n:
-        raise ValueError(f"query arity {w} exceeds sample size {n}")
-    check_enumeration(math.comb(n, w) * len(q.outputs), f"C({n},{w})*|Y|")
-    for pos in position_blocks(n, w):
-        yield pos, q.output_laws(S, pos)
 
 
 def population_response_pmf(q: Query, D: GroundTruth) -> ResponsePMF:

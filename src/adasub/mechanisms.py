@@ -107,7 +107,7 @@ def cost_hp(n: int, ysize: int, p: float, delta: float) -> float:
 
 def _uniform_branch(n: int, a: float, p: float) -> float:
     """min(ln n, 1 + ln(1 + a/(n p))) for a p-uniform query; ln n at p = 0."""
-    if p < 0:
+    if not p >= 0:  # NaN too: min(ln n, nan) would return ln n
         raise ValueError("uniformity floor must be nonnegative")
     log_n = math.log(n)
     return log_n if p == 0.0 else min(log_n, 1.0 + math.log(1.0 + a / (n * p)))

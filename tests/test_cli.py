@@ -790,7 +790,8 @@ class TestVerifyCommand:
     def test_a_raising_group_names_only_the_instance_that_raises(self, monkeypatch):
         # instance 10 shares its shape with 5 others among 60; its group is
         # measured again one instance at a time
-        drawn = dv.random_query_rows(1, 0)[:60]
+        block = dv.random_query_block(1, 0)
+        drawn = [block.instance(k) for k in range(60)]
 
         def shape(q, S):
             return len(S), q.arity, len(q.outputs)

@@ -28,7 +28,6 @@ from adasub.divergence import (
     measure_leave_one_out_kl,
     random_pmf_rows,
     random_query_instance,
-    random_query_rows,
     random_subset_rows,
     sample_exceeds_mean_exact,
     sample_exceeds_mean_probe,
@@ -352,6 +351,14 @@ class TestAlklBounds:
         with pytest.raises(ValueError):
             alkl_bound_uniform(0.5, 1, 10, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_eps_and_p_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            alkl_bound_general(bad, 2)
+        for eps, p in ((bad, 0.1), (0.1, bad)):
+            with pytest.raises(ValueError, match="need finite eps, p > 0"):
+                alkl_bound_uniform(eps, 1, 10, p)
+
 
 class TestVarianceContraction:
     def test_constant_function(self):
@@ -451,10 +458,10 @@ class TestShapeBlocks:
         # every default instance once, each against its own query's walk
         assert sorted(j for group, _ in calls["chi2"] for j in group) == list(range(1000))
         assert max(len(group) for group, _ in calls["chi2"]) > 1
-        drawn = random_query_rows(seed, 0)
+        block = dv.random_query_block(seed, 0)
         for group, (measured, bound, per, laws) in calls["chi2"]:
             for k, j in enumerate(group):
-                report = measure_leave_one_out_chi2(*drawn[j])
+                report = measure_leave_one_out_chi2(*block.instance(j))
                 assert float(measured[k]) == report.measured
                 assert bound == report.bound
                 assert tuple(per[k].tolist()) == report.per_index
@@ -491,11 +498,14 @@ class TestShapeBlocks:
         shapes = list(zip(rows.n.tolist(), rows.w.tolist(), rows.ysize.tolist()))
         for shape in ((8, 3, 4), (5, 2, 2), (3, 1, 3), (4, 3, 2)):
             group = [j for j, s in enumerate(shapes) if s == shape][:7]
-            want = dv.leave_one_out_chi2_rows(*zip(*(rows.instance(j) for j in group)))
-            got = dv.table_chi2_rows(rows, group)
-            assert len(group) > 1 and got[1] == want[1]  # the bound
-            for k in (0, 2, 3):  # measured, per-index divergences, laws
-                assert np.array_equal(got[k], want[k])
+            measured, bound, per, laws = dv.table_chi2_rows(rows, group)
+            assert len(group) > 1
+            for k, j in enumerate(group):
+                report = measure_leave_one_out_chi2(*rows.instance(j))
+                assert float(measured[k]) == report.measured
+                assert bound == report.bound
+                assert tuple(per[k].tolist()) == report.per_index
+                assert np.array_equal(laws[k], report.law.masses)
 
     def test_table_rows_need_one_shape_and_an_instance(self):
         rows = dv.random_query_block(5, 0)
@@ -506,28 +516,29 @@ class TestShapeBlocks:
             dv.table_chi2_rows(rows, [])
 
     def test_chi2_rows_raise_on_the_first_row_past_the_bound(self, monkeypatch):
-        instances = [random_query_instance(RandomSource(5).child(i).generator)
-                     for i in range(40)]
-        shape = (len(instances[0][1]), instances[0][0].arity,
-                 len(instances[0][0].outputs))
-        group = [(q, S) for q, S in instances
-                 if (len(S), q.arity, len(q.outputs)) == shape]
-        measured, bound, _, _ = dv.leave_one_out_chi2_rows(*zip(*group))
+        rows = dv.random_query_block(5, 0)
+        shapes = list(zip(rows.n.tolist(), rows.w.tolist(), rows.ysize.tolist()))
+        group = [j for j, s in enumerate(shapes) if s == shapes[0]]
+        measured, bound, _, _ = dv.table_chi2_rows(rows, group)
         assert len(group) > 1 and len(set(measured.tolist())) > 1
         # a bound just under the second-largest average fails two rows
         low = sorted(measured.tolist())[-2]
         monkeypatch.setattr(dv, "chi2_stability_bound",
                             lambda n, w, y: low - 2 * dv.INEQ_TOL)
         first = min(np.flatnonzero(measured >= low))
-        with pytest.raises(RuntimeError, match=(
-                f"leave-one-out chi2 {float(measured[first])} exceeds closed form")):
-            dv.leave_one_out_chi2_rows(*zip(*group))
+        named = f"leave-one-out chi2 {float(measured[first])} exceeds closed form"
+        with pytest.raises(RuntimeError, match=named):
+            dv.table_chi2_rows(rows, group)
+        with pytest.raises(RuntimeError, match=named):  # the one-instance call
+            measure_leave_one_out_chi2(*rows.instance(group[first]))
 
     def test_rows_forms_check_the_cap_on_every_row(self, monkeypatch):
-        # 2 instances: 2 * C(10,2) * |Y| = 180 chi2 rows, and 2 * 10 * C(10,2)
-        # = 900 variance entries, each refused before anything is built
-        q = Query(2, (0, 1), name="sum-odd", batch=lambda e: e.sum(axis=1) % 2)
-        S = Dataset(np.arange(10))
+        # 2 instances: 2 * C(n,w) * |Y| chi2 rows, and 2 * 10 * C(10,2) = 900
+        # variance entries, each refused before anything is built
+        rows = dv.random_query_block(5, 0)
+        n, w, ysize = int(rows.n[0]), int(rows.w[0]), int(rows.ysize[0])
+        group = np.flatnonzero((rows.n == n) & (rows.w == w) & (rows.ysize == ysize))[:2]
+        cap = 2 * math.comb(n, w) * ysize
         vals = np.ones((2, 45))
 
         def no_blocks(*args):
@@ -536,30 +547,20 @@ class TestShapeBlocks:
         with monkeypatch.context() as m:
             m.setattr(dv, "position_blocks", no_blocks)
             m.setattr(engine, "position_blocks", no_blocks)
-            m.setattr(core, "ENUM_CAP", 179)
-            with pytest.raises(EnumerationCapExceeded, match=r"2\*C\(10,2\)\*\|Y\|"):
-                dv.leave_one_out_chi2_rows([q, q], [S, S])
+            m.setattr(core, "ENUM_CAP", cap - 1)
+            with pytest.raises(EnumerationCapExceeded, match=rf"2\*C\({n},{w}\)\*\|Y\|"):
+                dv.table_chi2_rows(rows, group)
             m.setattr(core, "ENUM_CAP", 899)
             with pytest.raises(EnumerationCapExceeded, match=r"2\*n\*C\(10,2\)"):
                 dv.variance_contraction_rows(vals, 10, 2)
-        monkeypatch.setattr(core, "ENUM_CAP", 180)
-        assert dv.leave_one_out_chi2_rows([q, q], [S, S])[2].shape == (2, 10)
+        monkeypatch.setattr(core, "ENUM_CAP", cap)
+        assert dv.table_chi2_rows(rows, group)[2].shape == (2, n)
         monkeypatch.setattr(core, "ENUM_CAP", 900)
         assert dv.variance_contraction_rows(vals, 10, 2)[0].tolist() == [0.0, 0.0]
 
     def test_rows_need_one_shape(self):
-        q2 = Query(1, (0, 1), name="odd", batch=lambda e: e[:, 0] % 2)
-        q3 = Query(1, (0, 1, 2), name="mod3", batch=lambda e: e[:, 0] % 3)
-        with pytest.raises(ValueError, match="share n, w and"):
-            dv.leave_one_out_chi2_rows([q2, q3], [Dataset([0, 1, 2])] * 2)
-        with pytest.raises(ValueError, match="share n, w and"):
-            dv.leave_one_out_chi2_rows([q2, q2], [Dataset([0, 1, 2]), Dataset([0, 1])])
         with pytest.raises(ValueError, match="C\\(4,2\\) = 6 values"):
             dv.variance_contraction_rows(np.ones((3, 5)), 4, 2)
-
-    def test_chi2_rows_need_an_instance(self):
-        with pytest.raises(ValueError, match="need at least one instance"):
-            dv.leave_one_out_chi2_rows([], [])
 
 
 class TestKlChi2Inequality:
@@ -764,10 +765,11 @@ class TestInstanceStreams:
             assert [q.evaluator(*key) for key in table] == list(table.values())
 
     def test_query_rows_read_the_per_key_draws(self):
-        # block 1 of random_query_rows: n, w, |Y| and a one scalar draw per
+        # block 1 of random_query_block: n, w, |Y| and a one scalar draw per
         # instance each, every table's cells one scalar draw per key in
         # itertools.product order, then every dataset's entries
-        drawn = random_query_rows(31, 1)
+        rows = dv.random_query_block(31, 1)
+        drawn = [rows.instance(k) for k in range(SUITE_BLOCK)]
         ref = RandomSource(31).child(1).generator
         n = [int(ref.integers(3, 9)) for _ in range(SUITE_BLOCK)]
         w = [int(ref.integers(1, min(3, k - 1) + 1)) for k in n]
@@ -777,7 +779,7 @@ class TestInstanceStreams:
                    for key in itertools.product(range(ak), repeat=wk)}
                   for wk, y, ak in zip(w, ysize, a)]
         data = [[int(ref.integers(0, ak)) for _ in range(nk)] for nk, ak in zip(n, a)]
-        assert len(drawn) == SUITE_BLOCK
+        assert len(rows.n) == SUITE_BLOCK
         for (q, S), nk, wk, y, ak, table, row in zip(drawn, n, w, ysize, a,
                                                       tables, data):
             assert (len(S), q.arity, q.outputs) == (nk, wk, tuple(range(y)))
@@ -830,7 +832,7 @@ class TestInstanceStreams:
 
 
 def _table(q: Query) -> list[int]:
-    """A random_query_rows query's table, in itertools.product key order."""
+    """A random_query_block instance's table, in itertools.product key order."""
     a = int(q.name.split("a=")[1].rstrip(")"))
     return q.batch(np.array(list(itertools.product(range(a), repeat=q.arity)))).tolist()
 
@@ -859,7 +861,7 @@ class TestSuiteRows:
         for i in (0, 19, SUITE_BLOCK - 1, SUITE_BLOCK):
             block, j = divmod(i, SUITE_BLOCK)
             if suite == "chi2-stability":
-                q, S = random_query_rows(13, block)[j]
+                q, S = dv.random_query_block(13, block).instance(j)
                 assert full[i] == (f"instance {i}: table={_table(q)}; query={q.name} "
                                    f"tag=None dataset={list(S)!r}")
                 continue
@@ -876,7 +878,8 @@ class TestSuiteRows:
         # entries on 0..a-1; random_subset_rows draws the same n and w
         drawn = []
         for b in range(8):
-            drawn += random_query_rows(2027, b)
+            rows = dv.random_query_block(2027, b)
+            drawn += [rows.instance(k) for k in range(SUITE_BLOCK)]
             ns, ws, vals = random_subset_rows(2027, b)
             assert [(len(S), q.arity) for q, S in drawn[-SUITE_BLOCK:]] == \
                 list(zip(ns.tolist(), ws.tolist()))

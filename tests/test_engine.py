@@ -265,8 +265,7 @@ class TestLeaveOneOutPmfs:
 
 
 class TestLeaveOneOutLaws:
-    """Many instances of one shape from one walk of the shared position rows,
-    against each instance's own walk and exact_response_pmf on each
+    """leave_one_out_pmfs on each instance against exact_response_pmf on each
     leave-one-out dataset."""
 
     def test_a_uniformized_group_keeps_exact_zero_masses(self):
@@ -280,26 +279,15 @@ class TestLeaveOneOutLaws:
             if len(instances) == 6:
                 break
         with mock.patch.object(core, "SUBSET_BLOCK", 4):  # 4 blocks of C(6,2)
-            full, loo = engine.leave_one_out_laws(*zip(*instances))
-            ones = [leave_one_out_pmfs(q, S) for q, S in instances]
-        assert full.shape == (6, 3) and loo.shape == (6 * 6, 3)
-        assert not loo.flags.writeable
-        for k, ((q, S), (one_full, one_loo)) in enumerate(zip(instances, ones)):
-            assert np.array_equal(full[k], one_full.masses)
-            assert np.array_equal(loo[6 * k:6 * k + 6], one_loo)
+            loos = [leave_one_out_pmfs(q, S)[1] for q, S in instances]
+        for (q, S), loo in zip(instances, loos):
+            assert loo.shape == (6, 3) and not loo.flags.writeable
             for i in range(6):
                 want = exact_response_pmf(q, S.leave_one_out(i)).masses
-                got = loo[6 * k + i]
-                assert np.max(np.abs(got - want)) <= 1e-12
-                assert np.array_equal(got == 0.0, want == 0.0)
-        zeros = (loo == 0.0).reshape(6, 6, 3).any(axis=(1, 2))
+                assert np.max(np.abs(loo[i] - want)) <= 1e-12
+                assert np.array_equal(loo[i] == 0.0, want == 0.0)
+        zeros = np.array([(loo == 0.0).any() for loo in loos])
         assert zeros[0::2].any() and not zeros[1::2].any()
-
-    def test_no_instance_is_refused_before_any_indexing(self):
-        q = Query(1, (0, 1), name="odd", batch=lambda e: e[:, 0] % 2)
-        for queries, datasets in (([], []), ([q], []), ([], [Dataset([0, 1])])):
-            with pytest.raises(ValueError, match="need at least one instance"):
-                engine.leave_one_out_laws(queries, datasets)
 
 
 class TestPopulationResponsePMF:
@@ -427,6 +415,17 @@ class TestDrawPositions:
             draw_positions(gen, [5, 2], 3, 2)
         with pytest.raises(ValueError):
             draw_positions(gen, [5, 6, 7], 2, 2)
+
+    @pytest.mark.parametrize("n", [5, [5]])
+    def test_negative_count_is_refused_before_any_draw(self, n):
+        gen = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="cannot draw -1 subsets"):
+            draw_positions(gen, n, 2, -1)
+        q = Query(2, (0, 1), batch=lambda e: e.sum(axis=1) % 2)
+        with pytest.raises(ValueError, match="cannot draw -1 subsets"):
+            subsample_answer(q, Dataset(np.arange(5)), gen, size=-1)
+        assert gen.integers(0, 2 ** 62) == np.random.default_rng(3).integers(0, 2 ** 62)
+        assert draw_positions(gen, n, 2, 0).shape == (0, 2)
 
     @pytest.mark.parametrize("w", range(1, 7))
     @pytest.mark.parametrize("m", [0, 1, 420, 5000])

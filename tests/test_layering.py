@@ -2,12 +2,13 @@
 core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
 statement sits inside a function, where an import cycle could hide. Also
 guards the names that the benchmark harness in ``perfbench/`` looks up and
-the session attributes it reads, and that ``core.position_blocks`` is the
-one enumerator."""
+the session attributes it reads, that every function has a caller outside
+the tests, and that ``core.position_blocks`` is the one enumerator."""
 
 import ast
 import contextlib
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -139,6 +140,45 @@ def test_perfbench_reads_live_session_attributes(monkeypatch):
             charge(*args, **kwargs)
             assert count(args, kwargs) == ledger.last
         assert ledger.total == 0.75
+
+
+def _named(tree: ast.Module):
+    """(name, enclosing module-level def or None) for every Name, Attribute
+    and dotted-identifier string constant in a module, split at its dots."""
+    owner = {id(node): fn.name for fn in tree.body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            names = node.value.split(".")
+        else:
+            continue
+        yield from ((name, owner.get(id(node))) for name in names)
+
+
+def test_every_function_has_a_library_caller():
+    """Every module-level function in adasub is exported by the package or
+    named outside its own body in adasub or in ``perfbench/``, which looks
+    functions up by string, so code that only tests call fails here."""
+    exported = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = set()  # (name, file, enclosing def) of every mention
+    for path in (*SRC.glob("*.py"), *PERFBENCH.glob("*.py")):
+        uses |= {(name, path, fn) for name, fn in _named(ast.parse(path.read_text()))}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name not in exported
+                    and not any(name == fn.name and (where, owner) != (path, fn.name)
+                                for name, where, owner in uses)):
+                unused.append(f"{path.stem}.{fn.name}")
+    assert not unused, f"functions only tests call: {unused}"
 
 
 def test_position_blocks_is_the_one_enumerator():

@@ -181,6 +181,14 @@ class TestCosts:
         assert cost_hp(100, 2, 0.0, 0.1) == pytest.approx(0.02 * math.log(100),
                                                           abs=1e-15)
 
+    @pytest.mark.parametrize("p", [math.nan, -0.1])
+    def test_nan_or_negative_floor_rejected(self, p):
+        # min(ln n, nan) is ln n, so a NaN floor would charge the log branch
+        with pytest.raises(ValueError, match="uniformity floor"):
+            cost_uniform(10, 1, 2, p)
+        with pytest.raises(ValueError, match="uniformity floor"):
+            cost_hp(10, 2, p, 0.1)
+
 
 class TestMiUpperBound:
     def test_empty(self):
