@@ -428,6 +428,8 @@ def _population_mean_var(q, D: GroundTruth) -> tuple[float, float]:
 def error_value(delta: float, var: float, w: int) -> float:
     """(1/w) * min(|Delta|, Delta^2 / Var); the ratio term counts as
     +infinity when Var = 0, so the result degrades to |Delta| / w."""
+    if w < 1:
+        raise ValueError(f"need arity w >= 1, got {w}")
     delta = abs(delta)
     if var <= 0.0:
         return delta / w

@@ -169,6 +169,8 @@ def alkl_bound_general(eps: float, ysize: int) -> float:
     stability with uniform smoothing: eps * (3 + 2 ln(|Y|/eps))."""
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    if ysize < 1:
+        raise ValueError(f"need |Y| >= 1, got {ysize}")
     return eps * (3.0 + 2.0 * math.log(ysize / eps))
 
 
@@ -177,6 +179,8 @@ def alkl_bound_uniform(eps: float, w: int, n: int, p: float) -> float:
     eps * (1 + ln(1 + w/(n p)))."""
     if not (0 < eps < math.inf and 0 < p < math.inf):  # NaN too
         raise ValueError(f"need finite eps, p > 0, got eps={eps}, p={p}")
+    if n < 1 or w < 1:
+        raise ValueError(f"need n >= 1 and w >= 1, got n={n}, w={w}")
     return eps * (1.0 + math.log(1.0 + w / (n * p)))
 
 

@@ -1,11 +1,11 @@
 """Adaptive analysts, the mechanisms they face, and the experiment runner.
 
 An analyst sees only the mechanism's responses, never the sample: its
-interface receives the round number, the response prefix, and a split
-randomness source. The runner draws a fresh sample per trial, plays the
-analyst against one mechanism class (naive empirical means, subsampling-SQ
-or approximate median) in one trial loop, and records per-query bias
-against exactly computed population truths.
+interface receives the round number and the response prefix. The runner
+draws a fresh sample per trial, plays the analyst against one mechanism
+class (naive empirical means, subsampling-SQ or approximate median) in one
+trial loop, and records per-query bias against exactly computed population
+truths.
 
 Populations with product structure (the ±1 cube) are represented
 implicitly; only queries with closed-form truths (coordinate indicators,
@@ -448,16 +448,16 @@ def population_generators(name: str, params: dict) -> Population:
 # Analysts.
 
 class Analyst:
-    """A query strategy. Receives only (round, response prefix, randomness);
+    """A deterministic query strategy. Receives only (round, response prefix);
     the sample itself is never exposed to it. The prefix is the runner's own
     list, lent read-only (a copy per round costs O(T^2)): never mutate it."""
 
     rounds: int = 0
 
-    def next_query(self, t: int, responses: Sequence[float], rng: RandomSource):
+    def next_query(self, t: int, responses: Sequence[float]):
         raise NotImplementedError
 
-    def final_tests(self, responses: Sequence[float], rng: RandomSource) -> list[TestQuery]:
+    def final_tests(self, responses: Sequence[float]) -> list[TestQuery]:
         return []
 
 
@@ -470,10 +470,10 @@ class FixedAnalyst(Analyst):
         self.queries = list(queries)
         self.rounds = len(self.queries)
 
-    def next_query(self, t, responses, rng):
+    def next_query(self, t, responses):
         return self.queries[t - 1]
 
-    def final_tests(self, responses, rng):
+    def final_tests(self, responses):
         return list(self.queries)
 
 
@@ -491,10 +491,10 @@ class RandomCorrelationAnalyst(Analyst):
             raise ValueError("need T >= 1")
         self.rounds = int(T)
 
-    def next_query(self, t, responses, rng):
+    def next_query(self, t, responses):
         return coordinate_indicator(t - 1)
 
-    def final_tests(self, responses, rng):
+    def final_tests(self, responses):
         signs = [1 if y >= 0.5 else -1 for y in responses]
         return [sign_sum_test(signs)]
 
@@ -535,7 +535,7 @@ class ShiftingMeanAnalyst(Analyst):
         bounce = 1 if t % 2 == 0 else -1
         return max(-self.max_shift, min(self.max_shift, -prev_cell + bounce))
 
-    def next_query(self, t, responses, rng):
+    def next_query(self, t, responses):
         w = self.w_list[t - 1]
         shift = self._shift_cells(t, responses) * self.r_step
         return grid_mean_query(w, shift, self.centers)
@@ -851,8 +851,8 @@ def _check_compatibility(population, analyst, mechanism: type) -> None:
 
 def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
                mechanism: NaiveMechanism, root: RandomSource) -> list[dict]:
-    """One trial: child(0) draws the sample, child(1) drives the session,
-    child(2, t) the analyst's round t and child(3) its final tests."""
+    """One trial: child(0) draws the sample, child(1) drives the session.
+    Labels 2 and 3 stay free for a randomized analyst: adding one moves no stream."""
     rng = root.child(trial)
     S = population.draw(n, rng.child(0))
     ledger = BudgetLedger(*mechanism.budget)
@@ -865,7 +865,7 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
 
     responses: list[float] = []
     for t in range(1, analyst.rounds + 1):
-        q = analyst.next_query(t, responses, rng.child(2, t))
+        q = analyst.next_query(t, responses)
         try:
             answer = session.answer(q)
         except BudgetExhausted:
@@ -877,7 +877,7 @@ def _run_trial(trial: int, n: int, population: Population, analyst: Analyst,
                                getattr(session, "sample_value", None))
         record(t, q.name, scored, ledger.last)  # this answer's charge; the baseline's is 0.0
     else:
-        tests = analyst.final_tests(responses, rng.child(3))
+        tests = analyst.final_tests(responses)
         for j, psi in enumerate(tests):
             record(analyst.rounds + 1 + j, f"test:{psi.name.removeprefix('test:')}",
                    mechanism.row(population, S, psi), 0.0)

@@ -275,6 +275,12 @@ class TestErrorMetric:
         assert error_metric(q, S, bernoulli(0.3)) == pytest.approx(0.0, abs=1e-15)
         assert error_value(0.25, 0.0, 1) == 0.25
 
+    @pytest.mark.parametrize("var", [0.0, 0.5])
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_arity_below_one_refused(self, var, w):
+        with pytest.raises(ValueError, match="need arity w >= 1"):
+            error_value(0.1, var, w)
+
     def test_depends_on_delta_only_through_absolute_value(self):
         assert error_value(0.1, 0.2, 1) == error_value(-0.1, 0.2, 1)
 

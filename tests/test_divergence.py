@@ -359,6 +359,16 @@ class TestAlklBounds:
             with pytest.raises(ValueError, match="need finite eps, p > 0"):
                 alkl_bound_uniform(eps, 1, 10, p)
 
+    @pytest.mark.parametrize("ysize", [0, -2])
+    def test_general_refuses_empty_range(self, ysize):
+        with pytest.raises(ValueError, match=r"need \|Y\| >= 1"):
+            alkl_bound_general(0.1, ysize)
+
+    @pytest.mark.parametrize("w, n", [(1, 0), (-5, 10), (0, 10)])
+    def test_uniform_refuses_bad_sizes(self, w, n):
+        with pytest.raises(ValueError, match="need n >= 1 and w >= 1"):
+            alkl_bound_uniform(0.1, w, n, 0.1)
+
 
 class TestVarianceContraction:
     def test_constant_function(self):

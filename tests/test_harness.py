@@ -353,8 +353,8 @@ class TestAnalysts:
         qs = [constant_test(0.2), identity_test()]
         a = FixedAnalyst(qs)
         assert a.rounds == 2
-        assert a.next_query(1, (), RandomSource(1)) is qs[0]
-        assert a.final_tests((0.5, 0.5), RandomSource(1)) == qs
+        assert a.next_query(1, ()) is qs[0]
+        assert a.final_tests((0.5, 0.5)) == qs
 
     def test_fixed_requires_queries(self):
         with pytest.raises(ValueError):
@@ -363,26 +363,26 @@ class TestAnalysts:
     def test_random_correlation_round_one_truth(self):
         a = RandomCorrelationAnalyst(1)
         pop = CubePopulation(1)
-        [test] = a.final_tests((0.7,), RandomSource(1))
+        [test] = a.final_tests((0.7,))
         assert pop.truth(test) == pytest.approx(0.5, abs=1e-15)
 
     def test_random_correlation_signs(self):
         a = RandomCorrelationAnalyst(3)
-        [test] = a.final_tests((0.9, 0.1, 0.5), RandomSource(1))
+        [test] = a.final_tests((0.9, 0.1, 0.5))
         assert test.tag == ("sign_sum", (1, -1, 1))  # ties count as +1
 
     def test_shifting_means_declares_profiles(self):
         a = ShiftingMeanAnalyst(T=6, w_max=4)
         assert a.w_list == [1, 2, 3, 4, 1, 2]
         assert a.r_sizes == [64] * 6
-        q = a.next_query(1, (), RandomSource(1))
+        q = a.next_query(1, ())
         assert q.arity == 1 and len(q.outputs) == 64
 
     def test_shifting_means_shift_bounded(self):
         a = ShiftingMeanAnalyst(T=10, w_max=2, max_shift=3)
         responses = ()
         for t in range(1, 11):
-            q = a.next_query(t, responses, RandomSource(1))
+            q = a.next_query(t, responses)
             shift_cells = q.tag[2] / a.r_step
             assert abs(shift_cells) <= 3 + 1e-9
             responses = responses + (float(q.outputs[40]),)
@@ -560,8 +560,8 @@ class TestRunExperiment:
         class Spy(Analyst):
             rounds = 2
 
-            def next_query(self, t, responses, rng):
-                seen.append((t, responses, rng))
+            def next_query(self, t, responses):
+                seen.append((t, responses))
                 return constant_test(0.5)
 
         import adasub.harness as hz
@@ -572,10 +572,9 @@ class TestRunExperiment:
         finally:
             hz.make_analyst = orig
         assert len(seen) == 2
-        for t, responses, rng in seen:
+        for t, responses in seen:
             assert isinstance(responses, Sequence)
             assert all(isinstance(v, float) for v in responses)
-            assert isinstance(rng, RandomSource)
 
     def test_analyst_is_lent_one_response_list(self, monkeypatch):
         # a copy of the prefix per round would cost O(T^2) over a trial
@@ -584,11 +583,11 @@ class TestRunExperiment:
         class Spy(Analyst):
             rounds = 3
 
-            def next_query(self, t, responses, rng):
+            def next_query(self, t, responses):
                 seen.append((responses, len(responses)))
                 return constant_test(0.5)
 
-            def final_tests(self, responses, rng):
+            def final_tests(self, responses):
                 seen.append((responses, len(responses)))
                 return []
 
@@ -597,6 +596,29 @@ class TestRunExperiment:
         run_experiment(sq_config(trials=1))
         assert [size for _, size in seen] == [0, 1, 2, 3]
         assert all(responses is seen[0][0] for responses, _ in seen)
+
+    @pytest.mark.parametrize("cfg", [
+        sq_config(n=50, population={"name": "uniform_pm1_cube", "d": 3},
+                  analyst={"name": "random-correlation", "T": 3}),
+        ExperimentConfig(seed=5, trials=2, n=400,
+                         population={"name": "discretized_gaussian", "points": 129},
+                         mechanism={"name": "median", "delta": 0.2},
+                         analyst={"name": "shifting-means", "T": 3, "w_max": 2,
+                                  "r_cells": 16, "r_step": 1.6}),
+    ], ids=["sq", "median"])
+    def test_trial_derives_only_the_streams_it_uses(self, cfg, monkeypatch):
+        # the sample's and the session's; analysts take no stream
+        paths = []
+        child = RandomSource.child
+
+        def spy(self, *labels):
+            source = child(self, *labels)
+            paths.append(source.path)
+            return source
+
+        monkeypatch.setattr(RandomSource, "child", spy)
+        run_experiment(cfg)
+        assert sorted(paths) == [p for t in range(2) for p in ((t,), (t, 0), (t, 1))]
 
     def test_fixed_naive_bias_within_sampling_theory(self):
         # |phi(S) - phi(D)| beyond 3 sigma in at most 1% of trials

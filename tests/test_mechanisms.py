@@ -674,7 +674,7 @@ class TestMedianSession:
             charged = record_charges(s.ledger)
             responses = []
             for t in range(1, analyst.rounds + 1):
-                q = analyst.next_query(t, tuple(responses), None)
+                q = analyst.next_query(t, tuple(responses))
                 assert q.batch is not None
                 if not batched:
                     q = scalar_grid_mean(q)  # fsum and the scalar cell rule
