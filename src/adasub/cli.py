@@ -14,7 +14,7 @@ Subcommands:
             --delta D [--wmax W] [--n N])
         Print the mechanism parameter schedule and budget for a planned run.
 
-Exit codes: 0 success, 2 config/usage error, 3 suite or consistency failure.
+Exit codes: 0 success, 2 config/usage error, 3 suite, consistency or internal failure.
 The CSV schema is fixed: header ``trial,t,query_id,mechanism,answer,
 sample_value,truth,bias,threshold,within_bound,cost``; numeric fields are
 written with 12 significant digits, so identical config and seed produce
@@ -230,15 +230,6 @@ class SuiteResult:
         return not self.failures
 
 
-def _key_groups(*keys: np.ndarray) -> list[np.ndarray]:
-    """The ascending indices of each distinct key across the equal-length
-    arrays ``keys``, one group per distinct key, in key order."""
-    order = np.lexsort(keys[::-1])  # stable: ascending indices within a key
-    ranked = np.stack(keys)[:, order]
-    starts = np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1
-    return np.split(order, starts)
-
-
 def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     """Average leave-one-out chi-squared never exceeds its closed form; for
     arity-1 deterministic queries it attains it exactly (with the range
@@ -246,9 +237,10 @@ def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     dv.random_query_block(seed, b), the last one cut to --trials, so
     instance i's index replays it at any --trials; the instances of one
     block that share (n, w, |Y|) are measured in one ``dv.table_chi2_rows``
-    call, and a group that raises is measured again one instance at a time,
-    so each failure names its own instance. Only an instance that fails is
-    built as a query and a dataset, to be written out."""
+    call. Every row counts in the stats, and each failing instance is named
+    once: a row over the bound by ``dv.CHI2_EXCESS``, else an arity-1 row off
+    its equality. Only an instance that fails is built as a query and a
+    dataset, to be written out."""
     res = SuiteResult("chi2-stability", trials)
     max_excess = -math.inf
     max_eq_dev = 0.0
@@ -256,28 +248,23 @@ def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
         rows = dv.random_query_block(seed, block)
         count = min(trials - lo, dv.SUITE_BLOCK)
         failed: list[tuple[int, str]] = []  # (row, what failed)
-        for group in _key_groups(rows.n[:count], rows.w[:count], rows.ysize[:count]):
-            try:
-                parts = [(group, dv.table_chi2_rows(rows, group))]
-            except RuntimeError:  # again one at a time, to find which raised
-                parts = []
-                for j in group.tolist():
-                    try:
-                        parts.append(([j], dv.table_chi2_rows(rows, [j])))
-                    except RuntimeError as exc:
-                        failed.append((j, str(exc)))
+        for group in dv.key_groups(rows.n[:count], rows.w[:count], rows.ysize[:count]):
+            measured, bound, _, laws = dv.table_chi2_rows(rows, group)
+            max_excess = max(max_excess, float((measured - bound).max()))
+            over = measured > bound + dv.INEQ_TOL
+            failed += [(j, dv.CHI2_EXCESS.format(m, bound))
+                       for j, m in zip(group[over].tolist(), measured[over].tolist())]
             n, w = int(rows.n[group[0]]), int(rows.w[group[0]])
-            for part, (measured, bound, _, laws) in parts:
-                max_excess = max(max_excess, float((measured - bound).max()))
-                if w != 1:
-                    continue
-                # the closed form at each realized support size 1..|Y|
-                eq_bounds = np.array([dv.chi2_stability_bound(n, 1, s)
-                                      for s in range(1, laws.shape[1] + 1)])
-                dev = np.abs(measured - eq_bounds[np.count_nonzero(laws > 0.0, axis=1) - 1])
-                max_eq_dev = max(max_eq_dev, float(dev.max()))
-                failed += [(j, f"w=1 equality off by {d:.3e}")
-                           for j, d in zip(part, dev.tolist()) if d > 1e-10]
+            if w != 1:
+                continue
+            # the closed form at each realized support size 1..|Y|
+            eq_bounds = np.array([dv.chi2_stability_bound(n, 1, s)
+                                  for s in range(1, laws.shape[1] + 1)])
+            dev = np.abs(measured - eq_bounds[np.count_nonzero(laws > 0.0, axis=1) - 1])
+            max_eq_dev = max(max_eq_dev, float(dev.max()))
+            failed += [(j, f"w=1 equality off by {d:.3e}")
+                       for j, d in zip(group[~over].tolist(), dev[~over].tolist())
+                       if d > 1e-10]
         for j, what in sorted(failed):
             res.failures.append(f"instance {lo + j}: {what}; "
                                 f"{_describe_instance(*rows.instance(j))}")
@@ -302,7 +289,7 @@ def _suite_var_contraction(trials: int, seed: int, linear: bool) -> SuiteResult:
         ns, ws, vals = dv.random_subset_rows(seed, block, linear)
         count = min(trials - lo, dv.SUITE_BLOCK)
         lhs, rhs = np.empty(count), np.empty(count)
-        for group in _key_groups(ns[:count], ws[:count]):
+        for group in dv.key_groups(ns[:count], ws[:count]):
             lhs[group], rhs[group] = dv.variance_contraction_rows(
                 np.stack([vals[j] for j in group]), int(ns[group[0]]), int(ws[group[0]]))
         dev = np.abs(lhs - rhs) if linear else lhs - rhs
@@ -399,6 +386,9 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # the arguments were valid, so the fault is internal
+        print(f"verify failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     code = EXIT_OK
     for res in results:
         status = "pass" if res.passed else "FAIL"

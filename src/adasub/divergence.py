@@ -20,7 +20,6 @@ contained in supp(D). Infinite divergences are returned as math.inf.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,6 +31,7 @@ from .engine import (RandomSource, ResponsePMF, leave_one_out_block_laws,
                      leave_one_out_pmfs)
 
 INEQ_TOL = 1e-10
+CHI2_EXCESS = "leave-one-out chi2 {} exceeds closed form {}"  # measured, bound
 
 
 def _check_same_range(dp: ResponsePMF, ep: ResponsePMF) -> None:
@@ -78,7 +78,7 @@ def chi2_stability_bound(n: int, w: int, ysize: int) -> float:
     query with range size |Y| on n points: w(|Y|-1)/((n-1)(n-w))."""
     if not 1 <= w <= n - 1:
         raise ValueError(f"need 1 <= w <= n-1, got w={w}, n={n}")
-    if ysize < 1:
+    if not ysize >= 1:  # NaN too
         raise ValueError("range size must be at least 1")
     return w * (ysize - 1) / ((n - 1) * (n - w))
 
@@ -96,9 +96,12 @@ class StabilityReport:
 
 def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     """Average over i of chi2(law on S || law on S minus point i), by exact
-    enumeration; a value above the closed-form bound raises RuntimeError."""
+    enumeration; a value above the closed-form bound (beyond ``INEQ_TOL``)
+    raises RuntimeError, worded by ``CHI2_EXCESS``."""
     law, loo = leave_one_out_pmfs(q, S)
     measured, bound, per, _ = _chi2_rows(law.masses[None], loo, len(S), q.arity)
+    if measured[0] > bound + INEQ_TOL:
+        raise RuntimeError(CHI2_EXCESS.format(float(measured[0]), bound))
     return StabilityReport(measured=float(measured[0]), bound=bound,
                            per_index=tuple(per[0].tolist()), law=law)
 
@@ -138,17 +141,11 @@ def _chi2_rows(full: np.ndarray, loo: np.ndarray, n: int, w: int
     """From I instances' (I, |Y|) laws on S_k and (I n, |Y|) leave-one-out
     laws: the (I,) averages over i of chi2(law on S_k || law on S_k minus
     point i), their shared closed-form bound, the (I, n) per-index
-    divergences and the laws. An average above the bound raises
-    RuntimeError, naming the first such one."""
+    divergences and the laws. The caller judges the averages against the
+    bound."""
     count, ysize = full.shape
     per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
-    measured = per.mean(axis=1)
-    bound = chi2_stability_bound(n, w, ysize)
-    over = np.flatnonzero(measured > bound + INEQ_TOL)
-    if over.size:
-        raise RuntimeError(f"leave-one-out chi2 {float(measured[over[0]])} "
-                           f"exceeds closed form {bound}")
-    return measured, bound, per, full
+    return per.mean(axis=1), chi2_stability_bound(n, w, ysize), per, full
 
 
 def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
@@ -169,7 +166,7 @@ def alkl_bound_general(eps: float, ysize: int) -> float:
     stability with uniform smoothing: eps * (3 + 2 ln(|Y|/eps))."""
     if not 0 < eps < math.inf:  # NaN too
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if ysize < 1:
+    if not ysize >= 1:  # NaN too
         raise ValueError(f"need |Y| >= 1, got {ysize}")
     return eps * (3.0 + 2.0 * math.log(ysize / eps))
 
@@ -179,7 +176,7 @@ def alkl_bound_uniform(eps: float, w: int, n: int, p: float) -> float:
     eps * (1 + ln(1 + w/(n p)))."""
     if not (0 < eps < math.inf and 0 < p < math.inf):  # NaN too
         raise ValueError(f"need finite eps, p > 0, got eps={eps}, p={p}")
-    if n < 1 or w < 1:
+    if not (n >= 1 and w >= 1):  # NaN too
         raise ValueError(f"need n >= 1 and w >= 1, got n={n}, w={w}")
     return eps * (1.0 + math.log(1.0 + w / (n * p)))
 
@@ -196,7 +193,7 @@ def verify_variance_contraction(f, n: int, w: int) -> tuple[float, float]:
     """
     _check_contraction(1, n, w)
     f = f.__getitem__ if isinstance(f, Mapping) else f
-    vals = [float(f(c)) for c in itertools.combinations(range(n), w)]
+    vals = [float(f(tuple(c))) for pos in position_blocks(n, w) for c in pos.tolist()]
     lhs, rhs = variance_contraction_rows([vals], n, w)
     return float(lhs[0]), float(rhs[0])
 
@@ -519,8 +516,8 @@ def random_subset_rows(seed: int, block: int, linear: bool = False
                               np.cumsum(sizes)[:-1])
     alpha, starts = gen.uniform(-1.0, 1.0, size=n.sum()), np.cumsum(n) - n
     vals: list = [None] * SUITE_BLOCK
-    for nk, wk in set(zip(n.tolist(), w.tolist())):
-        group = np.flatnonzero((n == nk) & (w == wk))
+    for group in key_groups(n, w):
+        nk, wk = int(n[group[0]]), int(w[group[0]])
         weights = alpha[starts[group, None] + np.arange(nk)]
         pos = np.concatenate(list(position_blocks(nk, wk)))
         total = weights[:, pos[:, 0]]
@@ -529,6 +526,15 @@ def random_subset_rows(seed: int, block: int, linear: bool = False
         for k, row in zip(group.tolist(), total):
             vals[k] = row
     return n, w, vals
+
+
+def key_groups(*keys: np.ndarray) -> list[np.ndarray]:
+    """The ascending indices of each distinct key across the equal-length
+    arrays ``keys``, one group per distinct key, in key order."""
+    order = np.lexsort(keys[::-1])  # stable: ascending indices within a key
+    ranked = np.stack(keys)[:, order]
+    starts = np.flatnonzero((ranked[:, 1:] != ranked[:, :-1]).any(axis=0)) + 1
+    return np.split(order, starts)
 
 
 def _check_ranges(n_range: tuple[int, int], w_range: tuple[int, int]) -> None:

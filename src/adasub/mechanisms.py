@@ -98,7 +98,7 @@ def cost_uniform(n: int, w: int, ysize: int, p: float) -> float:
 
 def cost_hp(n: int, ysize: int, p: float, delta: float) -> float:
     """High-probability per-query charge (arity fixed to 1)."""
-    if n < 1 or ysize < 1:
+    if not (n >= 1 and ysize >= 1):  # NaN too
         raise ValueError("need n >= 1 and |Y| >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -116,7 +116,7 @@ def _uniform_branch(n: int, a: float, p: float) -> float:
 def _check_cost_args(n: int, w: int, ysize: int) -> None:
     if not 1 <= w < n:
         raise ValueError(f"need 1 <= w < n, got w={w}, n={n}")
-    if ysize < 1:
+    if not ysize >= 1:  # NaN too
         raise ValueError("range size must be at least 1")
 
 
@@ -183,7 +183,7 @@ def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
     constant 1; runs below it carry no accuracy claim. The constants are
     validated by the acceptance suite.
     """
-    if n < 1 or T < 1:
+    if not (n >= 1 and T >= 1):  # NaN too
         raise ValueError("need n >= 1 and T >= 1")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
@@ -229,8 +229,9 @@ class SqSession:
                  ledger: Optional[BudgetLedger] = None):
         if not 0.0 <= epsilon < 0.5:
             raise ValueError("epsilon must satisfy 0 <= eps < 1/2")
-        if k < 1:
-            raise ValueError("votes per query must be at least 1")
+        if not 1 <= k <= SQ_MAX_VOTES:  # gen.binomial takes no more
+            raise ValueError(f"votes per query must lie in 1..{SQ_MAX_VOTES} "
+                             f"(SQ_MAX_VOTES), got {k}")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         self.dataset = dataset

@@ -600,8 +600,12 @@ class TestRunCommand:
             (tmp_path / "b.csv.summary.json").read_bytes()
 
 
-def _raise_no_law(rows, group):
-    raise RuntimeError("no law")
+def _over_the_bound(real):
+    """``table_chi2_rows`` with every average 1 over its bound."""
+    def rows(block, group):
+        measured, bound, per, laws = real(block, group)
+        return np.full(measured.shape, bound + 1.0), bound, per, laws
+    return rows
 
 
 def reference_csv(report, path):
@@ -758,9 +762,9 @@ class TestVerifyCommand:
         assert res.passed and res.instances == 25
 
     @pytest.mark.parametrize("suite,attr,fake,needle", [
-        ("chi2-stability", "table_chi2_rows",
-         lambda real: _raise_no_law,
-         r"instance \d+: no law; query=randmap\(.*\) tag=None dataset=\[.*\]"),
+        ("chi2-stability", "table_chi2_rows", _over_the_bound,
+         r"instance \d+: leave-one-out chi2 [\d.e+-]+ exceeds closed form [\d.e+-]+; "
+         r"query=randmap\(.*\) tag=None dataset=\[.*\]"),
         ("chi2-stability", "chi2_stability_bound",
          lambda real: lambda n, w, y: real(n, w, y) + 1.0,
          r"instance \d+: w=1 equality off by 1\.0+e\+00; query=randmap\(w=1,"
@@ -773,7 +777,7 @@ class TestVerifyCommand:
         ("exceeds-mean", "sample_exceeds_mean_exact",
          lambda real: lambda values, n: 0.0,
          r"(two-value|exact) probe: 0\.0 < 0\.0357"),
-    ], ids=["chi2-raises", "chi2-w1-equality", "var-contraction", "mc-probe",
+    ], ids=["chi2-over-bound", "chi2-w1-equality", "var-contraction", "mc-probe",
             "exact-probes"])
     def test_forced_failures_exit_3_with_the_instance(self, monkeypatch, capsys,
                                                       suite, attr, fake, needle):
@@ -786,10 +790,12 @@ class TestVerifyCommand:
         assert found and len(found) == len(lines) - 1
         if attr == "sample_exceeds_mean_exact":
             assert len(found) == 2
+        if attr == "table_chi2_rows":  # every instance once, arity 1 too
+            assert len(found) == 20
 
-    def test_a_raising_group_names_only_the_instance_that_raises(self, monkeypatch):
-        # instance 10 shares its shape with 5 others among 60; its group is
-        # measured again one instance at a time
+    def test_a_row_over_the_bound_names_only_its_instance(self, monkeypatch):
+        # instance 10 shares its shape with 5 others among 60, and only its
+        # row of the group's one rows call is over the bound
         block = dv.random_query_block(1, 0)
         drawn = [block.instance(k) for k in range(60)]
 
@@ -798,19 +804,53 @@ class TestVerifyCommand:
 
         bad = drawn[10][1].array.tolist()
         assert sum(shape(*inst) == shape(*drawn[10]) for inst in drawn) == 6
+        bound = dv.chi2_stability_bound(*shape(*drawn[10]))
         real = dv.table_chi2_rows
 
         def rows(block, group):
-            if any(block.instance(j)[1].array.tolist() == bad for j in group):
-                raise RuntimeError("no law")
-            return real(block, group)
+            measured, closed, per, laws = real(block, group)
+            hit = [block.instance(j)[1].array.tolist() == bad for j in group]
+            return np.where(hit, closed + 1.0, measured), closed, per, laws
 
         monkeypatch.setattr(dv, "table_chi2_rows", rows)
         res = run_suite("chi2-stability", trials=60, seed=1)
         assert res.failures == [
-            f"instance {i}: no law; {cli._describe_instance(q, S)}"
+            f"instance {i}: leave-one-out chi2 {bound + 1.0} exceeds closed form "
+            f"{bound}; {cli._describe_instance(q, S)}"
             for i, (q, S) in enumerate(drawn) if S.array.tolist() == bad]
         assert res.failures[0].startswith("instance 10: ")
+
+    def test_max_excess_counts_the_failing_rows(self, monkeypatch, capsys):
+        # the bound of (n, w, |Y|) = (8, 3, 4) scaled by 0.3 puts some of
+        # those instances over it: each is named once, and max_excess is the
+        # largest of their excesses
+        block = dv.random_query_block(1, 0)
+        shaped = [(j, dv.measure_leave_one_out_chi2(*block.instance(j)))
+                  for j in range(1000)
+                  if (block.n[j], block.w[j], block.ysize[j]) == (8, 3, 4)]
+        over = [(j, r.measured - r.bound * 0.3) for j, r in shaped
+                if r.measured > r.bound * 0.3 + dv.INEQ_TOL]
+        assert 1 < len(over) < len(shaped)
+        real = dv.chi2_stability_bound
+        monkeypatch.setattr(dv, "chi2_stability_bound", lambda n, w, y: real(n, w, y) * (
+            0.3 if (n, w, y) == (8, 3, 4) else 1.0))
+        res = run_suite("chi2-stability", seed=1)
+        assert [int(f.split(":")[0].split()[1]) for f in res.failures] == \
+            [j for j, _ in over]
+        assert res.stats["max_excess"] == max(excess for _, excess in over)
+        assert main(["verify", "chi2-stability"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert f"max_excess={format_number(res.stats['max_excess'])}" in lines[0]
+        assert len(lines) == 1 + len(over)
+
+    def test_a_suite_that_raises_exits_3_with_one_line(self, monkeypatch, capsys):
+        def broken(vals, n, w):
+            raise FloatingPointError("no sides")
+
+        monkeypatch.setattr(dv, "variance_contraction_rows", broken)
+        assert main(["verify", "all", "--trials", "20"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "verify failure: FloatingPointError: no sides\n"
 
 
 # The first three counterexamples at seed 20260803 as the block-drawn suites

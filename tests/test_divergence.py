@@ -525,22 +525,26 @@ class TestShapeBlocks:
         with pytest.raises(ValueError, match="need at least one instance"):
             dv.table_chi2_rows(rows, [])
 
-    def test_chi2_rows_raise_on_the_first_row_past_the_bound(self, monkeypatch):
+    def test_chi2_rows_return_rows_past_the_bound(self, monkeypatch):
         rows = dv.random_query_block(5, 0)
         shapes = list(zip(rows.n.tolist(), rows.w.tolist(), rows.ysize.tolist()))
         group = [j for j, s in enumerate(shapes) if s == shapes[0]]
         measured, bound, _, _ = dv.table_chi2_rows(rows, group)
         assert len(group) > 1 and len(set(measured.tolist())) > 1
-        # a bound just under the second-largest average fails two rows
+        # a bound just under the second-largest average puts at least two rows
+        # over it: the rows call returns them for its caller to judge, and
+        # the one-instance call raises on each
         low = sorted(measured.tolist())[-2]
         monkeypatch.setattr(dv, "chi2_stability_bound",
                             lambda n, w, y: low - 2 * dv.INEQ_TOL)
-        first = min(np.flatnonzero(measured >= low))
-        named = f"leave-one-out chi2 {float(measured[first])} exceeds closed form"
-        with pytest.raises(RuntimeError, match=named):
-            dv.table_chi2_rows(rows, group)
-        with pytest.raises(RuntimeError, match=named):  # the one-instance call
-            measure_leave_one_out_chi2(*rows.instance(group[first]))
+        again, bound, _, _ = dv.table_chi2_rows(rows, group)
+        assert np.array_equal(again, measured) and bound == low - 2 * dv.INEQ_TOL
+        over = np.flatnonzero(again > bound + dv.INEQ_TOL)
+        assert 1 < len(over) < len(group)
+        for k in over:
+            named = dv.CHI2_EXCESS.format(float(measured[k]), bound)
+            with pytest.raises(RuntimeError, match=f"^{re.escape(named)}$"):
+                measure_leave_one_out_chi2(*rows.instance(group[k]))
 
     def test_rows_forms_check_the_cap_on_every_row(self, monkeypatch):
         # 2 instances: 2 * C(n,w) * |Y| chi2 rows, and 2 * 10 * C(10,2) = 900
@@ -854,13 +858,17 @@ class TestSuiteRows:
     @pytest.mark.parametrize("suite", ["chi2-stability", "var-contraction",
                                        "var-contraction-linear-equality"])
     def test_instances_do_not_depend_on_the_trial_count(self, monkeypatch, suite):
-        # every instance fails and writes itself out whole: the chi2 fake
-        # raises with the query's table, and the variance fake's lhs is 100
-        # plus the sum of the values it is handed
-        def raise_table(rows, group):
-            raise RuntimeError(f"table={_table(rows.instance(group[0])[0])}")
+        # every instance fails and writes itself out whole: the chi2 fake's
+        # average is 100 plus the sum of the query's table cells, and the
+        # variance fake's lhs is 100 plus the sum of the values it is handed
+        chi2_rows = dv.table_chi2_rows
 
-        monkeypatch.setattr(dv, "table_chi2_rows", raise_table)
+        def table_sums(rows, group):
+            _, bound, per, laws = chi2_rows(rows, group)
+            measured = [100.0 + sum(_table(rows.instance(j)[0])) for j in group]
+            return np.array(measured), bound, per, laws
+
+        monkeypatch.setattr(dv, "table_chi2_rows", table_sums)
         monkeypatch.setattr(dv, "variance_contraction_rows", lambda vals, n, w: (
             100.0 + vals.sum(axis=1), np.zeros(len(vals))))
         full = run_suite(suite, trials=SUITE_BLOCK + 1, seed=13).failures
@@ -872,8 +880,10 @@ class TestSuiteRows:
             block, j = divmod(i, SUITE_BLOCK)
             if suite == "chi2-stability":
                 q, S = dv.random_query_block(13, block).instance(j)
-                assert full[i] == (f"instance {i}: table={_table(q)}; query={q.name} "
-                                   f"tag=None dataset={list(S)!r}")
+                bound = chi2_stability_bound(len(S), q.arity, len(q.outputs))
+                assert full[i] == (f"instance {i}: leave-one-out chi2 "
+                                   f"{100.0 + sum(_table(q))} exceeds closed form "
+                                   f"{bound}; query={q.name} tag=None dataset={list(S)!r}")
                 continue
             ns, ws, vals = random_subset_rows(13, block, suite.endswith("equality"))
             n, w = int(ns[j]), int(ws[j])

@@ -182,12 +182,12 @@ def test_every_function_has_a_library_caller():
 
 
 def test_position_blocks_is_the_one_enumerator():
-    """In core and engine, every exact walk goes through
+    """In core, engine and divergence, every exact walk goes through
     ``core.position_blocks``: nothing else names ``itertools.combinations``
     or ``itertools.product``."""
     walkers = {"combinations", "product"}
     found, stray = 0, []
-    for name in ("core", "engine"):
+    for name in ("core", "engine", "divergence"):
         tree = ast.parse((SRC / f"{name}.py").read_text())
         inside = {id(node) for fn in ast.walk(tree)
                   if isinstance(fn, ast.FunctionDef) and fn.name == "position_blocks"

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasub.core import Dataset, Query, TestQuery
+from adasub.divergence import alkl_bound_general, alkl_bound_uniform, chi2_stability_bound
 from adasub.engine import RandomSource, ResponsePMF, exact_response_pmf
 from adasub.harness import ShiftingMeanAnalyst, population_generators
 from adasub.mechanisms import (
+    SQ_MAX_VOTES,
     BudgetExhausted,
     BudgetLedger,
     MedianSession,
@@ -190,6 +192,25 @@ class TestCosts:
             cost_hp(10, 2, p, 0.1)
 
 
+@pytest.mark.parametrize("fn, args, words", [
+    (chi2_stability_bound, (5, 1, math.nan), "range size must be at least 1"),
+    (alkl_bound_general, (0.1, math.nan), r"need \|Y\| >= 1"),
+    (alkl_bound_uniform, (0.1, 1, math.nan, 0.1), "need n >= 1 and w >= 1"),
+    (alkl_bound_uniform, (0.1, math.nan, 10, 0.1), "need n >= 1 and w >= 1"),
+    (cost_basic, (5, 1, math.nan), "range size must be at least 1"),
+    (cost_uniform, (5, 1, math.nan, 0.1), "range size must be at least 1"),
+    (cost_hp, (math.nan, 2, 0.1, 0.1), r"need n >= 1 and \|Y\| >= 1"),
+    (cost_hp, (10, math.nan, 0.1, 0.1), r"need n >= 1 and \|Y\| >= 1"),
+    (sq_params, (math.nan, 10, 0.1, 0.1), "need n >= 1 and T >= 1"),
+    (sq_params, (100, math.nan, 0.1, 0.1), "need n >= 1 and T >= 1"),
+], ids=["chi2-ysize", "alkl-general-ysize", "alkl-uniform-n", "alkl-uniform-w",
+        "basic-ysize", "uniform-ysize", "hp-n", "hp-ysize", "sq-params-n", "sq-params-T"])
+def test_closed_forms_refuse_a_nan_size(fn, args, words):
+    # x < 1 is False for NaN, which would carry on to a NaN bound or cost
+    with pytest.raises(ValueError, match=words):
+        fn(*args)
+
+
 class TestMiUpperBound:
     def test_empty(self):
         assert mi_upper_bound(50, BudgetLedger().total) == 0.0
@@ -305,6 +326,12 @@ class TestSqParams:
 
 
 class TestSqSession:
+    def test_votes_past_the_binomial_ceiling_are_refused(self):
+        SqSession(Dataset([0, 1, 1, 0]), 0.1, SQ_MAX_VOTES, RandomSource(1), 0.2)
+        with pytest.raises(ValueError, match=rf"1\.\.{SQ_MAX_VOTES} \(SQ_MAX_VOTES\), "
+                                             rf"got {SQ_MAX_VOTES + 1}$"):
+            SqSession(Dataset([0, 1, 1, 0]), 0.1, SQ_MAX_VOTES + 1, RandomSource(1), 0.2)
+
     def test_constant_zero_answers_zero(self):
         s = SqSession(Dataset([0, 1, 1]), 0.0, 25, RandomSource(1), 0.1)
         assert s.answer(const(0.0)) == 0.0
