@@ -124,6 +124,8 @@ def mi_upper_bound(n: int, total_cost: float) -> float:
     """n times a total charged cost: an upper bound on the mutual
     information between the sample and the responses charged for it (pass
     the per-trial mean total for the expectation form)."""
+    if not n >= 1:
+        raise ValueError(f"need n >= 1, got n={n!r}")
     return n * total_cost
 
 
@@ -209,8 +211,8 @@ def sq_params(n: int, T: int, tau: float, delta: float) -> SqParams:
 def sq_vote_budget(n: int, T: int) -> int:
     """Per-query vote count that keeps the mechanism's total draws within
     the n*sqrt(T) sample budget: floor(n/sqrt(T)), at least 1."""
-    if n < 1 or T < 1:
-        raise ValueError("need n >= 1 and T >= 1")
+    if not (n >= 1 and T >= 1):
+        raise ValueError(f"need n >= 1 and T >= 1, got n={n!r}, T={T!r}")
     return max(1, int(n / math.sqrt(T)))
 
 
@@ -278,6 +280,8 @@ def approximate_median_check(dist, y: float, threshold: float = 0.4) -> bool:
 def search_rounds(r: int) -> int:
     """Probes of a binary search over an ordered range of r values:
     ceil(log2 r) for r > 1, and 0 for a single value."""
+    if not r >= 1:
+        raise ValueError(f"need range size r >= 1, got r={r!r}")
     return math.ceil(math.log2(r)) if r > 1 else 0
 
 
@@ -299,12 +303,13 @@ def median_params(T: int, w_list, r_sizes, delta: float, *,
     demand far larger k; c_m = 8 is the desk-scale default validated by
     the acceptance suite.
     """
+    if not T >= 1 or len(w_list) != T or len(r_sizes) != T:
+        raise ValueError("need T >= 1 and per-query arity/range-size lists of length T")
+    for key, sizes in (("w_list", w_list), ("r_sizes", r_sizes)):
+        if not all(v >= 1 for v in sizes):  # before int(), which fails on NaN
+            raise ValueError(f"every entry of {key} must be at least 1, got {sizes!r}")
     w_list = [int(w) for w in w_list]
     r_sizes = [int(r) for r in r_sizes]
-    if T < 1 or len(w_list) != T or len(r_sizes) != T:
-        raise ValueError("need T >= 1 and per-query arity/range-size lists of length T")
-    if min(w_list) < 1 or min(r_sizes) < 1:
-        raise ValueError("arities and range sizes must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < c_m < math.inf:

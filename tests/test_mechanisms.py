@@ -203,8 +203,17 @@ class TestCosts:
     (cost_hp, (10, math.nan, 0.1, 0.1), r"need n >= 1 and \|Y\| >= 1"),
     (sq_params, (math.nan, 10, 0.1, 0.1), "need n >= 1 and T >= 1"),
     (sq_params, (100, math.nan, 0.1, 0.1), "need n >= 1 and T >= 1"),
+    (search_rounds, (math.nan,), "need range size r >= 1"),
+    (mi_upper_bound, (math.nan, 1.0), "need n >= 1"),
+    (sq_vote_budget, (math.nan, 10), "need n >= 1 and T >= 1"),
+    (sq_vote_budget, (100, math.nan), "need n >= 1 and T >= 1"),
+    (median_params, (math.nan, [1, 1], [4, 4], 0.1), "need T >= 1"),
+    (median_params, (2, [1, math.nan], [4, 4], 0.1), "every entry of w_list"),
+    (median_params, (2, [1, 1], [math.nan, 4], 0.1), "every entry of r_sizes"),
 ], ids=["chi2-ysize", "alkl-general-ysize", "alkl-uniform-n", "alkl-uniform-w",
-        "basic-ysize", "uniform-ysize", "hp-n", "hp-ysize", "sq-params-n", "sq-params-T"])
+        "basic-ysize", "uniform-ysize", "hp-n", "hp-ysize", "sq-params-n", "sq-params-T",
+        "search-rounds-r", "mi-n", "vote-budget-n", "vote-budget-T", "median-T",
+        "median-w", "median-r"])
 def test_closed_forms_refuse_a_nan_size(fn, args, words):
     # x < 1 is False for NaN, which would carry on to a NaN bound or cost
     with pytest.raises(ValueError, match=words):
@@ -539,6 +548,12 @@ class TestSearchRounds:
         assert search_rounds(2) == 1
         assert search_rounds(5) == 3
         assert search_rounds(1024) == 10
+
+    @pytest.mark.parametrize("r", [0, -3])
+    def test_an_empty_or_negative_range_is_refused(self, r):
+        # ceil(log2 r) is only asked for r > 1, so these used to read 0 rounds
+        with pytest.raises(ValueError, match="need range size r >= 1"):
+            search_rounds(r)
 
     def test_median_charges_all_rounds_when_search_stops_early(self, monkeypatch):
         # on a 5-value range a low answer reads 2 probes; 3 are drawn and charged
