@@ -53,6 +53,7 @@ WITHIN_TOL = 1e-12
 MEDIAN_CHECK_THRESHOLD = 0.4
 
 CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one byte an entry
+CUBE_DRAW_WORDS = 4096  # raw 64-bit words a cube draw takes and unpacks at a time
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
 GRID_MAX_POINTS = 1 << 16  # discretized_gaussian points ceiling
@@ -361,9 +362,11 @@ class CubePopulation(Population):
 
     A drawn sample is stored column-major (an F-contiguous (n, d) int8
     array), since the queries against it scan one coordinate at a time.
-    Entry (i, j) is the top bit of byte j*n + i of the stream's raw 64-bit
-    words (low byte first) mapped to ±1: the bytes of the stream's uint32
-    words, and the bits ``integers(0, 2, (d, n), int8)`` reads.
+    Entry (i, j) is bit (j*n + i) mod 64 of the stream's raw 64-bit word
+    (j*n + i) // 64, low bit first, a set bit reading +1 and a clear bit -1:
+    the draw takes ceil(n*d/64) words. It takes and unpacks them
+    ``CUBE_DRAW_WORDS`` at a time, so it holds the sample's n*d bytes and one
+    chunk's words and bits.
     """
 
     def __init__(self, d: int):
@@ -373,14 +376,18 @@ class CubePopulation(Population):
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> Dataset:
-        # mapped in place on the words' own bytes: the draw holds n x d bytes.
-        # The raw 64-bit words, low byte first, are the bytes of the uint32
-        # words (low half first) that integers(0, 2**32, uint32) would give.
-        words = rng.generator.bit_generator.random_raw(-(-n * self.d // 8))
-        cols = words.astype("<u8", copy=False).view(np.int8)[:n * self.d]
-        cols >>= 7  # the top bit: 1 reads -1, 0 reads 0
-        np.invert(cols, out=cols)
-        cols |= 1  # 1 becomes +1, 0 becomes -1
+        bitgen = rng.generator.bit_generator
+        cols = np.empty(n * self.d, dtype=np.int8)
+        step = 64 * CUBE_DRAW_WORDS
+        for start in range(0, cols.size, step):
+            part = cols[start:start + step]
+            words = bitgen.random_raw(-(-len(part) // 64)).astype("<u8", copy=False)
+            part[...] = np.unpackbits(words.view(np.uint8), count=len(part),
+                                      bitorder="little").view(np.int8)
+        # one pass over the whole sample at the end, not one per chunk: the
+        # answers that follow read its columns faster
+        cols += cols
+        cols -= 1  # a set bit reads 2 - 1 = +1, a clear bit 0 - 1 = -1
         return Dataset.adopt(cols.reshape(self.d, n).T)
 
     def truth(self, q: TestQuery) -> float:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adasub import harness
 from adasub.core import Dataset, TestQuery
 from adasub.engine import RandomSource, population_response_pmf
 from adasub.harness import (
@@ -57,21 +58,27 @@ class TestPopulations:
         assert np.all(np.abs(means - 0.5) <= 4 * 0.5 / math.sqrt(4000))
         assert pop.truth(coordinate_indicator(1)) == 0.5
 
-    @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2), (1, 1)])
-    def test_cube_draw_reads_columns_from_the_stream_words(self, n, d):
-        # entry (i, j) is the top bit of byte j*n + i of the child stream's
-        # uint32 words, low byte first: n x d not a multiple of 4 cuts the
+    @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2), (1, 1),
+                                     (50, 3), (32, 4)])
+    def test_cube_draw_reads_columns_from_the_stream_words(self, n, d, monkeypatch):
+        # entry (i, j) is bit (j*n + i) mod 64 of raw word (j*n + i) // 64,
+        # low bit first, set reading +1: n x d not a multiple of 64 cuts the
         # last word short
-        S = CubePopulation(d).draw(n, RandomSource(5).child(0))
-        words = RandomSource(5).child(0).generator.integers(
-            0, 2 ** 32, size=-(-n * d // 4), dtype=np.uint32).tolist()
-        want = [[1 if words[b // 4] >> (8 * (b % 4) + 7) & 1 else -1
+        source = RandomSource(5).child(0)
+        S = CubePopulation(d).draw(n, source)
+        used = -(-n * d // 64)
+        words = RandomSource(5).child(0).generator.bit_generator.random_raw(
+            used + 1).tolist()
+        want = [[1 if words[b // 64] >> (b % 64) & 1 else -1
                  for b in range(i, n * d, n)] for i in range(n)]
         assert S.array.tolist() == want
-        # the bits that integers(0, 2, int8) reads, one column per row
-        bits = RandomSource(5).child(0).generator.integers(
-            0, 2, size=(d, n), dtype=np.int8)
-        assert np.array_equal(S.array, bits.T * 2 - 1)
+        # the draw took exactly ceil(n x d / 64) words of the stream
+        assert source.generator.bit_generator.random_raw(1).tolist() == [words[used]]
+        # chunks of 1 or 2 words read the same bits
+        for chunk in (1, 2):
+            monkeypatch.setattr(harness, "CUBE_DRAW_WORDS", chunk)
+            again = CubePopulation(d).draw(n, RandomSource(5).child(0))
+            assert np.array_equal(again.array, S.array)
 
     def test_cube_coordinates_and_pairs_are_uniform(self):
         # within 4 standard errors: each coordinate's +1 frequency, and the
@@ -87,6 +94,28 @@ class TestPopulations:
             assert np.all(np.abs(cells - 0.25)
                           <= 4 * math.sqrt(0.25 * 0.75 / len(u))), cells
 
+    def test_cube_bytes_and_word_boundaries_are_uniform(self, monkeypatch):
+        # entries that share a byte or a word, or sit on either side of a
+        # word or a chunk boundary, are independent: within 4 standard errors
+        # over one draw, each of the 256 patterns of 8 consecutive entries in
+        # a column, on a byte and astride two, and the four sign cells of
+        # the pairs across each word boundary and each 2-word chunk boundary
+        monkeypatch.setattr(harness, "CUBE_DRAW_WORDS", 2)
+        n, d = 1 << 18, 8
+        x = CubePopulation(d).draw(n, RandomSource(22)).array == 1
+        place = 1 << np.arange(8)
+        for offset in (0, 4):
+            octets = x[offset:n - 8 + offset].T.reshape(-1, 8)
+            freq = np.bincount(octets @ place, minlength=256) / len(octets)
+            assert np.all(np.abs(freq - 1 / 256)
+                          <= 4 * math.sqrt((1 / 256) * (255 / 256) / len(octets))), offset
+        flat = x.T.ravel()  # the stream's order
+        last = np.arange(64, n * d, 64) - 1
+        for ends in (last[::2], last[1::2]):  # inside a chunk, then between chunks
+            cells = np.bincount(2 * flat[ends] + flat[ends + 1], minlength=4) / len(ends)
+            assert np.all(np.abs(cells - 0.25)
+                          <= 4 * math.sqrt(0.25 * 0.75 / len(ends))), cells
+
     def test_cube_sample_is_column_major_and_read_only(self):
         arr = CubePopulation(6).draw(9, RandomSource(2)).array
         assert arr.shape == (9, 6) and arr.dtype == np.int8
@@ -95,16 +124,23 @@ class TestPopulations:
             arr[0, 0] = 1
 
     def test_cube_draw_holds_the_sample_and_two_blocks(self):
+        # the sample's own bytes, one chunk's words (8 bytes each) and bits
+        # (64 bytes each), and a few objects; twice the sample adds nothing
         import tracemalloc
-        n, d = 4000, 1000
+        d = 1000
+        chunk = harness.CUBE_DRAW_WORDS * (8 + 64)
         CubePopulation(3).draw(5, RandomSource(0))  # one-time set-up, untraced
-        tracemalloc.start()
-        try:
-            CubePopulation(d).draw(n, RandomSource(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= n * d + 8192  # the sample's own bytes and a few objects
+        excess = []
+        for n in (4000, 8000):
+            tracemalloc.start()
+            try:
+                CubePopulation(d).draw(n, RandomSource(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= n * d + chunk + 8192
+            excess.append(peak - n * d)
+        assert excess[1] <= excess[0], excess
 
     def test_sign_sum_batch_ignores_memory_order(self):
         gen = RandomSource(4).generator
