@@ -76,7 +76,7 @@ class Dataset:
 
     def __init__(self, elements):
         if isinstance(elements, Dataset):
-            elements = elements._array
+            elements = elements.array
         self._own(np.array(elements))  # a copy: the caller keeps its array
 
     @classmethod
@@ -99,10 +99,10 @@ class Dataset:
         return self._array
 
     def __len__(self) -> int:
-        return self._array.shape[0]
+        return self.array.shape[0]
 
     def __getitem__(self, i: int):
-        return _as_element(self._array[i])
+        return _as_element(self.array[i])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -111,16 +111,26 @@ class Dataset:
         """The sample with position i removed (size n-1)."""
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return Dataset.adopt(np.delete(self._array, i, axis=0))
+        return Dataset.adopt(np.delete(self.array, i, axis=0))
 
     def subsamples(self, positions: np.ndarray) -> list[tuple]:
         """One element tuple per row of an (m, w) position array, each
         element exactly as ``self[i]`` gives it (a Python scalar, or a tuple
         for vector elements)."""
-        rows = self._array[positions].tolist()
-        if self._array.ndim == 1:
+        rows = self.array[positions].tolist()
+        if self.array.ndim == 1:
             return [tuple(row) for row in rows]
         return [tuple(map(tuple, row)) for row in rows]
+
+    def batch_values(self, test: "TestQuery") -> np.ndarray:
+        """An arity-1 test's batch on every element: the batch on ``array``."""
+        return test.batch(self.array)
+
+    def tally(self, test: "TestQuery") -> "int | np.ndarray":
+        """An arity-1 test's count of ones when its values are bools, else its
+        float values (``values_on``)."""
+        vals = test.values_on(self)
+        return int(np.count_nonzero(vals)) if vals.dtype == bool else vals
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)})"
@@ -324,7 +334,7 @@ class TestQuery:
         if self.arity != 1:
             raise ValueError("per-element values require arity 1")
         if self.batch is not None:
-            vals = np.asarray(self.batch(dataset.array))
+            vals = np.asarray(dataset.batch_values(self))
         else:
             vals = np.array([float(self.evaluator(x)) for x in dataset], dtype=float)
         if vals.shape != (len(dataset),):
@@ -392,7 +402,8 @@ def query_expectation_on_sample(q, S: Dataset) -> float:
     if w > n:
         raise ValueError(f"query arity {w} exceeds sample size {n}")
     if w == 1 and isinstance(q, TestQuery):
-        return float(q.values_on(S).mean())
+        ones = S.tally(q)
+        return ones / n if isinstance(ones, int) else float(ones.mean())
     check_enumeration(math.comb(n, w), f"C({n},{w})")
     total = 0.0
     for pos in position_blocks(n, w):

@@ -52,8 +52,7 @@ WITHIN_TOL = 1e-12
 
 MEDIAN_CHECK_THRESHOLD = 0.4
 
-CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one byte an entry
-CUBE_DRAW_WORDS = 4096  # raw 64-bit words a cube draw takes and unpacks at a time
+CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one bit an entry
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
 GRID_MAX_POINTS = 1 << 16  # discretized_gaussian points ceiling
@@ -353,20 +352,71 @@ def _prob_sign_sum_positive(d: int) -> float:
     return (2 ** d - math.comb(d, half)) / 2 ** (d + 1)
 
 
+class CubeSample(Dataset):
+    """A ±1 cube sample kept as the raw 64-bit words it was drawn from: entry
+    (i, j) is bit (j*n + i) mod 64 of word (j*n + i) // 64, low bit first, a
+    set bit reading +1. Its three query kinds read the words; ``array``, the
+    (n, d) int8 ±1 array, is built only when asked for."""
+
+    __slots__ = ("_words", "_n", "_d")
+
+    def __init__(self, words: np.ndarray, n: int, d: int):
+        words.setflags(write=False)
+        self._words, self._n, self._d, self._array = words, n, d, None
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            bits = np.unpackbits(self._words.view(np.uint8), count=self._n * self._d,
+                                 bitorder="little").view(np.int8)
+            self._own((2 * bits - 1).reshape(self._d, self._n).T)
+        return self._array
+
+    def __len__(self) -> int:
+        return self._n
+
+    def batch_values(self, test: TestQuery) -> np.ndarray:
+        kind = test.tag[0] if test.tag else None
+        if kind == "constant":
+            return np.full(self._n, test.tag[1])
+        if kind != "sign_sum" or len(test.tag[1]) != self._d:
+            return super().batch_values(test)
+        # per element, the coordinates where bit ^ [s_j < 0] is set, that is
+        # where its entry has the sign s_j: summed exactly in uint8 over
+        # blocks of 16 columns, each unpacked on its own
+        n, bits = self._n, self._words.view(np.uint8)
+        flips = (np.asarray(test.tag[1]) < 0).view(np.uint8)[:, None]
+        agree = np.zeros(n, dtype=np.int32)
+        for j in range(0, self._d, 16):
+            lo, hi = j * n, min(j + 16, self._d) * n
+            block = np.unpackbits(bits[lo >> 3:(hi + 7) >> 3], bitorder="little")
+            block = block[lo & 7:(lo & 7) + hi - lo].reshape(-1, n)
+            block ^= flips[j:j + 16]
+            agree += block.sum(axis=0, dtype=np.uint8)
+        return 2 * agree > self._d
+
+    def tally(self, test: TestQuery) -> "int | np.ndarray":
+        j = test.tag[1] if test.tag and test.tag[0] == "coord" else -1
+        if not 0 <= j < self._d:
+            return super().tally(test)
+        # a popcount of the words that hold bits j*n .. j*n + n - 1, less the
+        # bits of the two end words outside them
+        lo, hi = j * self._n, (j + 1) * self._n
+        span = self._words[lo >> 6:(hi + 63) >> 6]
+        ones = int(np.bitwise_count(span).sum())
+        ones -= (int(span[0]) & ((1 << (lo & 63)) - 1)).bit_count()
+        return ones - (int(span[-1]) >> (hi & 63 or 64)).bit_count()
+
+
 class CubePopulation(Population):
     """Uniform ±1 vectors of dimension d, represented in product form.
 
     The explicit support has 2^d points, so only queries with closed-form
     truths are admitted: coordinate indicators, sign-of-sum tests, and
-    constants.
-
-    A drawn sample is stored column-major (an F-contiguous (n, d) int8
-    array), since the queries against it scan one coordinate at a time.
-    Entry (i, j) is bit (j*n + i) mod 64 of the stream's raw 64-bit word
-    (j*n + i) // 64, low bit first, a set bit reading +1 and a clear bit -1:
-    the draw takes ceil(n*d/64) words. It takes and unpacks them
-    ``CUBE_DRAW_WORDS`` at a time, so it holds the sample's n*d bytes and one
-    chunk's words and bits.
+    constants. A drawn sample is a ``CubeSample`` of ceil(n*d/64) raw words
+    of the stream, about n*d/8 bytes, in which each coordinate is a run of n
+    bits: a coordinate's count is a popcount over its run, and a sign-of-sum
+    test sums the runs 16 at a time.
     """
 
     def __init__(self, d: int):
@@ -375,20 +425,9 @@ class CubePopulation(Population):
         self.d = int(d)
         self.name = f"uniform_pm1_cube(d={d})"
 
-    def draw(self, n: int, rng: RandomSource) -> Dataset:
-        bitgen = rng.generator.bit_generator
-        cols = np.empty(n * self.d, dtype=np.int8)
-        step = 64 * CUBE_DRAW_WORDS
-        for start in range(0, cols.size, step):
-            part = cols[start:start + step]
-            words = bitgen.random_raw(-(-len(part) // 64)).astype("<u8", copy=False)
-            part[...] = np.unpackbits(words.view(np.uint8), count=len(part),
-                                      bitorder="little").view(np.int8)
-        # one pass over the whole sample at the end, not one per chunk: the
-        # answers that follow read its columns faster
-        cols += cols
-        cols -= 1  # a set bit reads 2 - 1 = +1, a clear bit 0 - 1 = -1
-        return Dataset.adopt(cols.reshape(self.d, n).T)
+    def draw(self, n: int, rng: RandomSource) -> CubeSample:
+        words = rng.generator.bit_generator.random_raw(-(-n * self.d // 64))
+        return CubeSample(words.astype("<u8", copy=False), n, self.d)
 
     def truth(self, q: TestQuery) -> float:
         kind = q.tag[0] if q.tag else None

@@ -257,9 +257,9 @@ class SqSession:
         if phi.arity != 1:
             raise ValueError("the SQ mechanism answers arity-1 queries")
         self.ledger.charge(self._cost)
-        values = phi.values_on(self.dataset)
-        if values.dtype == bool:  # the count/n is the float mean, exactly
-            self.sample_value = int(np.count_nonzero(values)) / len(values)
+        values = self.dataset.tally(phi)
+        if isinstance(values, int):  # a count of ones: count/n is the float mean, exactly
+            self.sample_value = values / len(self.dataset)
             p = self.epsilon + (1.0 - 2.0 * self.epsilon) * self.sample_value
         else:
             self.sample_value = float(values.mean())

@@ -1,13 +1,17 @@
 import math
+import re
 from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasub import harness
+from adasub.cli import main
 from adasub.core import Dataset, TestQuery
 from adasub.engine import RandomSource, population_response_pmf
 from adasub.harness import (
@@ -44,6 +48,15 @@ def sq_config(**over):
     return ExperimentConfig(**cfg)
 
 
+def _cube_decode(n, d):
+    """RandomSource(5).child(0)'s cube sample, decoded bit by bit from its
+    raw words in pure Python: n rows of d ±1 entries."""
+    words = RandomSource(5).child(0).generator.bit_generator.random_raw(
+        -(-n * d // 64)).tolist()
+    return [[1 if words[b // 64] >> (b % 64) & 1 else -1
+             for b in range(i, n * d, n)] for i in range(n)]
+
+
 class TestPopulations:
     def test_bernoulli_masses(self):
         pop = population_generators("bernoulli", {"p": 0.3})
@@ -59,26 +72,32 @@ class TestPopulations:
         assert pop.truth(coordinate_indicator(1)) == 0.5
 
     @pytest.mark.parametrize("n,d", [(3, 5), (7, 3), (13, 7), (5, 1), (8, 2), (1, 1),
-                                     (50, 3), (32, 4)])
-    def test_cube_draw_reads_columns_from_the_stream_words(self, n, d, monkeypatch):
+                                     (50, 3), (32, 4), (15001, 3), (9, 600),
+                                     (3, 2 ** 15 + 1)])
+    def test_cube_draw_reads_columns_from_the_stream_words(self, n, d):
         # entry (i, j) is bit (j*n + i) mod 64 of raw word (j*n + i) // 64,
         # low bit first, set reading +1: n x d not a multiple of 64 cuts the
-        # last word short
+        # last word short, and columns start and end mid-byte and mid-word
         source = RandomSource(5).child(0)
         S = CubePopulation(d).draw(n, source)
-        used = -(-n * d // 64)
-        words = RandomSource(5).child(0).generator.bit_generator.random_raw(
-            used + 1).tolist()
-        want = [[1 if words[b // 64] >> (b % 64) & 1 else -1
-                 for b in range(i, n * d, n)] for i in range(n)]
-        assert S.array.tolist() == want
+        rows = _cube_decode(n, d)
         # the draw took exactly ceil(n x d / 64) words of the stream
-        assert source.generator.bit_generator.random_raw(1).tolist() == [words[used]]
-        # chunks of 1 or 2 words read the same bits
-        for chunk in (1, 2):
-            monkeypatch.setattr(harness, "CUBE_DRAW_WORDS", chunk)
-            again = CubePopulation(d).draw(n, RandomSource(5).child(0))
-            assert np.array_equal(again.array, S.array)
+        fresh = RandomSource(5).child(0).generator.bit_generator
+        assert source.generator.bit_generator.random_raw(1).tolist() \
+            == fresh.random_raw(-(-n * d // 64) + 1)[-1:].tolist()
+        # the packed reads: d = 600 spans several sign-sum blocks, the last
+        # one short, and row 0's own signs agree on all d = 2**15 + 1
+        # coordinates, past int16
+        assert [S.tally(coordinate_indicator(j)) for j in range(d)] \
+            == [sum(row[j] == 1 for row in rows) for j in range(d)]
+        gen = RandomSource(d).generator
+        for signs in ([1] * d, [-1] * d, gen.choice([-1, 1], size=d).tolist(), rows[0]):
+            want = [sum(s * x for s, x in zip(signs, row)) > 0 for row in rows]
+            assert S.batch_values(sign_sum_test(signs)).tolist() == want
+            assert S.tally(sign_sum_test(signs)) == sum(want)
+        assert S.tally(constant_test(0.25)).tolist() == [0.25] * n
+        assert S._array is None  # no packed read built the int8 array
+        assert S.array.tolist() == rows
 
     def test_cube_coordinates_and_pairs_are_uniform(self):
         # within 4 standard errors: each coordinate's +1 frequency, and the
@@ -94,13 +113,12 @@ class TestPopulations:
             assert np.all(np.abs(cells - 0.25)
                           <= 4 * math.sqrt(0.25 * 0.75 / len(u))), cells
 
-    def test_cube_bytes_and_word_boundaries_are_uniform(self, monkeypatch):
+    def test_cube_bytes_and_word_boundaries_are_uniform(self):
         # entries that share a byte or a word, or sit on either side of a
-        # word or a chunk boundary, are independent: within 4 standard errors
-        # over one draw, each of the 256 patterns of 8 consecutive entries in
-        # a column, on a byte and astride two, and the four sign cells of
-        # the pairs across each word boundary and each 2-word chunk boundary
-        monkeypatch.setattr(harness, "CUBE_DRAW_WORDS", 2)
+        # word boundary, are independent: within 4 standard errors over one
+        # draw, each of the 256 patterns of 8 consecutive entries in a
+        # column, on a byte and astride two, and the four sign cells of the
+        # pairs across each word boundary
         n, d = 1 << 18, 8
         x = CubePopulation(d).draw(n, RandomSource(22)).array == 1
         place = 1 << np.arange(8)
@@ -110,11 +128,10 @@ class TestPopulations:
             assert np.all(np.abs(freq - 1 / 256)
                           <= 4 * math.sqrt((1 / 256) * (255 / 256) / len(octets))), offset
         flat = x.T.ravel()  # the stream's order
-        last = np.arange(64, n * d, 64) - 1
-        for ends in (last[::2], last[1::2]):  # inside a chunk, then between chunks
-            cells = np.bincount(2 * flat[ends] + flat[ends + 1], minlength=4) / len(ends)
-            assert np.all(np.abs(cells - 0.25)
-                          <= 4 * math.sqrt(0.25 * 0.75 / len(ends))), cells
+        ends = np.arange(64, n * d, 64) - 1
+        cells = np.bincount(2 * flat[ends] + flat[ends + 1], minlength=4) / len(ends)
+        assert np.all(np.abs(cells - 0.25)
+                      <= 4 * math.sqrt(0.25 * 0.75 / len(ends))), cells
 
     def test_cube_sample_is_column_major_and_read_only(self):
         arr = CubePopulation(6).draw(9, RandomSource(2)).array
@@ -124,23 +141,73 @@ class TestPopulations:
             arr[0, 0] = 1
 
     def test_cube_draw_holds_the_sample_and_two_blocks(self):
-        # the sample's own bytes, one chunk's words (8 bytes each) and bits
-        # (64 bytes each), and a few objects; twice the sample adds nothing
+        # the sample's own words, 8 bytes each, and a few objects; twice the
+        # sample adds nothing
         import tracemalloc
         d = 1000
-        chunk = harness.CUBE_DRAW_WORDS * (8 + 64)
         CubePopulation(3).draw(5, RandomSource(0))  # one-time set-up, untraced
         excess = []
         for n in (4000, 8000):
+            words = 8 * -(-n * d // 64)
             tracemalloc.start()
             try:
                 CubePopulation(d).draw(n, RandomSource(1))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= n * d + chunk + 8192
-            excess.append(peak - n * d)
+            assert peak <= words + 8192
+            excess.append(peak - words)
         assert excess[1] <= excess[0], excess
+
+    def test_cube_sample_is_a_dataset_like_its_decode(self):
+        # each Dataset method, on a fresh sample whose int8 array is not yet
+        # built, gives what it gives on the bit-by-bit decode
+        n, d = 7, 4
+        ref = Dataset(np.array(_cube_decode(n, d), dtype=np.int8))
+        pos = np.array([[0, 3], [6, 1], [2, 2]])
+
+        def fresh():
+            return CubePopulation(d).draw(n, RandomSource(5).child(0))
+
+        assert len(fresh()) == len(ref) == n
+        assert fresh()[2] == ref[2]
+        assert list(fresh()) == list(ref)
+        assert fresh().leave_one_out(4).array.tolist() == ref.leave_one_out(4).array.tolist()
+        assert fresh().subsamples(pos) == ref.subsamples(pos)
+        copy = Dataset(fresh())
+        assert type(copy) is Dataset and copy.array.tolist() == ref.array.tolist()
+
+    def test_cube_runs_never_build_the_int8_array(self, tmp_path, monkeypatch):
+        # the README's naive and SQ cube attacks, and a fixed analyst's
+        # coordinate and constant queries, write the same CSV and sidecar
+        # when the int8 array refuses to be built
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        configs = [block for block in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                   if "d: 400" in block]
+        assert len(configs) == 2
+        configs.append(yaml.safe_dump(dict(
+            seed=3, trials=3, n=37, population={"name": "uniform_pm1_cube", "d": 5},
+            mechanism={"name": "subsampling-sq", "tau": 0.3, "delta": 0.2},
+            analyst={"name": "fixed", "queries": [
+                {"kind": "coord", "j": 0}, {"kind": "coord", "j": 4},
+                {"kind": "constant", "value": 0.3}]})))
+
+        def refuse(sample):
+            raise AssertionError("a run built the int8 cube array")
+
+        for i, text in enumerate(configs):
+            cfg = tmp_path / f"cfg{i}.yaml"
+            cfg.write_text(text)
+            outs = []
+            for refused in (False, True):
+                if refused:
+                    monkeypatch.setattr(harness.CubeSample, "array", property(refuse))
+                out = tmp_path / f"run{i}-{refused}.csv"
+                assert main(["run", str(cfg), "--out", str(out)]) == 0
+                outs.append((out.read_bytes(),
+                             Path(f"{out}.summary.json").read_bytes()))
+            monkeypatch.undo()
+            assert outs[0] == outs[1], i
 
     def test_sign_sum_batch_ignores_memory_order(self):
         gen = RandomSource(4).generator

@@ -3,7 +3,8 @@ core <- engine <- {divergence, mechanisms} <- harness <- cli, and no import
 statement sits inside a function, where an import cycle could hide. Also
 guards the names that the benchmark harness in ``perfbench/`` looks up and
 the session attributes it reads, that every function has a caller outside
-the tests, and that ``core.position_blocks`` is the one enumerator."""
+the tests, that ``core.position_blocks`` is the one enumerator, and that
+only the cube sample reads raw words and bits."""
 
 import ast
 import contextlib
@@ -203,3 +204,33 @@ def test_position_blocks_is_the_one_enumerator():
                 stray.append(f"{name}.py:{node.lineno}")
     assert not stray, f"enumerations outside core.position_blocks: {stray}"
     assert found == 2
+
+
+def _cube_bit_owners(tree: ast.Module):
+    """The ``CubeSample`` class and the ``CubePopulation.draw`` method."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "CubeSample":
+            yield cls
+        elif isinstance(cls, ast.ClassDef) and cls.name == "CubePopulation":
+            yield from (fn for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "draw")
+
+
+def test_only_the_cube_sample_reads_raw_bits():
+    """Only ``harness.CubePopulation.draw`` and ``harness.CubeSample`` name
+    ``random_raw``, ``unpackbits`` or ``bitwise_count``, so the cube's bit
+    layout is known in one place."""
+    readers = {"random_raw", "unpackbits", "bitwise_count"}
+    found, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = ({id(node) for owner in _cube_bit_owners(tree) for node in ast.walk(owner)}
+                  if path.stem == "harness" else set())
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in readers and id(node) in inside:
+                found.add(name)
+            elif name in readers:
+                stray.append(f"{path.name}:{node.lineno} {name}")
+    assert not stray, f"raw bits read outside the cube sample: {stray}"
+    assert found == readers
