@@ -24,11 +24,11 @@ byte-identical files. ADASUB_OUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -60,6 +60,7 @@ EXIT_CONFIG = 2
 EXIT_FAILURE = 3
 
 OUT_DIR_ENV = "ADASUB_OUT_DIR"
+CSV_CHUNK_ROWS = 256  # rows write_csv formats at once, a column at a time
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +140,44 @@ def format_number(v) -> str:
 
 def _cell(v) -> str:
     """One CSV cell: a str (or a str subclass) as itself, any other value as
-    ``format_number`` gives it; an exact str or float is dispatched first."""
-    kind = type(v)
-    if kind is str:
-        return v
-    if kind is float:
-        return format(v, ".12g")
+    ``format_number`` gives it."""
     return v if isinstance(v, str) else format_number(v)
 
 
+def _csv_field(s: str) -> str:
+    """``s`` quoted as ``csv.writer(lineterminator="\\n")`` quotes a field of
+    a many-field row: when it holds a comma, a quote or a newline, with its
+    quotes doubled; a carriage return alone is left bare."""
+    if "," in s or '"' in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _csv_column(cells: tuple) -> list[str]:
+    """One column's fields: a column of exact floats, or of exact ints, is
+    formatted in one pass, as ``_cell`` would; any other goes cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return ["%.12g" % v for v in cells]
+    if kinds == {int}:
+        return list(map(str, cells))
+    return [_csv_field(_cell(v)) for v in cells]
+
+
 def write_csv(report: ExperimentReport, path: str | Path) -> None:
+    """The rows under the ``ROW_COLUMNS`` header, each cell as ``_cell``
+    gives it, quoted as the csv module quotes; formatted ``CSV_CHUNK_ROWS``
+    rows at a time, one column at a time, so memory stays flat in the run's
+    length."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    cells = operator.itemgetter(*ROW_COLUMNS)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_COLUMNS)
-        writer.writerows([_cell(row[c]) for c in ROW_COLUMNS] for row in report.rows)
+        fh.write(",".join(ROW_COLUMNS) + "\n")
+        for lo in range(0, len(report.rows), CSV_CHUNK_ROWS):
+            chunk = map(cells, report.rows[lo:lo + CSV_CHUNK_ROWS])
+            columns = map(_csv_column, zip(*chunk))
+            fh.write("".join(",".join(line) + "\n" for line in zip(*columns)))
 
 
 def write_summary_json(report: ExperimentReport, path: str | Path) -> None:

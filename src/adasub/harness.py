@@ -53,6 +53,10 @@ WITHIN_TOL = 1e-12
 MEDIAN_CHECK_THRESHOLD = 0.4
 
 CUBE_MAX_ENTRIES = 1 << 28  # n x d ceiling on a cube sample, one bit an entry
+# A cube sample counts its columns a block at a time: a block spans at most
+# this many bits, and at most CUBE_BLOCK_BITS >> 8 columns so that its
+# per-column arrays stay small at small n, but always at least one column.
+CUBE_BLOCK_BITS = 1 << 20
 RUN_MAX_ROUNDS = 1 << 20  # trials x analyst rounds ceiling on a run, one row each
 SAMPLE_MAX = 1 << 24  # n ceiling: a finite sample holds n values of 8 bytes
 GRID_MAX_POINTS = 1 << 16  # discretized_gaussian points ceiling
@@ -356,13 +360,17 @@ class CubeSample(Dataset):
     """A ±1 cube sample kept as the raw 64-bit words it was drawn from: entry
     (i, j) is bit (j*n + i) mod 64 of word (j*n + i) // 64, low bit first, a
     set bit reading +1. Its three query kinds read the words; ``array``, the
-    (n, d) int8 ±1 array, is built only when asked for."""
+    (n, d) int8 ±1 array, is built only when asked for. Coordinate counts are
+    kept in a table filled a block of columns at a time (see
+    ``CUBE_BLOCK_BITS``), the first time a column of the block is asked for."""
 
-    __slots__ = ("_words", "_n", "_d")
+    __slots__ = ("_words", "_n", "_d", "_block", "_counts")
 
     def __init__(self, words: np.ndarray, n: int, d: int):
         words.setflags(write=False)
         self._words, self._n, self._d, self._array = words, n, d, None
+        self._block = max(1, min(CUBE_BLOCK_BITS // n, CUBE_BLOCK_BITS >> 8))
+        self._counts: list = [None] * -(-d // self._block)
 
     @property
     def array(self) -> np.ndarray:
@@ -399,13 +407,36 @@ class CubeSample(Dataset):
         j = test.tag[1] if test.tag and test.tag[0] == "coord" else -1
         if not 0 <= j < self._d:
             return super().tally(test)
-        # a popcount of the words that hold bits j*n .. j*n + n - 1, less the
-        # bits of the two end words outside them
-        lo, hi = j * self._n, (j + 1) * self._n
-        span = self._words[lo >> 6:(hi + 63) >> 6]
-        ones = int(np.bitwise_count(span).sum())
-        ones -= (int(span[0]) & ((1 << (lo & 63)) - 1)).bit_count()
-        return ones - (int(span[-1]) >> (hi & 63 or 64)).bit_count()
+        b, i = divmod(j, self._block)
+        if self._counts[b] is None:
+            self._counts[b] = self._count_block(b * self._block)
+        return self._counts[b][i]
+
+    def _count_block(self, j0: int) -> list[int]:
+        """The counts of ones of columns j0 .. j0 + block - 1 (fewer at the
+        end): per column, the popcounts of the words from its start word up
+        to the next column's, less the bits of its start word below its
+        start, plus the bits of the next column's start word below that
+        column's start."""
+        n, words = self._n, self._words
+        starts = np.arange(j0, min(j0 + self._block, self._d) + 1, dtype=np.int64) * n
+        first = starts >> 6
+        # the words of the block up to the last start word, that word counted
+        # by its low bits only; a zero past them so that every start indexes
+        ones = np.zeros(first[-1] - first[0] + 1, dtype=np.uint8)
+        np.bitwise_count(words[first[0]:first[-1]], out=ones[:-1])
+        # reduceat sums each column's words in int32, exact as a count is at
+        # most n; where two starts share a word it gives that word, not 0
+        counts = np.add.reduceat(ones, first - first[0], dtype=np.int32)[:-1]
+        counts[first[:-1] == first[1:]] = 0
+        # the bits below each start in its word; a start on a word boundary
+        # has none, so where the last start is one word past the sample the
+        # index is clipped to the last word, and the bits past n*d are never read
+        low = np.left_shift(np.uint64(1), (starts & 63).astype(np.uint64)) - np.uint64(1)
+        below = np.bitwise_count(words[np.minimum(first, len(words) - 1)] & low)
+        counts += below[1:]
+        counts -= below[:-1]
+        return counts.tolist()
 
 
 class CubePopulation(Population):
@@ -415,17 +446,18 @@ class CubePopulation(Population):
     truths are admitted: coordinate indicators, sign-of-sum tests, and
     constants. A drawn sample is a ``CubeSample`` of ceil(n*d/64) raw words
     of the stream, about n*d/8 bytes, in which each coordinate is a run of n
-    bits: a coordinate's count is a popcount over its run, and a sign-of-sum
-    test sums the runs 16 at a time.
+    bits: coordinate counts are popcounts over the runs, taken a block of
+    columns at a time, and a sign-of-sum test sums the runs 16 at a time.
+    The dimension d and a sample size n are positive integers, refused with
+    a ValueError naming the value otherwise.
     """
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("cube dimension must be positive")
-        self.d = int(d)
+        self.d = _positive_integer("cube dimension d", d)
         self.name = f"uniform_pm1_cube(d={d})"
 
     def draw(self, n: int, rng: RandomSource) -> CubeSample:
+        n = _positive_integer("cube sample size n", n)
         words = rng.generator.bit_generator.random_raw(-(-n * self.d // 64))
         return CubeSample(words.astype("<u8", copy=False), n, self.d)
 
@@ -444,6 +476,12 @@ class CubePopulation(Population):
             return float(q.tag[1])
         raise ValueError(
             f"no closed-form truth for {q.name!r} on a product-form cube population")
+
+
+def _positive_integer(what: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _bernoulli(p: float) -> FinitePopulation:

@@ -630,10 +630,15 @@ def same_csv_bytes(tmp_path, rows) -> bytes:
     return got
 
 
+class _Str(str):
+    pass
+
+
 _CELLS = [0, 7, -12, 2 ** 70, np.int64(-5), np.intp(9), True, 0.5, 0.1, 1 / 3,
           np.float64(0.25), np.float64(-0.0), math.nan, np.float64(math.nan),
           math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.5e300,
-          "coord:3", "a,b", 'say "hi"', '"', ",", "", " lead", "x\ny", np.str_("n,p")]
+          "coord:3", "a,b", 'say "hi"', '"', ",", "", " lead", "x\ny", np.str_("n,p"),
+          "\r", "a\rb", "\t", "é", _Str('s,"t"')]
 
 
 class TestCsvCells:
@@ -662,6 +667,48 @@ class TestCsvCells:
 
     def test_no_rows(self, tmp_path):
         assert same_csv_bytes(tmp_path, []) == (",".join(ROW_COLUMNS) + "\n").encode()
+
+    def test_chunks_change_kind(self, tmp_path):
+        # rows over three chunks: each column holds one kind of cell in the
+        # first chunk (exact ints, exact floats or strs) and mixed kinds in the
+        # second; the last chunk is short
+        chunk = cli.CSV_CHUNK_ROWS
+        pure = {"trial": 4, "t": -2, "query_id": "coord:1", "mechanism": "sq"}
+        rows = [{c: _CELLS[(i + 3 * j) % len(_CELLS)] if chunk <= i < 2 * chunk
+                 else pure.get(c, 0.1 * i) for j, c in enumerate(ROW_COLUMNS)}
+                for i in range(2 * chunk + 7)]
+        head = same_csv_bytes(tmp_path, rows).decode().split("\n")[:4]
+        assert list(csv.reader(head))[3][:5] == ["4", "-2", "coord:1", "sq", "0.2"]
+
+    def test_median_readme_rows_match_the_reference(self, tmp_path):
+        # the README median config's rows, whose grid-mean ids hold commas
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [text] = [block for block in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                  if "name: median" in block]
+        cfg = tmp_path / "median.yaml"
+        cfg.write_text(text)
+        report = run_experiment(load_config(cfg))
+        assert all("," in r["query_id"] for r in report.rows)
+        assert b'"grid-mean:w=' in same_csv_bytes(tmp_path, report.rows)
+
+    def test_write_peak_is_flat_in_the_rows(self, tmp_path):
+        # the traced peak of writing 20,000 rows is about that of 2,000: the
+        # writer holds one chunk of formatted cells at a time
+        import tracemalloc
+        peaks = []
+        for count in (2000, 20000):
+            rows = [{c: _CELLS[(i + 5 * j) % len(_CELLS)] if j % 3 == 0 else
+                     (i * 0.37 if j % 3 == 1 else i) for j, c in enumerate(ROW_COLUMNS)}
+                    for i in range(count)]
+            report = ExperimentReport(rows=rows, summary={})
+            cli.write_csv(report, tmp_path / "warm.csv")
+            tracemalloc.start()
+            try:
+                cli.write_csv(report, tmp_path / f"rows{count}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] * 1.25 + 4096, peaks
 
     def test_run_csv_matches_the_reference(self, tmp_path):
         cfg = write_config(tmp_path, {"population": {"name": "uniform_pm1_cube", "d": 30},

@@ -159,6 +159,58 @@ class TestPopulations:
             excess.append(peak - words)
         assert excess[1] <= excess[0], excess
 
+    @pytest.mark.parametrize("n,d,cap", [
+        (999, 1100, 1 << 20),  # a block boundary, 1,049 columns in, falls mid-word
+        (4099, 3, 1 << 12),  # n above the bit cap: one column a block
+        (1, 2 * 4096 + 5, 1 << 20),  # blocks cut short by the 4,096-column cap
+    ])
+    def test_cube_block_counts_match_the_decode(self, n, d, cap, monkeypatch):
+        # every column's count, asked in reverse order, against the pure-Python
+        # decode; asking one column fills its block of the table and no other.
+        # A cap other than CUBE_BLOCK_BITS keeps the decode small.
+        monkeypatch.setattr(harness, "CUBE_BLOCK_BITS", cap)
+        block = max(1, min(cap // n, cap >> 8))
+        S = CubePopulation(d).draw(n, RandomSource(5).child(0))
+        assert S._block == block and len(S._counts) == -(-d // block) >= 2
+        if n == 999:
+            assert block * n % 64 != 0
+        S.tally(coordinate_indicator(d - 1))
+        assert [b for b, counts in enumerate(S._counts) if counts is not None] \
+            == [(d - 1) // block]
+        want = [column.count(1) for column in zip(*_cube_decode(n, d))]
+        got = [S.tally(coordinate_indicator(j)) for j in reversed(range(d))][::-1]
+        assert got == want and {type(c) for c in got} == {int}
+        assert S._array is None
+
+    def test_cube_block_count_is_bounded_by_the_block(self):
+        # counting the first block of a desk-size sample traces a few block-
+        # sized arrays, not the sample's n x d / 8 bytes; a second column of
+        # the same block is a table lookup
+        import tracemalloc
+        n, d = 15000, 1000
+        S = CubePopulation(d).draw(n, RandomSource(1))
+        CubePopulation(3).draw(5, RandomSource(0)).tally(coordinate_indicator(0))
+        tracemalloc.start()
+        try:
+            S.tally(coordinate_indicator(0))
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            S.tally(coordinate_indicator(1))
+            second = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first <= harness.CUBE_BLOCK_BITS // 8 < n * d // 8 // 10
+        assert second <= first // 4, (first, second)
+
+    @pytest.mark.parametrize("d,n,named", [(3, 0, "n"), (3, -2, "n"), (2.5, 3, "d"),
+                                           (0, 3, "d"), (True, 3, "d"), (3, 4.0, "n")])
+    def test_cube_refuses_bad_sizes(self, d, n, named):
+        # the library, not numpy, refuses a size that is not a positive integer
+        value = n if named == "n" else d
+        with pytest.raises(ValueError, match=rf"\b{named} must be a positive integer, "
+                                             rf"got {re.escape(repr(value))}$"):
+            CubePopulation(d).draw(n, RandomSource(0))
+
     def test_cube_sample_is_a_dataset_like_its_decode(self):
         # each Dataset method, on a fresh sample whose int8 array is not yet
         # built, gives what it gives on the bit-by-bit decode
