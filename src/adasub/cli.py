@@ -259,11 +259,12 @@ def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
     measured on the realized answer support). Block b is
     dv.random_query_block(seed, b), the last one cut to --trials, so
     instance i's index replays it at any --trials; the instances of one
-    block that share (n, w, |Y|) are measured in one ``dv.table_chi2_rows``
-    call. Every row counts in the stats, and each failing instance is named
-    once: a row over the bound by ``dv.CHI2_EXCESS``, else an arity-1 row off
-    its equality. Only an instance that fails is built as a query and a
-    dataset, to be written out."""
+    block that share (n, w) are measured in one ``dv.table_chi2_rows`` call,
+    whose rows are zero-padded past their own |Y| and carry one bound each.
+    Every row counts in the stats, and each failing instance is named once:
+    a row over its bound by ``dv.CHI2_EXCESS``, else an arity-1 row off its
+    equality. Only an instance that fails is built as a query and a dataset,
+    to be written out."""
     res = SuiteResult("chi2-stability", trials)
     max_excess = -math.inf
     max_eq_dev = 0.0
@@ -271,12 +272,12 @@ def _suite_chi2_stability(trials: int, seed: int) -> SuiteResult:
         rows = dv.random_query_block(seed, block)
         count = min(trials - lo, dv.SUITE_BLOCK)
         failed: list[tuple[int, str]] = []  # (row, what failed)
-        for group in dv.key_groups(rows.n[:count], rows.w[:count], rows.ysize[:count]):
+        for group in dv.key_groups(rows.n[:count], rows.w[:count]):
             measured, bound, _, laws = dv.table_chi2_rows(rows, group)
             max_excess = max(max_excess, float((measured - bound).max()))
             over = measured > bound + dv.INEQ_TOL
-            failed += [(j, dv.CHI2_EXCESS.format(m, bound))
-                       for j, m in zip(group[over].tolist(), measured[over].tolist())]
+            failed += [(j, dv.CHI2_EXCESS.format(m, b)) for j, m, b in zip(
+                group[over].tolist(), measured[over].tolist(), bound[over].tolist())]
             n, w = int(rows.n[group[0]]), int(rows.w[group[0]])
             if w != 1:
                 continue

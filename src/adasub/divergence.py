@@ -99,30 +99,36 @@ def measure_leave_one_out_chi2(q: Query, S: Dataset) -> StabilityReport:
     enumeration; a value above the closed-form bound (beyond ``INEQ_TOL``)
     raises RuntimeError, worded by ``CHI2_EXCESS``."""
     law, loo = leave_one_out_pmfs(q, S)
-    measured, bound, per, _ = _chi2_rows(law.masses[None], loo, len(S), q.arity)
-    if measured[0] > bound + INEQ_TOL:
-        raise RuntimeError(CHI2_EXCESS.format(float(measured[0]), bound))
-    return StabilityReport(measured=float(measured[0]), bound=bound,
+    measured, bound, per, _ = _chi2_rows(law.masses[None], loo, len(S), q.arity,
+                                         np.array([len(q.outputs)]))
+    measured, bound = float(measured[0]), float(bound[0])
+    if measured > bound + INEQ_TOL:
+        raise RuntimeError(CHI2_EXCESS.format(measured, bound))
+    return StabilityReport(measured=measured, bound=bound,
                            per_index=tuple(per[0].tolist()), law=law)
 
 
 def table_chi2_rows(rows: QueryBlock, group
-                    ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_chi2_rows`` of the instances ``group`` (indices into the block) of
-    a query block, which share n, w and |Y|, read from the block's arrays
-    with no Query built; no instance at all is a ValueError. On each block
-    of position rows ``pos``, instance k's answers are one gather from the
-    flat table cells, cells[t0_k + sum_j D_k[pos[:, j]] a_k^(w-1-j)] for
-    its dataset D_k, alphabet size a_k and table offset t0_k, which is
-    table[tuple(x)] of its (a_k,) * w table; their one-hot rows are its
-    output laws there."""
+    a query block, which share n and w, read from the block's arrays with no
+    Query built; no instance at all is a ValueError. The group is walked at
+    its largest |Y|: row k's laws are zero-padded past its own |Y|, and a
+    padded cell, 0 in both laws, adds exactly 0.0 to its divergences. On
+    each block of position rows ``pos``, instance k's answers are one gather
+    from the flat table cells, cells[t0_k + sum_j D_k[pos[:, j]]
+    a_k^(w-1-j)] for its dataset D_k, alphabet size a_k and table offset
+    t0_k, which is table[tuple(x)] of its (a_k,) * w table; their one-hot
+    rows are its output laws there."""
     group = np.asarray(group, dtype=np.intp)
     if group.size == 0:
         raise ValueError("need at least one instance")
-    shapes = np.stack([rows.n[group], rows.w[group], rows.ysize[group]])
+    shapes = np.stack([rows.n[group], rows.w[group]])
     if (shapes != shapes[:, :1]).any():
-        raise ValueError("instances must share n, w and |Y|")
-    n, w, ysize = shapes[:, 0].tolist()
+        raise ValueError("instances must share n and w")
+    n, w = shapes[:, 0].tolist()
+    ysizes = rows.ysize[group]
+    ysize = int(ysizes.max())
     data = rows.data[rows.data_starts[group, None] + np.arange(n)]
     place = rows.a[group, None, None] ** np.arange(w - 1, -1, -1)
     starts = rows.cell_starts[group, None]
@@ -133,19 +139,23 @@ def table_chi2_rows(rows: QueryBlock, group
         return one_hot[rows.cells[starts + keys]]
 
     full, loo = leave_one_out_block_laws(block_laws, group.size, n, w, ysize)
-    return _chi2_rows(full, loo, n, w)
+    return _chi2_rows(full, loo, n, w, ysizes)
 
 
-def _chi2_rows(full: np.ndarray, loo: np.ndarray, n: int, w: int
-               ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+def _chi2_rows(full: np.ndarray, loo: np.ndarray, n: int, w: int, ysizes: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """From I instances' (I, |Y|) laws on S_k and (I n, |Y|) leave-one-out
-    laws: the (I,) averages over i of chi2(law on S_k || law on S_k minus
-    point i), their shared closed-form bound, the (I, n) per-index
-    divergences and the laws. The caller judges the averages against the
-    bound."""
+    laws, each row zero-padded past its range size ``ysizes[k]``: the (I,)
+    averages over i of chi2(law on S_k || law on S_k minus point i), their
+    (I,) closed-form bounds (one ``chi2_stability_bound`` call per distinct
+    range size), the (I, n) per-index divergences and the laws. The caller
+    judges the averages against the bounds."""
     count, ysize = full.shape
     per = chi2_divergence_rows(full[:, None, :], loo.reshape(count, -1, ysize))
-    return per.mean(axis=1), chi2_stability_bound(n, w, ysize), per, full
+    by_size = np.zeros(ysizes.max() + 1)
+    for s in set(ysizes.tolist()):
+        by_size[s] = chi2_stability_bound(n, w, s)
+    return per.mean(axis=1), by_size[ysizes], per, full
 
 
 def measure_leave_one_out_kl(q: Query, S: Dataset, mix: float) -> float:
@@ -512,8 +522,8 @@ def random_subset_rows(seed: int, block: int, linear: bool = False
     n, w = _draw_shapes(gen)
     if not linear:
         sizes = np.array([math.comb(nk, wk) for nk, wk in zip(n.tolist(), w.tolist())])
-        return n, w, np.split(gen.uniform(-1.0, 1.0, size=sizes.sum()),
-                              np.cumsum(sizes)[:-1])
+        flat, ends = gen.uniform(-1.0, 1.0, size=sizes.sum()), np.cumsum(sizes).tolist()
+        return n, w, [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
     alpha, starts = gen.uniform(-1.0, 1.0, size=n.sum()), np.cumsum(n) - n
     vals: list = [None] * SUITE_BLOCK
     for group in key_groups(n, w):

@@ -236,7 +236,10 @@ def _grid_cells(totals: np.ndarray, w: int, shift: float,
 def grid_mean_query(w: int, shift: float, centers: Sequence[float]) -> Query:
     """Query rounding the mean of w real elements (plus a shift) onto an
     ordered uniform grid of output values. The rows' sums are exact: equal
-    to ``math.fsum`` of each row."""
+    to ``math.fsum`` of each row. So a row whose sum overflows raises
+    OverflowError, as ``math.fsum`` and the scalar evaluator do; only a
+    finite sum whose cell offset overflows takes an end cell
+    (``_grid_cells``)."""
     centers = tuple(map(float, centers))
 
     def batch(arr, _w=w, _s=shift):

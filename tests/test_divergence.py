@@ -52,6 +52,21 @@ def subset_functions(seed, linear=False):
         yield n, w, dict(zip(itertools.combinations(range(n), w), row.tolist()))
 
 
+def assert_rows_are_one_row_calls(block, group, out):
+    """Row k of a ``table_chi2_rows`` result ``out`` equals
+    ``measure_leave_one_out_chi2`` on instance group[k] of ``block`` bit for
+    bit, with its law exactly 0.0 past its own |Y|."""
+    measured, bound, per, laws = out
+    for k, j in enumerate(group):
+        report = measure_leave_one_out_chi2(*block.instance(j))
+        ysize = len(report.law.masses)
+        assert float(measured[k]) == report.measured
+        assert float(bound[k]) == report.bound
+        assert tuple(per[k].tolist()) == report.per_index
+        assert np.array_equal(laws[k, :ysize], report.law.masses)
+        assert (laws[k, ysize:] == 0.0).all()
+
+
 def within_4se(hits, count, p):
     assert abs(hits / count - p) <= 4 * math.sqrt(p * (1 - p) / count)
 
@@ -441,8 +456,8 @@ class TestVarianceContraction:
 
 class TestShapeBlocks:
     """The chi2 and variance suites check each block's instances of one shape
-    in one rows call; every row must equal the one-row call on its instance,
-    bit for bit."""
+    (n, w) in one rows call; every row must equal the one-row call on its
+    instance, bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 20260801])
     def test_suite_rows_equal_the_one_row_calls(self, monkeypatch, seed):
@@ -469,13 +484,8 @@ class TestShapeBlocks:
         assert sorted(j for group, _ in calls["chi2"] for j in group) == list(range(1000))
         assert max(len(group) for group, _ in calls["chi2"]) > 1
         block = dv.random_query_block(seed, 0)
-        for group, (measured, bound, per, laws) in calls["chi2"]:
-            for k, j in enumerate(group):
-                report = measure_leave_one_out_chi2(*block.instance(j))
-                assert float(measured[k]) == report.measured
-                assert bound == report.bound
-                assert tuple(per[k].tolist()) == report.per_index
-                assert np.array_equal(laws[k], report.law.masses)
+        for group, out in calls["chi2"]:
+            assert_rows_are_one_row_calls(block, group, out)
         # each instance's values, keyed by their bytes, to its one-row sides
         want = {}
         for linear, trials in ((False, 1000), (True, 200)):
@@ -505,22 +515,50 @@ class TestShapeBlocks:
         # blocks of 4 position rows split every walk of C(n, w) > 4 subsets
         rows = dv.random_query_block(5, 0)
         monkeypatch.setattr(core, "SUBSET_BLOCK", 4)
-        shapes = list(zip(rows.n.tolist(), rows.w.tolist(), rows.ysize.tolist()))
-        for shape in ((8, 3, 4), (5, 2, 2), (3, 1, 3), (4, 3, 2)):
+        shapes = list(zip(rows.n.tolist(), rows.w.tolist()))
+        for shape in ((8, 3), (5, 2), (3, 1), (4, 3)):
             group = [j for j, s in enumerate(shapes) if s == shape][:7]
-            measured, bound, per, laws = dv.table_chi2_rows(rows, group)
             assert len(group) > 1
-            for k, j in enumerate(group):
-                report = measure_leave_one_out_chi2(*rows.instance(j))
-                assert float(measured[k]) == report.measured
-                assert bound == report.bound
-                assert tuple(per[k].tolist()) == report.per_index
-                assert np.array_equal(laws[k], report.law.masses)
+            assert_rows_are_one_row_calls(rows, group, dv.table_chi2_rows(rows, group))
+
+    def test_rows_of_mixed_range_sizes_equal_the_one_row_calls(self):
+        # every (n, w) group of a block, each mixing all three |Y| of 2..4:
+        # the group is walked at |Y| = 4, and a row of |Y| = 2 or 3 keeps its
+        # own law, divergences and bound
+        rows = dv.random_query_block(5, 0)
+        for group in dv.key_groups(rows.n, rows.w):
+            assert set(rows.ysize[group].tolist()) == {2, 3, 4}
+            out = dv.table_chi2_rows(rows, group)
+            assert out[3].shape == (len(group), 4)
+            assert_rows_are_one_row_calls(rows, group, out)
+
+    def test_chi2_suite_walks_each_n_and_w_once(self, monkeypatch):
+        # a default block holds 17 distinct (n, w): n on 3..8, w on
+        # 1..min(3, n - 1); each is one rows call and one enumeration walk,
+        # whatever its |Y|
+        calls, walks = [], []
+        table_rows, block_laws = dv.table_chi2_rows, dv.leave_one_out_block_laws
+
+        def spy_rows(rows, group):
+            calls.append((int(rows.n[group[0]]), int(rows.w[group[0]])))
+            return table_rows(rows, group)
+
+        def spy_walk(*args):
+            walks.append(args[2:4])
+            return block_laws(*args)
+
+        monkeypatch.setattr(dv, "table_chi2_rows", spy_rows)
+        monkeypatch.setattr(dv, "leave_one_out_block_laws", spy_walk)
+        assert run_suite("chi2-stability", seed=1).passed
+        block = dv.random_query_block(1, 0)
+        shapes = set(zip(block.n.tolist(), block.w.tolist()))
+        assert len(shapes) == 17
+        assert sorted(calls) == sorted(walks) == sorted(shapes)
 
     def test_table_rows_need_one_shape_and_an_instance(self):
         rows = dv.random_query_block(5, 0)
         other = int(np.flatnonzero(rows.n != rows.n[0])[0])
-        with pytest.raises(ValueError, match="share n, w and"):
+        with pytest.raises(ValueError, match="share n and w"):
             dv.table_chi2_rows(rows, [0, other])
         with pytest.raises(ValueError, match="need at least one instance"):
             dv.table_chi2_rows(rows, [])
@@ -538,11 +576,12 @@ class TestShapeBlocks:
         monkeypatch.setattr(dv, "chi2_stability_bound",
                             lambda n, w, y: low - 2 * dv.INEQ_TOL)
         again, bound, _, _ = dv.table_chi2_rows(rows, group)
-        assert np.array_equal(again, measured) and bound == low - 2 * dv.INEQ_TOL
+        assert np.array_equal(again, measured)
+        assert bound.tolist() == [low - 2 * dv.INEQ_TOL] * len(group)
         over = np.flatnonzero(again > bound + dv.INEQ_TOL)
         assert 1 < len(over) < len(group)
         for k in over:
-            named = dv.CHI2_EXCESS.format(float(measured[k]), bound)
+            named = dv.CHI2_EXCESS.format(float(measured[k]), float(bound[k]))
             with pytest.raises(RuntimeError, match=f"^{re.escape(named)}$"):
                 measure_leave_one_out_chi2(*rows.instance(group[k]))
 
